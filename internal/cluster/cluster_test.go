@@ -163,6 +163,66 @@ func TestCoordinatorEquivalence(t *testing.T) {
 	}
 }
 
+// TestCoordinatorEquivalenceAfterRefresh refreshes every node with
+// seeded edits to ~30% of its own cells, then demands the battery answer
+// byte-identically to a fresh engine over the edited table. The first
+// request after the refreshes holds a stale pin for every partition, so
+// it exercises the re-pin path: the flipped attempt stops before it has
+// met every stale pin, and the re-pinned attempt must still see only
+// current generations.
+func TestCoordinatorEquivalenceAfterRefresh(t *testing.T) {
+	tbl := clusterTable(stats.NewRNG(7), 6, 5, 4, 0.15)
+	rankings := []*core.MarketplaceRanking{clusterRanking()}
+	type edit struct {
+		g core.Group
+		q core.Query
+		l core.Location
+		v float64
+	}
+	for _, n := range []int{2, 3, 5} {
+		t.Run(fmt.Sprintf("partitions=%d", n), func(t *testing.T) {
+			coord := cluster.NewWithRankings(tbl, nil, rankings, cluster.Options{
+				Partitions:    n,
+				NodeCacheSize: -1,
+			})
+			rng := stats.NewRNG(uint64(100 + n))
+			edited := tbl.Clone()
+			own := make([][]edit, n)
+			for _, g := range tbl.Groups() {
+				for _, q := range tbl.Queries() {
+					for _, l := range tbl.Locations() {
+						if _, ok := tbl.Get(g, q, l); !ok || rng.Float64() >= 0.3 {
+							continue
+						}
+						e := edit{g, q, l, rng.Float64()}
+						edited.Set(e.g, e.q, e.l, e.v)
+						p := cluster.Route(q, l, n)
+						own[p] = append(own[p], e)
+					}
+				}
+			}
+			for p := 0; p < n; p++ {
+				coord.Node(p).Refresh(func(sub *core.Table) {
+					for _, e := range own[p] {
+						sub.Set(e.g, e.q, e.l, e.v)
+					}
+				})
+			}
+
+			single := serve.NewEngine(
+				serve.NewSnapshotWithRankings(edited, nil, rankings),
+				serve.Options{CacheSize: -1, Workers: 1},
+			)
+			for i, req := range clusterBattery(edited) {
+				if got, want := fingerprint(coord.Do(req)), fingerprint(single.Do(req)); got != want {
+					t.Errorf("request %d (%v) diverged after refresh at %d partitions:\n got: %s\nwant: %s",
+						i, req.Problem, n, got, want)
+				}
+			}
+		})
+	}
+}
+
 // TestCoordinatorSplitCoversTable pins the partitioning invariant the
 // equivalence rests on: every defined cell lands on exactly one
 // partition, and the union of the sub-tables is the original table.

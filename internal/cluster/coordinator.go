@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"fairjob/internal/compare"
@@ -152,6 +153,7 @@ type Coordinator struct {
 	n         int
 	uni       *Universe
 	nodes     []*Node
+	schema    *core.Schema
 	subRank   [][]*core.MarketplaceRanking
 	transport Transport
 	geoms     map[compare.Dimension]*geom
@@ -171,32 +173,15 @@ type Coordinator struct {
 	// gens caches the last generation seen per partition, seeding the
 	// next request's pins so a pin mismatch is the exception (a refresh
 	// landed), not the steady state.
-	gens []genCell
+	gens []atomic.Uint64
 
+	// deg memoizes the degraded engine by (missing set, survivor
+	// generations), latest key only: an outage burst builds it once.
 	degMu sync.Mutex
 	deg   map[string]*serve.Engine
 
 	hasRankings bool
 	pages       [][2]string
-}
-
-// genCell wraps a uint64 with the tiny lock the coordinator needs; a
-// plain atomic would do, but the struct keeps gens copyable in tests.
-type genCell struct {
-	mu  sync.Mutex
-	gen uint64
-}
-
-func (g *genCell) load() uint64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.gen
-}
-
-func (g *genCell) store(v uint64) {
-	g.mu.Lock()
-	g.gen = v
-	g.mu.Unlock()
 }
 
 // New builds a coordinator over tbl split into opts.Partitions
@@ -249,6 +234,7 @@ func NewWithRankings(tbl *core.Table, schema *core.Schema, rankings []*core.Mark
 		n:           n,
 		uni:         uni,
 		nodes:       nodes,
+		schema:      schema,
 		subRank:     subRank,
 		transport:   transport,
 		geoms:       buildGeoms(uni, n),
@@ -259,7 +245,7 @@ func NewWithRankings(tbl *core.Table, schema *core.Schema, rankings []*core.Mark
 		log:         opts.Log.Component("cluster"),
 		lat:         make([]latTracker, n),
 		rng:         stats.NewRNG(opts.Seed),
-		gens:        make([]genCell, n),
+		gens:        make([]atomic.Uint64, n),
 		deg:         make(map[string]*serve.Engine),
 		hasRankings: len(rankings) > 0,
 	}
@@ -287,7 +273,7 @@ func NewWithRankings(tbl *core.Table, schema *core.Schema, rankings []*core.Mark
 		})
 	}
 	for p := range nodes {
-		c.gens[p].store(nodes[p].Gen())
+		c.gens[p].Store(nodes[p].Gen())
 	}
 	if c.hasRankings {
 		seen := make(map[[2]string]bool)
@@ -350,7 +336,8 @@ func (c *Coordinator) Do(req serve.Request) serve.Response {
 // its own slice of whatever remains when it starts. A partition lost
 // past its retry budget degrades the answer to the surviving
 // partitions' data, reported as a *PartialResultError; a generation pin
-// flip re-pins and restarts the request once.
+// flip re-pins and restarts the request once, and a second flip fails it
+// with an error wrapping ErrGenMismatch.
 func (c *Coordinator) DoCtx(ctx context.Context, req serve.Request) serve.Response {
 	start := time.Now()
 	tr := c.tracer.Start(req.Problem.String())
@@ -380,7 +367,9 @@ func (c *Coordinator) DoCtx(ctx context.Context, req serve.Request) serve.Respon
 	var resp serve.Response
 	var rc *reqCtx
 	for attempt := 0; ; attempt++ {
-		rc = c.newReqCtx(st, tr)
+		// A re-pin starts unpinned: the flipped attempt may have stopped
+		// before it met the other stale pins, so c.gens cannot be trusted.
+		rc = c.newReqCtx(st, tr, attempt == 0)
 		// Each pinned attempt is a span: the fan-out legs nest under it,
 		// so a re-pinned request's waterfall shows both generations' work.
 		att := tr.StartSpan("scatter")
@@ -391,24 +380,27 @@ func (c *Coordinator) DoCtx(ctx context.Context, req serve.Request) serve.Respon
 		}
 		rc.span = att
 		resp = c.run(ctx, rc, req, tr)
-		if rc.genFlipped() && attempt == 0 {
-			// A partition refreshed under the pin: re-pin to the new
-			// generations and restart so the answer is single-generation.
-			c.met.repins.Inc()
-			tr.Mark("repin")
-			att.SetOutcome("gen-flip")
+		if !rc.genFlipped() {
+			if len(rc.missing()) > 0 {
+				att.SetOutcome("degraded")
+			} else {
+				att.SetOutcome(serve.Outcome(resp.Err))
+			}
 			att.Finish()
-			continue
+			break
 		}
-		if len(rc.missing()) > 0 {
-			att.SetOutcome("degraded")
-		} else {
-			att.SetOutcome(serve.Outcome(resp.Err))
-		}
+		// A pin flipped: the attempt, degraded or not, may stand on lists
+		// the refused legs cut short, so it is never answered.
+		att.SetOutcome("gen-flip")
 		att.Finish()
-		break
+		if attempt > 0 {
+			resp = serve.Response{Err: fmt.Errorf("%w: partitions refreshed again during the re-pinned attempt", ErrGenMismatch)}
+			break
+		}
+		c.met.repins.Inc()
+		tr.Mark("repin")
 	}
-	if missing := rc.missing(); len(missing) > 0 {
+	if missing := rc.missing(); len(missing) > 0 && !rc.genFlipped() {
 		if ctx.Err() == nil {
 			tr.Mark("degrade")
 			tr.Annotate("missing", intsList(missing))
@@ -568,8 +560,6 @@ func (c *Coordinator) runCompare(ctx context.Context, rc *reqCtx, req serve.Requ
 
 // degrade recomputes the request over the surviving partitions' data
 // and wraps the answer in a *PartialResultError naming what is missing.
-// The degraded engine is cached by (missing set, survivor generations):
-// a burst of requests during an outage builds the merged table once.
 func (c *Coordinator) degrade(ctx context.Context, rc *reqCtx, req serve.Request, missing []int) serve.Response {
 	eng, err := c.degradedEngine(ctx, rc, missing)
 	if err != nil {
@@ -590,30 +580,19 @@ func (c *Coordinator) degrade(ctx context.Context, rc *reqCtx, req serve.Request
 	return resp
 }
 
-// degradedEngine gathers the survivors' cells into one merged table and
-// serves it through a cache-less local engine.
+// degradedEngine gathers the survivors' cells and serves their merged
+// table through a cache-less local engine. The gather is unpinned, as
+// the attempt may have died before it heard from every survivor, so its
+// pins can predate a refresh; the replies' generations key the memo.
 func (c *Coordinator) degradedEngine(ctx context.Context, rc *reqCtx, missing []int) (*serve.Engine, error) {
 	dead := make(map[int]bool, len(missing))
 	for _, p := range missing {
 		dead[p] = true
 	}
+	rc.unpin()
 	key := "miss:" + intsList(missing)
+	var gathered [][]Cell
 	var rankings []*core.MarketplaceRanking
-	for p := 0; p < c.n; p++ {
-		if dead[p] {
-			continue
-		}
-		key += "|" + strconv.Itoa(p) + ":" + strconv.FormatUint(rc.pinFor(p), 10)
-		rankings = append(rankings, c.subRank[p]...)
-	}
-	c.degMu.Lock()
-	eng, ok := c.deg[key]
-	c.degMu.Unlock()
-	if ok {
-		return eng, nil
-	}
-
-	tbl := core.NewTable()
 	for p := 0; p < c.n; p++ {
 		if dead[p] {
 			continue
@@ -624,7 +603,20 @@ func (c *Coordinator) degradedEngine(ctx context.Context, rc *reqCtx, missing []
 			// degraded answer cannot be built this round.
 			return nil, err
 		}
-		for _, cell := range reply.Cells {
+		key += "|" + strconv.Itoa(p) + ":" + strconv.FormatUint(reply.Gen, 10)
+		gathered = append(gathered, reply.Cells)
+		rankings = append(rankings, c.subRank[p]...)
+	}
+	c.degMu.Lock()
+	eng, ok := c.deg[key]
+	c.degMu.Unlock()
+	if ok {
+		return eng, nil
+	}
+
+	tbl := core.NewTable()
+	for _, cells := range gathered {
+		for _, cell := range cells {
 			g, ok := c.uni.Group(cell.G)
 			if !ok {
 				continue // unreachable: sealed universe
@@ -632,11 +624,12 @@ func (c *Coordinator) degradedEngine(ctx context.Context, rc *reqCtx, missing []
 			tbl.Set(g, cell.Q, cell.L, cell.V)
 		}
 	}
-	eng = serve.NewEngine(serve.NewSnapshotWithRankings(tbl, c.nodes[0].schema, rankings), serve.Options{
+	eng = serve.NewEngine(serve.NewSnapshotWithRankings(tbl, c.schema, rankings), serve.Options{
 		Workers:   1,
 		CacheSize: -1, // keyed cache would collide across missing-sets; the coordinator caches the engine instead
 	})
 	c.degMu.Lock()
+	clear(c.deg)
 	c.deg[key] = eng
 	c.degMu.Unlock()
 	return eng, nil

@@ -30,7 +30,8 @@ var (
 	// longer matches the generation pinned at the start of the request —
 	// the all-or-nothing batch pin. It is never retried against the same
 	// pin (retrying cannot help); the coordinator re-pins and restarts
-	// the request once.
+	// the request once, and fails it with an error wrapping this one
+	// when the re-pinned attempt flips too.
 	ErrGenMismatch = errors.New("cluster: generation pin mismatch")
 )
 

@@ -21,11 +21,12 @@ type NodeOptions struct {
 	CacheSize int
 }
 
-// Node is one partition: the sub-table of cells whose (query, location)
-// pair routes here, a local serve engine over it (the single-leg
-// OpServe path), and the three list-fragment families the distributed
-// TA scans. A node is a simulated remote process — the coordinator
-// talks to it only through the Transport — but lives in-process today.
+// Node is one partition: a serve snapshot of the cells whose (query,
+// location) pair routes here (the node's only copy of them), a local
+// engine over it (the single-leg OpServe path), and the three
+// list-fragment families the distributed TA scans. A node is a simulated
+// remote process — the coordinator talks to it only through the
+// Transport — but lives in-process today.
 //
 // Fragments are completed against the shared Universe, not the
 // sub-table's own dimensions: the I(q,l) fragments carry every group in
@@ -35,22 +36,19 @@ type NodeOptions struct {
 // one partition, so a LessEntries merge of the fragments reproduces the
 // single index's lists byte-for-byte.
 type Node struct {
-	id, n    int
-	uni      *Universe
-	schema   *core.Schema
-	rankings []*core.MarketplaceRanking
-	opts     NodeOptions
+	id, n int
+	uni   *Universe
+	opts  NodeOptions
 
 	mu    sync.Mutex // serializes Refresh
 	state atomic.Pointer[nodeState]
 }
 
-// nodeState is one immutable generation of a node: sub-table, engine
-// and fragment families swap together, atomically, so a pinned call
-// never sees a torn mix of generations.
+// nodeState is one immutable generation of a node, numbered by its
+// snapshot: snapshot, engine and fragment families swap together,
+// atomically, so a pinned call never sees a torn mix of generations.
 type nodeState struct {
-	gen    uint64
-	tbl    *core.Table
+	snap   *serve.Snapshot
 	engine *serve.Engine
 
 	group, query, loc *fragFamily
@@ -64,34 +62,31 @@ type fragFamily struct {
 	owned []int
 }
 
-// NewNode builds partition id of n over its sub-table. The universe,
-// schema and rankings are sealed; Refresh replaces cell values only.
+// NewNode builds partition id of n over its sub-table. The universe is
+// sealed and the snapshot owns the pages; Refresh replaces cells only.
 func NewNode(id, n int, uni *Universe, sub *core.Table, schema *core.Schema, rankings []*core.MarketplaceRanking, opts NodeOptions) *Node {
-	nd := &Node{id: id, n: n, uni: uni, schema: schema, rankings: rankings, opts: opts}
-	nd.state.Store(nd.buildState(sub))
+	nd := &Node{id: id, n: n, uni: uni, opts: opts}
+	nd.state.Store(nd.buildState(serve.NewSnapshotWithRankings(sub, schema, rankings)))
 	return nd
 }
 
-// buildState freezes one generation: the serve snapshot (whose
-// process-unique generation number becomes the node's) and the three
-// fragment families, all from one view of the sub-table.
-func (nd *Node) buildState(sub *core.Table) *nodeState {
-	snap := serve.NewSnapshotWithRankings(sub, nd.schema, nd.rankings)
+// buildState freezes one generation around snap: its engine and the
+// three fragment families, all read from the snapshot's sealed cells.
+func (nd *Node) buildState(snap *serve.Snapshot) *nodeState {
 	st := &nodeState{
-		gen: snap.Gen(),
-		tbl: sub,
+		snap: snap,
 		engine: serve.NewEngine(snap, serve.Options{
 			Workers:   1,
 			CacheSize: nd.opts.CacheSize,
 		}),
 	}
-	st.group, st.query, st.loc = nd.buildFragments(sub)
+	st.group, st.query, st.loc = nd.buildFragments(snap)
 	return st
 }
 
 // buildFragments materializes this partition's fragments of the three
 // list families, completed against the universe.
-func (nd *Node) buildFragments(sub *core.Table) (group, query, loc *fragFamily) {
+func (nd *Node) buildFragments(snap *serve.Snapshot) (group, query, loc *fragFamily) {
 	G, Q, L := nd.uni.GroupKeys, nd.uni.Queries, nd.uni.Locations
 
 	// Ownership per (q, l) pair, plus the owned member sets per axis:
@@ -117,7 +112,7 @@ func (nd *Node) buildFragments(sub *core.Table) (group, query, loc *fragFamily) 
 			}
 			entries := make([]index.Entry, len(G))
 			for gi, g := range G {
-				v, _ := sub.GetKey(g, q, l) // undefined completes to 0
+				v, _ := snap.Cell(g, q, l) // undefined completes to 0
 				entries[gi] = index.Entry{Key: g, Value: v}
 			}
 			topk.SortEntries(entries)
@@ -136,7 +131,7 @@ func (nd *Node) buildFragments(sub *core.Table) (group, query, loc *fragFamily) 
 			}
 			entries := make([]index.Entry, len(qs))
 			for i, q := range qs {
-				v, _ := sub.GetKey(g, q, l)
+				v, _ := snap.Cell(g, q, l)
 				entries[i] = index.Entry{Key: string(q), Value: v}
 			}
 			topk.SortEntries(entries)
@@ -155,7 +150,7 @@ func (nd *Node) buildFragments(sub *core.Table) (group, query, loc *fragFamily) 
 			}
 			entries := make([]index.Entry, len(ls))
 			for i, l := range ls {
-				v, _ := sub.GetKey(g, q, l)
+				v, _ := snap.Cell(g, q, l)
 				entries[i] = index.Entry{Key: string(l), Value: v}
 			}
 			topk.SortEntries(entries)
@@ -178,22 +173,18 @@ func newFragFamily(lists [][]index.Entry) *fragFamily {
 
 // Gen returns the node's current generation.
 func (nd *Node) Gen() uint64 {
-	return nd.state.Load().gen
+	return nd.state.Load().snap.Gen()
 }
 
-// Refresh applies a copy-on-write edit to the node's sub-table and
-// swaps in a new generation: snapshot, engine and fragments together.
-// Edits must stay within the partition's owned (query, location) pairs
-// and must not grow the dimension universe — ownership and completion
-// are both anchored to the sealed Universe.
+// Refresh applies a copy-on-write edit through Snapshot.WithUpdates (one
+// table clone, pages shared) and swaps in the new generation: snapshot,
+// engine and fragments together. Edits must stay within the partition's
+// owned (query, location) pairs and must not grow the dimension
+// universe — ownership and completion are anchored to the Universe.
 func (nd *Node) Refresh(apply func(*core.Table)) {
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
-	next := nd.state.Load().tbl.Clone()
-	if apply != nil {
-		apply(next)
-	}
-	nd.state.Store(nd.buildState(next))
+	nd.state.Store(nd.buildState(nd.state.Load().snap.WithUpdates(apply)))
 }
 
 // Handle answers one transport call against the node's current
@@ -209,24 +200,25 @@ func (nd *Node) Refresh(apply func(*core.Table)) {
 // context server-side; this node reads neither.
 func (nd *Node) Handle(ctx context.Context, call Call) (Reply, error) {
 	st := nd.state.Load()
-	if call.PinGen != 0 && call.PinGen != st.gen {
-		return Reply{Gen: st.gen}, fmt.Errorf("%w: partition %d pinned gen %d, now serving %d",
-			ErrGenMismatch, nd.id, call.PinGen, st.gen)
+	gen := st.snap.Gen()
+	if call.PinGen != 0 && call.PinGen != gen {
+		return Reply{Gen: gen}, fmt.Errorf("%w: partition %d pinned gen %d, now serving %d",
+			ErrGenMismatch, nd.id, call.PinGen, gen)
 	}
 	switch call.Op {
 	case OpScan:
 		fam, err := st.family(call.Dim)
 		if err != nil {
-			return Reply{Gen: st.gen}, err
+			return Reply{Gen: gen}, err
 		}
 		if call.List < 0 || call.List >= fam.lists.NumLists() {
-			return Reply{Gen: st.gen}, fmt.Errorf("cluster: partition %d: list %d out of range", nd.id, call.List)
+			return Reply{Gen: gen}, fmt.Errorf("cluster: partition %d: list %d out of range", nd.id, call.List)
 		}
-		return Reply{Gen: st.gen, Entries: topk.ScanFrom(fam.lists, call.List, call.Start, call.Count)}, nil
+		return Reply{Gen: gen, Entries: topk.ScanFrom(fam.lists, call.List, call.Start, call.Count)}, nil
 	case OpLookup:
 		fam, err := st.family(call.Dim)
 		if err != nil {
-			return Reply{Gen: st.gen}, err
+			return Reply{Gen: gen}, err
 		}
 		var row []ListValue
 		for _, li := range fam.owned {
@@ -234,17 +226,17 @@ func (nd *Node) Handle(ctx context.Context, call Call) (Reply, error) {
 				row = append(row, ListValue{List: li, Value: v})
 			}
 		}
-		return Reply{Gen: st.gen, Row: row}, nil
+		return Reply{Gen: gen, Row: row}, nil
 	case OpCells:
-		cells := make([]Cell, 0, st.tbl.Len())
-		st.tbl.Range(func(tr core.Triple, v float64) {
+		cells := make([]Cell, 0, st.snap.Len())
+		st.snap.Range(func(tr core.Triple, v float64) {
 			cells = append(cells, Cell{G: tr.GroupKey, Q: tr.Query, L: tr.Location, V: v})
 		})
-		return Reply{Gen: st.gen, Cells: cells}, nil
+		return Reply{Gen: gen, Cells: cells}, nil
 	case OpServe:
-		return Reply{Gen: st.gen, Resp: st.engine.DoCtx(ctx, call.Req)}, nil
+		return Reply{Gen: gen, Resp: st.engine.DoCtx(ctx, call.Req)}, nil
 	default:
-		return Reply{Gen: st.gen}, fmt.Errorf("cluster: partition %d: unknown op %v", nd.id, call.Op)
+		return Reply{Gen: gen}, fmt.Errorf("cluster: partition %d: unknown op %v", nd.id, call.Op)
 	}
 }
 

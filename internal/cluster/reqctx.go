@@ -61,13 +61,13 @@ type streamStat struct {
 	last    time.Time
 }
 
-// reqCtx is the per-request fan-out state: the generation pins taken at
-// the start of the request (all-or-nothing batch pin), which partitions
-// have been marked dead for this request, and whether a pin flipped
-// (a refresh landed mid-request — the coordinator re-pins and restarts
-// rather than merging two generations). It also threads the request's
-// trace: span is the parent every leg span attaches under (the current
-// attempt's "scatter" span, or the "recompute" span during degrade).
+// reqCtx is one attempt's fan-out state: the generation pins (see
+// newReqCtx), which partitions have been marked dead for this request,
+// and whether a pin flipped (a refresh landed mid-request — the
+// coordinator re-pins and restarts rather than merging two generations).
+// It also threads the request's trace: span is the parent every leg
+// span attaches under (the current attempt's "scatter" span, or the
+// "recompute" span during degrade).
 type reqCtx struct {
 	c         *Coordinator
 	n         int
@@ -86,7 +86,9 @@ type reqCtx struct {
 	onFail  func()
 }
 
-func (c *Coordinator) newReqCtx(st *scatterStats, tr *obs.Trace) *reqCtx {
+// newReqCtx starts one attempt, pinned to every partition's last reported
+// generation or unpinned (PinGen 0 until a partition's first reply).
+func (c *Coordinator) newReqCtx(st *scatterStats, tr *obs.Trace, pinned bool) *reqCtx {
 	rc := &reqCtx{
 		c:         c,
 		n:         c.n,
@@ -97,8 +99,10 @@ func (c *Coordinator) newReqCtx(st *scatterStats, tr *obs.Trace) *reqCtx {
 		pins:      make([]uint64, c.n),
 		dead:      make([]bool, c.n),
 	}
-	for p := 0; p < c.n; p++ {
-		rc.pins[p] = c.gens[p].load()
+	if pinned {
+		for p := range rc.pins {
+			rc.pins[p] = c.gens[p].Load()
+		}
 	}
 	return rc
 }
@@ -174,10 +178,11 @@ func (rc *reqCtx) pinnedGen() uint64 {
 	return g
 }
 
-func (rc *reqCtx) pinFor(p int) uint64 {
+// unpin drops every pin, so each partition's next reply pins it afresh.
+func (rc *reqCtx) unpin() {
 	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.pins[p]
+	clear(rc.pins)
+	rc.mu.Unlock()
 }
 
 // noteStream folds one successful scan/lookup round-trip into the
@@ -262,9 +267,9 @@ func (rc *reqCtx) call(ctx context.Context, p int, call Call) (Reply, error) {
 		if legErr != nil {
 			if errors.Is(legErr, ErrGenMismatch) {
 				// Remember the generation the node now serves, so the
-				// restarted request pins it.
+				// next request's first attempt pins it.
 				if r.Gen != 0 {
-					rc.c.gens[p].store(r.Gen)
+					rc.c.gens[p].Store(r.Gen)
 				}
 				return legErr
 			}
@@ -322,7 +327,7 @@ func (rc *reqCtx) record(p int, gen uint64) {
 		rc.genFlip = true
 	}
 	rc.mu.Unlock()
-	rc.c.gens[p].store(gen)
+	rc.c.gens[p].Store(gen)
 }
 
 // legSpan opens one leg span (an op name, an attempt kind, a partition)

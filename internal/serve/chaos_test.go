@@ -373,15 +373,20 @@ func TestChaosConvergenceAfterFaultsClear(t *testing.T) {
 		t.Fatalf("anchor refresh after reset: %v", err)
 	}
 
+	// One request at a time: the gate admits MaxInflight 2 + MaxQueue 2,
+	// so a concurrent batch would be shed by design. With one request in
+	// flight, any shed can only be an admission grant leaked by the chaos
+	// phase.
 	ref := serve.NewEngine(anchored, serve.Options{Workers: 1, CacheSize: -1})
-	for i, resp := range eng.DoBatch(reqs) {
+	for i, req := range reqs {
+		resp := eng.Do(req)
 		if resp.Err != nil {
 			t.Fatalf("converged engine still failing request %d: %v", i, resp.Err)
 		}
 		if resp.Gen != anchored.Gen() {
 			t.Fatalf("request %d served from stale generation %d", i, resp.Gen)
 		}
-		if fingerprint(resp) != fingerprint(ref.Do(reqs[i])) {
+		if fingerprint(resp) != fingerprint(ref.Do(req)) {
 			t.Fatalf("request %d diverged from the fault-free reference after recovery", i)
 		}
 	}

@@ -671,7 +671,7 @@ func (e *Engine) doOn(ctx context.Context, snap *Snapshot, req Request, tr *obs.
 	}
 	tr.Mark("access-accounting")
 	lat := time.Since(start)
-	outcome := outcomeOf(resp.Err)
+	outcome := Outcome(resp.Err)
 	tr.SetOutcome(outcome)
 	// Finish before publishing the trace ID anywhere: the tail sampler
 	// decides retention there, and only a retained trace's ID (JoinID)
@@ -694,7 +694,7 @@ func (e *Engine) refuse(snap *Snapshot, req Request, err error, tr *obs.Trace, s
 	e.countFailure(err)
 	tr.Annotate("err", err.Error())
 	lat := time.Since(start)
-	outcome := outcomeOf(err)
+	outcome := Outcome(err)
 	tr.SetOutcome(outcome)
 	e.tracer.Finish(tr)
 	e.met.latency[req.Problem].ObserveWithExemplar(lat.Seconds(), tr.JoinID())
@@ -703,12 +703,6 @@ func (e *Engine) refuse(snap *Snapshot, req Request, err error, tr *obs.Trace, s
 	e.emit(req, resp, tr, outcome, lat, e.cacheState())
 	e.tracer.Release(tr)
 	return resp
-}
-
-// outcomeOf classifies a request error into the wide-event outcome
-// vocabulary: ok | shed | deadline | canceled | panic | partial | error.
-func outcomeOf(err error) string {
-	return Outcome(err)
 }
 
 // cacheState is the wide-event cache field for a request that got past

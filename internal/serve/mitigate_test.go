@@ -1,6 +1,7 @@
 package serve_test
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -68,6 +69,36 @@ func anchoredPagedSnapshot(seed uint64) *serve.Snapshot {
 	rng := stats.NewRNG(seed)
 	tbl := randomTable(rng, 6, 8, 8, 0.1)
 	return serve.NewSnapshotWithRankings(tbl, nil, []*core.MarketplaceRanking{servePaperRanking()})
+}
+
+// TestSnapshotOwnsPagesWithoutCopying pins that the snapshot keeps the
+// caller's pages instead of copying them: building it must allocate no
+// more for 50 workers per page than for 10.
+func TestSnapshotOwnsPagesWithoutCopying(t *testing.T) {
+	pages := func(workers int) []*core.MarketplaceRanking {
+		out := make([]*core.MarketplaceRanking, 20)
+		for i := range out {
+			r := &core.MarketplaceRanking{Query: core.Query(fmt.Sprintf("q%d", i)), Location: paperLocation}
+			for w := 0; w < workers; w++ {
+				r.Workers = append(r.Workers, core.RankedWorker{
+					ID:    fmt.Sprintf("w%d", w),
+					Attrs: core.Assignment{"gender": "Female", "ethnicity": "Asian"},
+					Rank:  w + 1,
+				})
+			}
+			out[i] = r
+		}
+		return out
+	}
+	allocs := func(workers int) float64 {
+		ps := pages(workers)
+		return testing.AllocsPerRun(50, func() {
+			serve.NewSnapshotWithRankings(core.NewTable(), nil, ps)
+		})
+	}
+	if few, many := allocs(10), allocs(50); many > few {
+		t.Fatalf("NewSnapshotWithRankings allocates %.0f times for 50 workers per page, %.0f for 10: pages are being copied", many, few)
+	}
 }
 
 // servedGoldens are the pinned end-to-end outcomes per mitigator — the

@@ -48,11 +48,11 @@ var generation atomic.Uint64
 
 // Snapshot is an immutable, shared-read view of one unfairness table and
 // its three Table-5 index families, plus the two Problem 2 comparers
-// (completion and defined-only semantics). All fields are sealed behind
-// the constructor: there is no mutating method, and the source table is
-// cloned on entry so later writes by the producer cannot leak in. A
-// snapshot may be shared by any number of goroutines without
-// synchronization.
+// (completion and defined-only semantics). There is no mutating method.
+// The table is sealed by copy (producers keep editing theirs), the
+// marketplace pages by ownership (nothing writes a page after the
+// crawl; see NewSnapshotWithRankings). A snapshot may be shared by any
+// number of goroutines without synchronization.
 type Snapshot struct {
 	gen     uint64
 	created time.Time   // freeze time, for the snapshot-age gauge
@@ -71,10 +71,9 @@ type Snapshot struct {
 
 	// Problem 3 (mitigation) state: the raw marketplace pages behind the
 	// table, keyed by (query, location), plus the schema that projects
-	// workers onto group labels. Both are sealed with the snapshot —
-	// rankings are cloned on entry and never mutated (mitigation builds
-	// permutations, not edits) — and nil for snapshots built without
-	// pages, whose mitigate requests then error per-call.
+	// workers onto group labels. Both are only read (mitigation builds
+	// permutations, not edits), so every later generation shares them;
+	// nil without pages, whose mitigate requests then error per-call.
 	schema   *core.Schema
 	rankings map[rankKey]*core.MarketplaceRanking
 }
@@ -97,10 +96,10 @@ func NewSnapshot(tbl *core.Table) *Snapshot {
 // NewSnapshotWithRankings freezes tbl together with the marketplace
 // pages it was evaluated from, enabling Problem 3 (mitigation) requests:
 // the engine re-ranks a pinned page and re-measures it against the same
-// generation both measurements see. The rankings are deep-cloned on
-// entry, so the caller's slices remain its own; schema projects workers
-// onto the group labels mitigation targets (nil selects
-// core.DefaultSchema).
+// generation both measurements see. The table is cloned; the pages are
+// not — the snapshot takes ownership of them, and the caller must not
+// modify a page or its workers afterwards. schema projects workers onto
+// the group labels mitigation targets (nil selects core.DefaultSchema).
 func NewSnapshotWithRankings(tbl *core.Table, schema *core.Schema, rankings []*core.MarketplaceRanking) *Snapshot {
 	s := newOwnedSnapshot(tbl.Clone())
 	if schema == nil {
@@ -109,19 +108,9 @@ func NewSnapshotWithRankings(tbl *core.Table, schema *core.Schema, rankings []*c
 	s.schema = schema
 	s.rankings = make(map[rankKey]*core.MarketplaceRanking, len(rankings))
 	for _, r := range rankings {
-		if r == nil {
-			continue
+		if r != nil {
+			s.rankings[rankKey{r.Query, r.Location}] = r
 		}
-		clone := &core.MarketplaceRanking{
-			Query:    r.Query,
-			Location: r.Location,
-			Workers:  make([]core.RankedWorker, len(r.Workers)),
-		}
-		for i, w := range r.Workers {
-			w.Attrs = w.Attrs.Clone()
-			clone.Workers[i] = w
-		}
-		s.rankings[rankKey{r.Query, r.Location}] = clone
 	}
 	return s
 }
@@ -200,6 +189,19 @@ func (s *Snapshot) WithUpdates(apply func(*core.Table)) *Snapshot {
 	next.rankings = s.rankings
 	return next
 }
+
+// Cell returns the sealed table's value for (groupKey, q, l) and whether
+// it is defined. Cell, Range and Len let callers derive structures from
+// the snapshot's cells without keeping a second copy of them.
+func (s *Snapshot) Cell(groupKey string, q core.Query, l core.Location) (float64, bool) {
+	return s.tbl.GetKey(groupKey, q, l)
+}
+
+// Range calls fn once for every defined cell of the sealed table.
+func (s *Snapshot) Range(fn func(tr core.Triple, v float64)) { s.tbl.Range(fn) }
+
+// Len returns the number of defined cells in the sealed table.
+func (s *Snapshot) Len() int { return s.tbl.Len() }
 
 // Gen returns the snapshot's process-unique generation number.
 func (s *Snapshot) Gen() uint64 { return s.gen }

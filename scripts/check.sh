@@ -4,19 +4,24 @@
 # Runs, in order:
 #   1. go vet ./...          static checks
 #   2. go build ./...        everything compiles
-#   3. go test -race ./internal/obs ./internal/serve
+#   3. benchmark module      go -C bench vet . and go test -short in
+#                            bench/: the benchmark is a module of its
+#                            own, outside ./..., so without this step an
+#                            internal API change that breaks its build
+#                            would still pass
+#   4. go test -race ./internal/obs ./internal/serve
 #                            the telemetry gate: the lock-free metric
 #                            and trace paths plus the instrumented
 #                            engine, raced first and uncached so a
 #                            telemetry regression fails fast
-#   4. observability gate    go test -race over the PR 5 stress suite
+#   5. observability gate    go test -race over the PR 5 stress suite
 #                            (histogram exemplars, tail-sampled trace
 #                            ring and event ring under concurrent
 #                            scrapes) plus the jq-free schema gate: a Go
 #                            test that drives a mixed workload through
 #                            the engine and validates every emitted wide
 #                            event against the documented closed schema
-#   5. chaos gate            go test -race -tags faultinject over the
+#   6. chaos gate            go test -race -tags faultinject over the
 #                            serving stack, the failpoint registry and
 #                            the partitioned cluster — the chaos suite
 #                            arms every failpoint (slow evaluator,
@@ -25,23 +30,23 @@
 #                            asserts the engine and the scatter-gather
 #                            coordinator converge back to correct
 #                            answers once faults clear
-#   6. mitigation gate       go test -race over internal/mitigate (the
+#   7. mitigation gate       go test -race over internal/mitigate (the
 #                            Problem 3 golden tests, property tests and
 #                            the FuzzMitigators seed corpus) plus the
 #                            served-path goldens and the concurrent
 #                            mitigate race stress in internal/serve
-#   7. profiling gate        go test -race over the continuous profiler
+#   8. profiling gate        go test -race over the continuous profiler
 #                            (a captured CPU profile must carry the
 #                            request pprof labels), the runtime-metrics
 #                            bridge and the open-loop load harness, plus
 #                            a fairjob loadtest smoke: one short run must
 #                            emit a JSON artifact joining CO-corrected
 #                            latency with labeled CPU attribution
-#   8. go test -race ./...   full suite under the race detector — the
+#   9. go test -race ./...   full suite under the race detector — the
 #                            evaluators' sharded worker pools and the
 #                            serve engine's concurrent query paths must
 #                            stay race-clean at any worker count
-#   9. overhead gates        the telemetry, resilience, logging,
+#  10. overhead gates        the telemetry, resilience, logging,
 #                            profiling and scatter-gather on-vs-off
 #                            benchmark pairs, each with the
 #                            < 5% acceptance budget. Each measurement is
@@ -92,6 +97,10 @@ go vet ./...
 
 echo "== go build ./..."
 go build ./...
+
+echo "== benchmark module: go -C bench vet . && (cd bench && go test -short ./...)"
+go -C bench vet .
+(cd bench && go test -short ./...)
 
 echo "== go test -race ./internal/obs ./internal/serve (telemetry gate)"
 go test -race -count=1 ./internal/obs/ ./internal/serve/
