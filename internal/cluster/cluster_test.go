@@ -1,15 +1,18 @@
 package cluster_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"fairjob/internal/cluster"
 	"fairjob/internal/compare"
 	"fairjob/internal/core"
+	"fairjob/internal/index"
 	"fairjob/internal/mitigate"
 	"fairjob/internal/serve"
 	"fairjob/internal/stats"
+	"fairjob/internal/testutil"
 	"fairjob/internal/topk"
 )
 
@@ -308,4 +311,46 @@ func FuzzClusterEquivalence(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestFragmentFootprint bounds the fragment lists a node builds at 16
+// bytes per posting, the bound index.BuildAll meets: each node's three
+// families are read back through OpScan and rebuilt the way the node
+// builds them. The table has the benchmark crawl's shape (11 groups, 96
+// queries, 56 locations) and the cluster its four partitions, so each
+// fragment list is as long as the benchmark's. A map per list costs
+// about 70 bytes per posting.
+func TestFragmentFootprint(t *testing.T) {
+	rng := stats.NewRNG(9)
+	c := cluster.New(clusterTable(rng, 11, 96, 56, 0.2), cluster.Options{Partitions: 4, NodeCacheSize: -1})
+	ng, nq, nl := len(c.GroupKeys()), len(c.Queries()), len(c.Locations())
+	families := []struct {
+		dim   compare.Dimension
+		lists int
+	}{{compare.ByGroup, nq * nl}, {compare.ByQuery, ng * nl}, {compare.ByLocation, ng * nq}}
+	for p := 0; p < c.Partitions(); p++ {
+		var fams [][][]index.Entry
+		postings := 0
+		for _, fam := range families {
+			lists := make([][]index.Entry, fam.lists)
+			for i := range lists {
+				reply, err := c.Node(p).Handle(context.Background(), cluster.Call{Op: cluster.OpScan, Dim: fam.dim, List: i, Count: ng + nq + nl})
+				if err != nil {
+					t.Fatal(err)
+				}
+				lists[i] = reply.Entries
+				postings += len(reply.Entries)
+			}
+			fams = append(fams, lists)
+		}
+		per := testutil.BytesPerRun(5, func() {
+			for _, lists := range fams {
+				topk.NewSliceLists(lists)
+			}
+		}) / float64(postings)
+		t.Logf("partition %d: %d postings, %.1f bytes per posting", p, postings, per)
+		if per > 16 {
+			t.Errorf("partition %d's fragment lists allocate %.1f bytes per posting, want at most 16", p, per)
+		}
+	}
 }

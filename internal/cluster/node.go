@@ -51,15 +51,10 @@ type nodeState struct {
 	snap   *serve.Snapshot
 	engine *serve.Engine
 
-	group, query, loc *fragFamily
-}
-
-// fragFamily is one list family's fragments: a global-listID-indexed
-// ragged ListSource (nil slices for lists this partition owns no piece
-// of) plus the owned list ids for row lookups.
-type fragFamily struct {
-	lists *topk.SliceLists
-	owned []int
+	// group, query and loc are the three families' fragments, indexed
+	// by global list id; a list this partition owns no piece of is
+	// empty.
+	group, query, loc *topk.SliceLists
 }
 
 // NewNode builds partition id of n over its sub-table. The universe is
@@ -85,8 +80,10 @@ func (nd *Node) buildState(snap *serve.Snapshot) *nodeState {
 }
 
 // buildFragments materializes this partition's fragments of the three
-// list families, completed against the universe.
-func (nd *Node) buildFragments(snap *serve.Snapshot) (group, query, loc *fragFamily) {
+// list families, completed against the universe. Each family is one
+// index.NewLists call (through topk.NewSliceLists), which sorts every
+// fragment into the canonical order.
+func (nd *Node) buildFragments(snap *serve.Snapshot) (group, query, loc *topk.SliceLists) {
 	G, Q, L := nd.uni.GroupKeys, nd.uni.Queries, nd.uni.Locations
 
 	// Ownership per (q, l) pair, plus the owned member sets per axis:
@@ -115,7 +112,6 @@ func (nd *Node) buildFragments(snap *serve.Snapshot) (group, query, loc *fragFam
 				v, _ := snap.Cell(g, q, l) // undefined completes to 0
 				entries[gi] = index.Entry{Key: g, Value: v}
 			}
-			topk.SortEntries(entries)
 			glists[qi*len(L)+li] = entries
 		}
 	}
@@ -134,7 +130,6 @@ func (nd *Node) buildFragments(snap *serve.Snapshot) (group, query, loc *fragFam
 				v, _ := snap.Cell(g, q, l)
 				entries[i] = index.Entry{Key: string(q), Value: v}
 			}
-			topk.SortEntries(entries)
 			qlists[gi*len(L)+li] = entries
 		}
 	}
@@ -153,22 +148,11 @@ func (nd *Node) buildFragments(snap *serve.Snapshot) (group, query, loc *fragFam
 				v, _ := snap.Cell(g, q, l)
 				entries[i] = index.Entry{Key: string(l), Value: v}
 			}
-			topk.SortEntries(entries)
 			llists[gi*len(Q)+qi] = entries
 		}
 	}
 
-	return newFragFamily(glists), newFragFamily(qlists), newFragFamily(llists)
-}
-
-func newFragFamily(lists [][]index.Entry) *fragFamily {
-	f := &fragFamily{lists: topk.NewSliceLists(lists)}
-	for i, l := range lists {
-		if l != nil {
-			f.owned = append(f.owned, i)
-		}
-	}
-	return f
+	return topk.NewSliceLists(glists), topk.NewSliceLists(qlists), topk.NewSliceLists(llists)
 }
 
 // Gen returns the node's current generation.
@@ -211,18 +195,21 @@ func (nd *Node) Handle(ctx context.Context, call Call) (Reply, error) {
 		if err != nil {
 			return Reply{Gen: gen}, err
 		}
-		if call.List < 0 || call.List >= fam.lists.NumLists() {
+		if call.List < 0 || call.List >= fam.NumLists() {
 			return Reply{Gen: gen}, fmt.Errorf("cluster: partition %d: list %d out of range", nd.id, call.List)
 		}
-		return Reply{Gen: gen, Entries: topk.ScanFrom(fam.lists, call.List, call.Start, call.Count)}, nil
+		return Reply{Gen: gen, Entries: topk.ScanFrom(fam, call.List, call.Start, call.Count)}, nil
 	case OpLookup:
 		fam, err := st.family(call.Dim)
 		if err != nil {
 			return Reply{Gen: gen}, err
 		}
 		var row []ListValue
-		for _, li := range fam.owned {
-			if v, ok := fam.lists.Find(li, call.Key); ok {
+		for li := 0; li < fam.NumLists(); li++ {
+			if fam.Len(li) == 0 {
+				continue // a list this partition owns no piece of
+			}
+			if v, ok := fam.Find(li, call.Key); ok {
 				row = append(row, ListValue{List: li, Value: v})
 			}
 		}
@@ -241,7 +228,7 @@ func (nd *Node) Handle(ctx context.Context, call Call) (Reply, error) {
 }
 
 // family resolves the fragment family for a quantification dimension.
-func (st *nodeState) family(dim compare.Dimension) (*fragFamily, error) {
+func (st *nodeState) family(dim compare.Dimension) (*topk.SliceLists, error) {
 	switch dim {
 	case compare.ByGroup:
 		return st.group, nil

@@ -93,9 +93,8 @@ func (u *Universe) Group(key string) (core.Group, bool) {
 	return g, ok
 }
 
-// Members returns the universe's member count for one list family's
-// member dimension: groups for the I(q,l) family, queries for I(g,l),
-// locations for I(g,q).
+// counts returns the universe's member count per dimension: groups (the
+// I(q,l) family's members), queries (I(g,l)'s) and locations (I(g,q)'s).
 func (u *Universe) counts() (g, q, l int) {
 	return len(u.GroupKeys), len(u.Queries), len(u.Locations)
 }

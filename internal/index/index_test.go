@@ -1,12 +1,16 @@
-package index
+package index_test
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 
 	"fairjob/internal/core"
+	"fairjob/internal/index"
 	"fairjob/internal/stats"
+	"fairjob/internal/testutil"
+	"fairjob/internal/topk"
 )
 
 func sampleTable() *core.Table {
@@ -22,37 +26,55 @@ func sampleTable() *core.Table {
 	return t
 }
 
+// TestInvertedOrderingAndAccess pins the posting order, canonical as
+// topk.SortEntries defines it, through many-way value ties (three at 0.5,
+// three at 0.3, and +0 against −0) on a complete list and on a ragged one
+// sharing its dictionary, and random access on both: a key a list lacks,
+// in the dictionary or not, Finds as (0, false).
 func TestInvertedOrderingAndAccess(t *testing.T) {
-	iv := newInverted([]Entry{{"a", 0.3}, {"b", 0.9}, {"c", 0.3}})
-	if iv.Len() != 3 {
-		t.Fatalf("Len = %d", iv.Len())
+	negZero := math.Copysign(0, -1)
+	full := []index.Entry{{"a", 0.3}, {"b", 0.9}, {"c", 0.3}, {"f", 0.5}, {"e", 0.5}, {"d", 0.5}, {"g", 0.3}, {"h", 0}, {"i", negZero}}
+	ragged := []index.Entry{{"g", 0.3}, {"e", 0.5}, {"a", 0.3}, {"i", negZero}, {"c", 0.3}}
+	lists := index.NewLists([][]index.Entry{full, ragged})
+	for li, wantKeys := range [][]string{
+		{"b", "d", "e", "f", "a", "c", "g", "h", "i"},
+		{"e", "a", "c", "g", "i"},
+	} {
+		iv := lists[li]
+		in := [][]index.Entry{full, ragged}[li]
+		want := append([]index.Entry(nil), in...)
+		topk.SortEntries(want)
+		if iv.Len() != len(want) {
+			t.Fatalf("list %d: Len = %d, want %d", li, iv.Len(), len(want))
+		}
+		for pos, w := range want {
+			e, ok := iv.At(pos)
+			if !ok || e != w || e.Key != wantKeys[pos] {
+				t.Fatalf("list %d: At(%d) = %v, %v; want %v (key %s)", li, pos, e, ok, w, wantKeys[pos])
+			}
+			if v, ok := iv.Find(w.Key); !ok || v != w.Value {
+				t.Fatalf("list %d: Find(%s) = %v, %v; want %v", li, w.Key, v, ok, w.Value)
+			}
+		}
+		if _, ok := iv.At(len(want)); ok {
+			t.Fatalf("list %d: At past end should fail", li)
+		}
+		if _, ok := iv.At(-1); ok {
+			t.Fatalf("list %d: At(-1) should fail", li)
+		}
+		if v, ok := iv.Find("zzz"); ok || v != 0 {
+			t.Fatalf("list %d: Find of a key outside the dictionary = %v, %v", li, v, ok)
+		}
 	}
-	e0, ok := iv.At(0)
-	if !ok || e0.Key != "b" {
-		t.Fatalf("At(0) = %v, %v", e0, ok)
-	}
-	// Ties broken by key: a before c.
-	e1, _ := iv.At(1)
-	e2, _ := iv.At(2)
-	if e1.Key != "a" || e2.Key != "c" {
-		t.Fatalf("tie order: %v, %v", e1, e2)
-	}
-	if _, ok := iv.At(3); ok {
-		t.Fatal("At past end should fail")
-	}
-	if _, ok := iv.At(-1); ok {
-		t.Fatal("At(-1) should fail")
-	}
-	if v, ok := iv.Find("c"); !ok || v != 0.3 {
-		t.Fatalf("Find(c) = %v, %v", v, ok)
-	}
-	if _, ok := iv.Find("zzz"); ok {
-		t.Fatal("Find of absent key should fail")
+	for _, k := range []string{"b", "d", "f", "h"} {
+		if v, ok := lists[1].Find(k); ok || v != 0 {
+			t.Fatalf("ragged Find(%s) = %v, %v; want (0, false)", k, v, ok)
+		}
 	}
 }
 
 func TestInvertedEntriesCopy(t *testing.T) {
-	iv := newInverted([]Entry{{"a", 1}, {"b", 2}})
+	iv := index.NewLists([][]index.Entry{{{"a", 1}, {"b", 2}}})[0]
 	es := iv.Entries()
 	es[0].Value = 99
 	if e, _ := iv.At(0); e.Value == 99 {
@@ -61,7 +83,7 @@ func TestInvertedEntriesCopy(t *testing.T) {
 }
 
 func TestGroupIndexSortedByUnfairness(t *testing.T) {
-	gi := BuildGroupIndex(sampleTable())
+	gi := index.BuildGroupIndex(sampleTable())
 	iv := gi.Get("q1", "l1")
 	if iv == nil {
 		t.Fatal("missing list")
@@ -73,7 +95,7 @@ func TestGroupIndexSortedByUnfairness(t *testing.T) {
 }
 
 func TestGroupIndexCompletion(t *testing.T) {
-	gi := BuildGroupIndex(sampleTable())
+	gi := index.BuildGroupIndex(sampleTable())
 	// female@q1,l2 was undefined -> completed with 0.
 	iv := gi.Get("q1", "l2")
 	v, ok := iv.Find("gender=Female")
@@ -91,7 +113,7 @@ func TestGroupIndexCompletion(t *testing.T) {
 }
 
 func TestGroupIndexGroupResolution(t *testing.T) {
-	gi := BuildGroupIndex(sampleTable())
+	gi := index.BuildGroupIndex(sampleTable())
 	g, ok := gi.Group("gender=Male")
 	if !ok || g.Name() != "Male" {
 		t.Fatalf("Group = %v, %v", g, ok)
@@ -102,14 +124,14 @@ func TestGroupIndexGroupResolution(t *testing.T) {
 }
 
 func TestGroupIndexMissingPair(t *testing.T) {
-	gi := BuildGroupIndex(sampleTable())
+	gi := index.BuildGroupIndex(sampleTable())
 	if gi.Get("zzz", "l1") != nil {
 		t.Fatal("unknown pair should return nil")
 	}
 }
 
 func TestQueryIndex(t *testing.T) {
-	qi := BuildQueryIndex(sampleTable())
+	qi := index.BuildQueryIndex(sampleTable())
 	iv := qi.Get("gender=Male", "l1")
 	if iv == nil || iv.Len() != 2 {
 		t.Fatalf("list = %v", iv)
@@ -125,7 +147,7 @@ func TestQueryIndex(t *testing.T) {
 }
 
 func TestLocationIndex(t *testing.T) {
-	li := BuildLocationIndex(sampleTable())
+	li := index.BuildLocationIndex(sampleTable())
 	iv := li.Get("gender=Male", "q1")
 	if iv == nil || iv.Len() != 2 {
 		t.Fatalf("list = %v", iv)
@@ -137,7 +159,7 @@ func TestLocationIndex(t *testing.T) {
 }
 
 func TestIndexDimsSorted(t *testing.T) {
-	gi := BuildGroupIndex(sampleTable())
+	gi := index.BuildGroupIndex(sampleTable())
 	if len(gi.Queries) != 2 || gi.Queries[0] != "q1" {
 		t.Fatalf("Queries = %v", gi.Queries)
 	}
@@ -172,7 +194,7 @@ func TestIndexInvariantsProperty(t *testing.T) {
 		if tbl.Len() == 0 {
 			return true
 		}
-		gi := BuildGroupIndex(tbl)
+		gi := index.BuildGroupIndex(tbl)
 		for _, qq := range gi.Queries {
 			for _, ll := range gi.Locations {
 				iv := gi.Get(qq, ll)
@@ -196,5 +218,38 @@ func TestIndexInvariantsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBuildAllFootprint pins the columnar layout's memory on a generated
+// table with the crawl's eleven groups: BuildAll allocates at most one
+// object per list beyond a constant per family, and at most 16 bytes per
+// posting. A map and an entry slice per list cost about 70.
+func TestBuildAllFootprint(t *testing.T) {
+	const ng, nq, nl = 11, 24, 14
+	rng := stats.NewRNG(5)
+	tbl := core.NewTable()
+	for g := 0; g < ng; g++ {
+		grp := core.NewGroup(core.Predicate{Attr: "cohort", Value: fmt.Sprintf("g%02d", g)})
+		for q := 0; q < nq; q++ {
+			for l := 0; l < nl; l++ {
+				if rng.Bernoulli(0.8) {
+					tbl.Set(grp, core.Query(fmt.Sprintf("q%02d", q)), core.Location(fmt.Sprintf("l%02d", l)), rng.Float64())
+				}
+			}
+		}
+	}
+	lists := nq*nl + ng*nl + ng*nq
+	postings := 3 * ng * nq * nl
+	const perFamily = 40
+	build := func() { index.BuildAll(tbl) }
+	allocs := testing.AllocsPerRun(10, build)
+	per := testutil.BytesPerRun(10, build) / float64(postings)
+	t.Logf("BuildAll: %.0f objects for %d lists, %.1f bytes per posting", allocs, lists, per)
+	if allocs > float64(lists+3*perFamily) {
+		t.Errorf("BuildAll allocates %.0f objects for %d lists; want at most one per list plus %d per family", allocs, lists, perFamily)
+	}
+	if per > 16 {
+		t.Errorf("BuildAll allocates %.1f bytes per posting, want at most 16", per)
 	}
 }

@@ -8,10 +8,13 @@
 // the repo's two call-site shapes: a bool predicate (Near) for table
 // tests that compose their own failure messages, and testing.TB-based
 // asserters (Approx, ApproxSlice) that fail with a uniform message.
+// BytesPerRun is testing.AllocsPerRun's byte counterpart, for memory
+// tests that bound a data structure's footprint.
 package testutil
 
 import (
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -66,4 +69,19 @@ func ApproxSlice(tb testing.TB, name string, got, want []float64, tol float64) {
 				name, i, got[i], want[i], tol, math.Abs(got[i]-want[i]))
 		}
 	}
+}
+
+// BytesPerRun returns the average number of heap bytes f allocates per
+// call, measured like testing.AllocsPerRun: GOMAXPROCS is 1 for the
+// measurement and one warm-up call runs first.
+func BytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }

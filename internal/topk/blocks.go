@@ -9,16 +9,18 @@ import (
 // This file holds the block-access primitives the scatter-gather
 // coordinator (internal/cluster) builds its distributed sorted access
 // on: the canonical posting-list order as a standalone comparator, a
-// ListSource over raw entry slices (a partition's list fragments), and
+// ListSource over ragged index lists (a partition's list fragments), and
 // a resumable block scan that a partition node serves without holding
 // any per-client cursor state.
 
 // LessEntries reports whether a sorts strictly before b in the
 // canonical posting-list order: descending Value, ascending Key on
-// ties. This is exactly the order index.Inverted sorts its entries in;
-// merging per-partition fragments with this comparator therefore
-// reproduces the single-index list byte-for-byte, which is what makes
-// the coordinator's answers byte-identical to a single engine's.
+// ties. This is exactly the order index.Inverted sorts its postings in
+// (it breaks ties by member id, and its sorted dictionary makes id
+// order key order); merging per-partition fragments with this
+// comparator therefore reproduces the single-index list byte-for-byte,
+// which is what makes the coordinator's answers byte-identical to a
+// single engine's.
 func LessEntries(a, b index.Entry) bool {
 	if a.Value != b.Value {
 		return a.Value > b.Value
@@ -32,60 +34,27 @@ func SortEntries(entries []index.Entry) {
 	sort.Slice(entries, func(i, j int) bool { return LessEntries(entries[i], entries[j]) })
 }
 
-// SliceLists is a ListSource over raw, already-sorted entry slices —
-// the form a partition node holds its list fragments in, and the form
-// the coordinator's merged lists take. Unlike the index-backed sources
-// the lists may be ragged (a fragment holds only the members a
-// partition owns), so ListLen reports the longest list; algorithms that
-// rely on the completion invariant should only be run over SliceLists
-// built with equal-length lists.
+// SliceLists is a ListSource over ragged posting lists built from raw
+// entry slices: the form a partition node holds its list fragments in.
+// Unlike the index-backed sources the lists may be ragged (a fragment
+// holds only the members a partition owns), so ListLen reports the
+// longest list, and a key a list lacks Finds as (0, false); algorithms
+// that rely on the completion invariant should only be run over
+// SliceLists built with equal-length lists.
 type SliceLists struct {
-	lists [][]index.Entry
-	// finds are lazily-built per-list key→value maps for random access;
-	// built once under buildOnce-style usage by the constructor, so
-	// concurrent Find calls need no locking.
-	finds  []map[string]float64
-	maxLen int
+	indexLists
 }
 
-// NewSliceLists wraps pre-sorted entry slices as a ListSource. Each
-// list must already be in canonical order (use SortEntries). Random
-// access maps are built eagerly so the value is safe for concurrent
-// use.
+// NewSliceLists builds a ListSource over the given entry slices through
+// index.NewLists, which lays them out columnar and sorts each into the
+// canonical posting-list order. A nil slice is an empty list. The value
+// is immutable and safe for concurrent use.
 func NewSliceLists(lists [][]index.Entry) *SliceLists {
-	s := &SliceLists{lists: lists, finds: make([]map[string]float64, len(lists))}
-	for i, l := range lists {
-		m := make(map[string]float64, len(l))
-		for _, e := range l {
-			m[e.Key] = e.Value
-		}
-		s.finds[i] = m
-		if len(l) > s.maxLen {
-			s.maxLen = len(l)
-		}
-	}
-	return s
+	return &SliceLists{newIndexLists(index.NewLists(lists))}
 }
-
-func (s *SliceLists) NumLists() int { return len(s.lists) }
-
-func (s *SliceLists) ListLen() int { return s.maxLen }
 
 // Len returns the length of list i (fragments are ragged).
-func (s *SliceLists) Len(i int) int { return len(s.lists[i]) }
-
-func (s *SliceLists) At(i, pos int) (index.Entry, bool) {
-	l := s.lists[i]
-	if pos < 0 || pos >= len(l) {
-		return index.Entry{}, false
-	}
-	return l[pos], true
-}
-
-func (s *SliceLists) Find(i int, key string) (float64, bool) {
-	v, ok := s.finds[i][key]
-	return v, ok
-}
+func (s *SliceLists) Len(i int) int { return s.lists[i].Len() }
 
 // ScanFrom is the resumable sorted-access primitive: it reads up to max
 // entries of list i starting at sorted position start, returning a

@@ -9,39 +9,52 @@ import (
 
 func TestLessEntriesMatchesInvertedOrder(t *testing.T) {
 	// Build an inverted list through the index package and assert
-	// LessEntries agrees with its sort on every adjacent pair,
-	// including value ties broken by key.
+	// LessEntries agrees with its sort on every adjacent pair, through
+	// many-way value ties broken by key: four groups at 0.5, two at 0.9
+	// and two left undefined (completed to 0).
 	tbl := core.NewTable()
-	g1 := core.NewGroup(core.Predicate{Attr: "gender", Value: "Male"})
-	g2 := core.NewGroup(core.Predicate{Attr: "gender", Value: "Female"})
-	g3 := core.NewGroup(core.Predicate{Attr: "ethnicity", Value: "Black"})
-	tbl.Set(g1, "q", "l", 0.5)
-	tbl.Set(g2, "q", "l", 0.5) // tie with g1 on value
-	tbl.Set(g3, "q", "l", 0.9)
+	values := map[string]float64{
+		"Male": 0.5, "Female": 0.5, "Black": 0.9, "Asian": 0.5,
+		"White": 0.9, "Other": 0.5, "Latin": 0.1,
+	}
+	for name, v := range values {
+		tbl.Set(core.NewGroup(core.Predicate{Attr: "cohort", Value: name}), "q", "l", v)
+	}
+	for _, name := range []string{"Mixed", "None"} {
+		tbl.Set(core.NewGroup(core.Predicate{Attr: "cohort", Value: name}), "q", "other", 1)
+	}
 	gi := index.BuildGroupIndex(tbl)
 	iv := gi.Get("q", "l")
 	entries := iv.Entries()
-	if len(entries) != 3 {
-		t.Fatalf("expected 3 entries, got %d", len(entries))
+	if len(entries) != len(values)+2 {
+		t.Fatalf("expected %d entries, got %d", len(values)+2, len(entries))
 	}
 	for i := 1; i < len(entries); i++ {
 		if !LessEntries(entries[i-1], entries[i]) {
 			t.Fatalf("index order violates LessEntries at %d: %+v !< %+v", i, entries[i-1], entries[i])
 		}
 	}
-	// SortEntries over a shuffled copy reproduces the index order.
-	shuffled := []index.Entry{entries[2], entries[0], entries[1]}
+	// SortEntries over a reversed copy reproduces the index order.
+	shuffled := make([]index.Entry, len(entries))
+	for i, e := range entries {
+		shuffled[len(entries)-1-i] = e
+	}
 	SortEntries(shuffled)
 	for i := range entries {
 		if shuffled[i] != entries[i] {
 			t.Fatalf("SortEntries diverged from index order at %d: %+v vs %+v", i, shuffled[i], entries[i])
 		}
 	}
+	if v, ok := iv.Find("cohort=Nobody"); ok || v != 0 {
+		t.Fatalf("Find of an absent key = %v, %v; want (0, false)", v, ok)
+	}
 }
 
 func TestSliceListsAndScanFrom(t *testing.T) {
+	// List 0 holds a three-way tie and is given out of order; "a" and
+	// "c" are present on it and absent from ragged list 1; list 2 is nil.
 	lists := [][]index.Entry{
-		{{Key: "a", Value: 3}, {Key: "b", Value: 2}, {Key: "c", Value: 1}},
+		{{Key: "d", Value: 2}, {Key: "a", Value: 3}, {Key: "c", Value: 2}, {Key: "b", Value: 2}},
 		{{Key: "b", Value: 9}},
 		nil,
 	}
@@ -49,38 +62,49 @@ func TestSliceListsAndScanFrom(t *testing.T) {
 	if s.NumLists() != 3 {
 		t.Fatalf("NumLists = %d, want 3", s.NumLists())
 	}
-	if s.ListLen() != 3 {
-		t.Fatalf("ListLen = %d, want longest list 3", s.ListLen())
+	if s.ListLen() != 4 {
+		t.Fatalf("ListLen = %d, want longest list 4", s.ListLen())
 	}
 	if s.Len(1) != 1 || s.Len(2) != 0 {
 		t.Fatalf("ragged Len wrong: %d, %d", s.Len(1), s.Len(2))
 	}
-	if e, ok := s.At(0, 1); !ok || e.Key != "b" {
-		t.Fatalf("At(0,1) = %+v, %v", e, ok)
+	for i, l := range lists {
+		want := append([]index.Entry(nil), l...)
+		SortEntries(want)
+		for pos, w := range want {
+			if e, ok := s.At(i, pos); !ok || e != w {
+				t.Fatalf("At(%d,%d) = %+v, %v; want %+v", i, pos, e, ok, w)
+			}
+			if v, ok := s.Find(i, w.Key); !ok || v != w.Value {
+				t.Fatalf("Find(%d, %s) = %v, %v; want %v", i, w.Key, v, ok, w.Value)
+			}
+		}
+		if _, ok := s.At(i, len(want)); ok {
+			t.Fatalf("At past list %d's end must report !ok", i)
+		}
 	}
-	if _, ok := s.At(1, 1); ok {
-		t.Fatal("At past a ragged list's end must report !ok")
-	}
-	if v, ok := s.Find(1, "b"); !ok || v != 9 {
-		t.Fatalf("Find(1, b) = %v, %v", v, ok)
-	}
-	if _, ok := s.Find(0, "zzz"); ok {
-		t.Fatal("Find of a missing key must report !ok")
+	for _, c := range []struct {
+		list int
+		key  string
+	}{{1, "a"}, {1, "c"}, {2, "b"}, {0, "zzz"}} {
+		if v, ok := s.Find(c.list, c.key); ok || v != 0 {
+			t.Fatalf("Find(%d, %s) = %v, %v; want (0, false)", c.list, c.key, v, ok)
+		}
 	}
 
 	// ScanFrom: block reads with caller-owned cursors resume exactly.
 	first := ScanFrom(s, 0, 0, 2)
-	rest := ScanFrom(s, 0, 2, 2)
-	if len(first) != 2 || len(rest) != 1 {
-		t.Fatalf("block sizes = %d, %d; want 2, 1", len(first), len(rest))
+	rest := ScanFrom(s, 0, 2, 3)
+	if len(first) != 2 || len(rest) != 2 {
+		t.Fatalf("block sizes = %d, %d; want 2, 2", len(first), len(rest))
 	}
 	got := append(append([]index.Entry{}, first...), rest...)
-	for i, e := range lists[0] {
-		if got[i] != e {
-			t.Fatalf("resumed scan diverged at %d: %+v vs %+v", i, got[i], e)
+	for i, key := range []string{"a", "b", "c", "d"} {
+		if got[i].Key != key {
+			t.Fatalf("resumed scan diverged at %d: %+v, want key %s", i, got[i], key)
 		}
 	}
-	if ScanFrom(s, 0, 3, 4) != nil {
+	if ScanFrom(s, 0, 4, 4) != nil {
 		t.Fatal("scan starting past the end must return nil")
 	}
 	if ScanFrom(s, 2, 0, 4) != nil {

@@ -35,15 +35,56 @@ type ListSource interface {
 	Find(i int, key string) (float64, bool)
 }
 
-// groupLists exposes the I(q,l) family over a (Q, L) scope as a
-// ListSource whose members are group keys.
-type groupLists struct {
-	lists []*index.Inverted
+// indexLists is a ListSource over index posting lists: the three
+// Table-5 families' scoped sources and SliceLists. ListLen is the longest
+// list, which for a family built under the completion invariant is every
+// list's length.
+type indexLists struct {
+	lists  []*index.Inverted
+	maxLen int
 }
 
-// NewGroupLists builds the group-fairness ListSource over the given scope.
-// Nil qs or ls default to the index's full dimensions. It returns an error
-// when a requested pair is not indexed.
+func newIndexLists(lists []*index.Inverted) indexLists {
+	s := indexLists{lists: lists}
+	for _, iv := range lists {
+		s.maxLen = max(s.maxLen, iv.Len())
+	}
+	return s
+}
+
+func (s *indexLists) NumLists() int { return len(s.lists) }
+func (s *indexLists) ListLen() int  { return s.maxLen }
+func (s *indexLists) At(i, pos int) (index.Entry, bool) {
+	return s.lists[i].At(pos)
+}
+func (s *indexLists) Find(i int, key string) (float64, bool) {
+	return s.lists[i].Find(key)
+}
+
+// scoped collects get(a, b) for every pair of as × bs, a-major, failing
+// when a pair is not indexed or the scope is empty.
+func scoped[A, B ~string](as []A, bs []B, get func(A, B) *index.Inverted) (ListSource, error) {
+	lists := make([]*index.Inverted, 0, len(as)*len(bs))
+	for _, a := range as {
+		for _, b := range bs {
+			iv := get(a, b)
+			if iv == nil {
+				return nil, fmt.Errorf("topk: pair (%s, %s) not indexed", a, b)
+			}
+			lists = append(lists, iv)
+		}
+	}
+	if len(lists) == 0 {
+		return nil, fmt.Errorf("topk: empty scope")
+	}
+	s := newIndexLists(lists)
+	return &s, nil
+}
+
+// NewGroupLists builds the group-fairness ListSource over the given scope:
+// the I(q,l) family, whose members are group keys. Nil qs or ls default
+// to the index's full dimensions. It returns an error when a requested
+// pair is not indexed.
 func NewGroupLists(gi *index.GroupIndex, qs []core.Query, ls []core.Location) (ListSource, error) {
 	if qs == nil {
 		qs = gi.Queries
@@ -51,38 +92,11 @@ func NewGroupLists(gi *index.GroupIndex, qs []core.Query, ls []core.Location) (L
 	if ls == nil {
 		ls = gi.Locations
 	}
-	src := &groupLists{}
-	for _, q := range qs {
-		for _, l := range ls {
-			iv := gi.Get(q, l)
-			if iv == nil {
-				return nil, fmt.Errorf("topk: pair (%s, %s) not indexed", q, l)
-			}
-			src.lists = append(src.lists, iv)
-		}
-	}
-	if len(src.lists) == 0 {
-		return nil, fmt.Errorf("topk: empty scope")
-	}
-	return src, nil
+	return scoped(qs, ls, gi.Get)
 }
 
-func (s *groupLists) NumLists() int { return len(s.lists) }
-func (s *groupLists) ListLen() int  { return s.lists[0].Len() }
-func (s *groupLists) At(i, pos int) (index.Entry, bool) {
-	return s.lists[i].At(pos)
-}
-func (s *groupLists) Find(i int, key string) (float64, bool) {
-	return s.lists[i].Find(key)
-}
-
-// queryLists exposes the I(g,l) family over a (G, L) scope; members are
-// queries.
-type queryLists struct {
-	lists []*index.Inverted
-}
-
-// NewQueryLists builds the query-fairness ListSource. groupKeys and ls nil
+// NewQueryLists builds the query-fairness ListSource over a (G, L) scope
+// of the I(g,l) family; members are queries. groupKeys and ls nil
 // default to the full dimensions.
 func NewQueryLists(qi *index.QueryIndex, groupKeys []string, ls []core.Location) (ListSource, error) {
 	if groupKeys == nil {
@@ -91,38 +105,11 @@ func NewQueryLists(qi *index.QueryIndex, groupKeys []string, ls []core.Location)
 	if ls == nil {
 		ls = qi.Locations
 	}
-	src := &queryLists{}
-	for _, g := range groupKeys {
-		for _, l := range ls {
-			iv := qi.Get(g, l)
-			if iv == nil {
-				return nil, fmt.Errorf("topk: pair (%s, %s) not indexed", g, l)
-			}
-			src.lists = append(src.lists, iv)
-		}
-	}
-	if len(src.lists) == 0 {
-		return nil, fmt.Errorf("topk: empty scope")
-	}
-	return src, nil
+	return scoped(groupKeys, ls, qi.Get)
 }
 
-func (s *queryLists) NumLists() int { return len(s.lists) }
-func (s *queryLists) ListLen() int  { return s.lists[0].Len() }
-func (s *queryLists) At(i, pos int) (index.Entry, bool) {
-	return s.lists[i].At(pos)
-}
-func (s *queryLists) Find(i int, key string) (float64, bool) {
-	return s.lists[i].Find(key)
-}
-
-// locationLists exposes the I(g,q) family over a (G, Q) scope; members are
-// locations.
-type locationLists struct {
-	lists []*index.Inverted
-}
-
-// NewLocationLists builds the location-fairness ListSource.
+// NewLocationLists builds the location-fairness ListSource over a (G, Q)
+// scope of the I(g,q) family; members are locations.
 func NewLocationLists(li *index.LocationIndex, groupKeys []string, qs []core.Query) (ListSource, error) {
 	if groupKeys == nil {
 		groupKeys = li.GroupKeys
@@ -130,29 +117,7 @@ func NewLocationLists(li *index.LocationIndex, groupKeys []string, qs []core.Que
 	if qs == nil {
 		qs = li.Queries
 	}
-	src := &locationLists{}
-	for _, g := range groupKeys {
-		for _, q := range qs {
-			iv := li.Get(g, q)
-			if iv == nil {
-				return nil, fmt.Errorf("topk: pair (%s, %s) not indexed", g, q)
-			}
-			src.lists = append(src.lists, iv)
-		}
-	}
-	if len(src.lists) == 0 {
-		return nil, fmt.Errorf("topk: empty scope")
-	}
-	return src, nil
-}
-
-func (s *locationLists) NumLists() int { return len(s.lists) }
-func (s *locationLists) ListLen() int  { return s.lists[0].Len() }
-func (s *locationLists) At(i, pos int) (index.Entry, bool) {
-	return s.lists[i].At(pos)
-}
-func (s *locationLists) Find(i int, key string) (float64, bool) {
-	return s.lists[i].Find(key)
+	return scoped(groupKeys, qs, li.Get)
 }
 
 // reversedLists adapts a ListSource so that ascending order on the
