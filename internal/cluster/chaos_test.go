@@ -141,10 +141,7 @@ func TestClusterPartitionDown(t *testing.T) {
 func TestClusterPartitionSlow(t *testing.T) {
 	defer faultinject.Reset()
 	const n = 3
-	coord, single, tbl := chaosFixture(t, n, cluster.Options{
-		HedgeFloor: time.Millisecond,
-		Seed:       5,
-	})
+	coord, single, tbl := chaosFixture(t, n, cluster.Options{Seed: 5})
 	req := chaosRequests(tbl)[0]
 	want := fingerprint(single.Do(req))
 

@@ -74,7 +74,6 @@ func TestClusterChaosTraceSlow(t *testing.T) {
 	coord := cluster.New(tbl, cluster.Options{
 		Partitions:    n,
 		NodeCacheSize: -1,
-		HedgeFloor:    time.Millisecond,
 		Seed:          5,
 		Obs:           reg,
 		Tracer:        tz,

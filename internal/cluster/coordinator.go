@@ -40,23 +40,9 @@ type Options struct {
 	// DefaultDeadline bounds requests that carry no deadline of their
 	// own; 0 leaves them unbounded.
 	DefaultDeadline time.Duration
-	// LegFraction is the share of the request's remaining deadline one
-	// fan-out leg may spend (default 0.5): a failed first leg leaves
-	// budget for a retry instead of burning the whole request.
-	LegFraction float64
 	// MinLegBudget floors the per-leg budget (default 10ms) so a request
 	// arriving nearly dead still gives its legs a usable slice.
 	MinLegBudget time.Duration
-	// HedgeFloor is the minimum hedge delay (default 1ms): never
-	// duplicate a leg faster than this, no matter how fast the partition
-	// has been.
-	HedgeFloor time.Duration
-	// HedgeMultiplier scales the partition's observed p99 into the hedge
-	// delay (default 3): a leg exceeding HedgeMultiplier×p99 is assumed
-	// stuck and a duplicate is launched.
-	HedgeMultiplier float64
-	// ScanBlock is the sorted-access block size per OpScan (default 32).
-	ScanBlock int
 	// Retry is the per-leg backoff policy for transient errors. The
 	// zero value retries twice with the serve defaults; the coordinator
 	// installs its own Abort classifier for gen-pin mismatches on top.
@@ -68,9 +54,26 @@ type Options struct {
 	NodeCacheSize int
 }
 
-// hedgeAfterSamples is how many latency samples a partition must have
-// before the coordinator trusts its p99 enough to hedge against it.
-const hedgeAfterSamples = 8
+// Fan-out tuning. These are fixed: no caller has needed other values.
+const (
+	// legFraction is the share of the request's remaining deadline one
+	// fan-out leg may spend: a failed first leg leaves budget for a retry
+	// instead of burning the whole request.
+	legFraction = 0.5
+	// hedgeFloor is the minimum hedge delay: never duplicate a leg faster
+	// than this, no matter how fast the partition has been.
+	hedgeFloor = time.Millisecond
+	// hedgeMultiplier scales the partition's observed p99 into the hedge
+	// delay: a leg exceeding hedgeMultiplier×p99 is assumed stuck and a
+	// duplicate is launched.
+	hedgeMultiplier = 3
+	// scanBlock is the sorted-access block size per OpScan.
+	scanBlock = 32
+	// hedgeAfterSamples is how many latency samples a partition must
+	// have before the coordinator trusts its p99 enough to hedge against
+	// it.
+	hedgeAfterSamples = 8
+)
 
 // latTracker is a fixed ring of recent leg latencies for one partition,
 // from which the hedge delay's p99 is derived.
@@ -197,20 +200,8 @@ func NewWithRankings(tbl *core.Table, schema *core.Schema, rankings []*core.Mark
 	if opts.Partitions <= 0 {
 		opts.Partitions = 1
 	}
-	if opts.LegFraction <= 0 || opts.LegFraction > 1 {
-		opts.LegFraction = 0.5
-	}
 	if opts.MinLegBudget <= 0 {
 		opts.MinLegBudget = 10 * time.Millisecond
-	}
-	if opts.HedgeFloor <= 0 {
-		opts.HedgeFloor = time.Millisecond
-	}
-	if opts.HedgeMultiplier <= 0 {
-		opts.HedgeMultiplier = 3
-	}
-	if opts.ScanBlock <= 0 {
-		opts.ScanBlock = 32
 	}
 
 	n := opts.Partitions
@@ -346,11 +337,10 @@ func (c *Coordinator) DoCtx(ctx context.Context, req serve.Request) serve.Respon
 		tr.SetOutcome("error")
 		c.tracer.Finish(tr)
 		resp := serve.Response{Err: err}
-		c.emit(req, resp, tr, "error", time.Since(start), nil)
+		c.emit(req, resp, tr, time.Since(start), nil)
 		c.tracer.Release(tr)
 		return resp
 	}
-	tr.Mark("validate")
 	if d := req.Deadline; d > 0 || c.opts.DefaultDeadline > 0 {
 		if d <= 0 {
 			d = c.opts.DefaultDeadline
@@ -398,11 +388,9 @@ func (c *Coordinator) DoCtx(ctx context.Context, req serve.Request) serve.Respon
 			break
 		}
 		c.met.repins.Inc()
-		tr.Mark("repin")
 	}
 	if missing := rc.missing(); len(missing) > 0 && !rc.genFlipped() {
 		if ctx.Err() == nil {
-			tr.Mark("degrade")
 			tr.Annotate("missing", intsList(missing))
 			// The degraded recompute is its own span; the survivors' cells
 			// gather and the local engine's work nest under it.
@@ -422,11 +410,10 @@ func (c *Coordinator) DoCtx(ctx context.Context, req serve.Request) serve.Respon
 	}
 
 	lat := time.Since(start)
-	outcome := serve.Outcome(resp.Err)
-	tr.SetOutcome(outcome)
+	tr.SetOutcome(serve.Outcome(resp.Err))
 	c.tracer.Finish(tr)
 	c.met.requestSeconds.Observe(lat.Seconds())
-	c.emit(req, resp, tr, outcome, lat, st)
+	c.emit(req, resp, tr, lat, st)
 	c.tracer.Release(tr)
 	return resp
 }
@@ -635,24 +622,22 @@ func (c *Coordinator) degradedEngine(ctx context.Context, rc *reqCtx, missing []
 	return eng, nil
 }
 
-// emit assembles the coordinator's wide event, mirroring the engine's
-// field layout (DESIGN.md §9) plus the fan-out fields: partitions is
-// the cluster width, missing_partitions names the holes in a partial
-// answer, and the scatter cost block (rpcs, hedges_fired, hedges_won,
-// leg_retries, slowest_partition) is the one-line summary of what the
-// trace's span tree shows leg by leg.
-func (c *Coordinator) emit(req serve.Request, resp serve.Response, tr *obs.Trace, outcome string, lat time.Duration, st *scatterStats) {
+// emit logs the coordinator's wide event: serve.WideEvent's mapping of
+// the request and response — so an OpServe leg's cache hit carries
+// cache "hit" and no access costs, exactly as the engine logs it — plus
+// the fan-out fields: partitions is the cluster width,
+// missing_partitions names the holes in a partial answer, and the
+// scatter cost block (rpcs, hedges_fired, hedges_won, leg_retries,
+// slowest_partition) is the one-line summary of what the trace's span
+// tree shows leg by leg.
+func (c *Coordinator) emit(req serve.Request, resp serve.Response, tr *obs.Trace, lat time.Duration, st *scatterStats) {
 	if c.log == nil {
 		return
 	}
-	ev := obs.Event{
-		Outcome:    outcome,
-		LatencyNS:  lat.Nanoseconds(),
-		TraceID:    tr.JoinID(),
-		Gen:        resp.Gen,
-		Problem:    req.Problem.String(),
-		Partitions: c.n,
-	}
+	ev := serve.WideEvent(req, resp)
+	ev.LatencyNS = lat.Nanoseconds()
+	ev.TraceID = tr.JoinID()
+	ev.Partitions = c.n
 	if st != nil {
 		ev.RPCs = st.rpcs.Load()
 		ev.HedgesFired = st.hedgesFired.Load()
@@ -663,33 +648,6 @@ func (c *Coordinator) emit(req serve.Request, resp serve.Response, tr *obs.Trace
 	var pres *PartialResultError
 	if errors.As(resp.Err, &pres) {
 		ev.MissingPartitions = pres.MissingList()
-	}
-	if resp.Err != nil {
-		ev.Err = resp.Err.Error()
-	}
-	switch req.Problem {
-	case serve.Quantify:
-		ev.Dim = req.Dim.String()
-		ev.K = req.K
-		ev.Direction = req.Direction.String()
-		ev.Algo = req.Algorithm.String()
-		ev.SortedAccesses = resp.Stats.SortedAccesses
-		ev.RandomAccesses = resp.Stats.RandomAccesses
-		ev.Rounds = resp.Stats.Rounds
-	case serve.Compare:
-		ev.Dim = req.Of.String()
-		ev.R1, ev.R2 = req.R1, req.R2
-		ev.By = req.By.String()
-		if resp.Comparison != nil {
-			ev.CompareAccesses = resp.Comparison.Accesses
-		}
-	case serve.Mitigate:
-		ev.Mitigator = req.Mitigator.String()
-		ev.R1, ev.R2 = req.Group, req.Query
-		ev.By = req.Location
-		if resp.Mitigation != nil {
-			ev.DeltaUnfairness = resp.Mitigation.Delta()
-		}
 	}
 	c.log.Log(ev)
 }

@@ -69,9 +69,8 @@ type streamStat struct {
 // span attaches under (the current attempt's "scatter" span, or the
 // "recompute" span during degrade).
 type reqCtx struct {
-	c         *Coordinator
-	n         int
-	scanBlock int
+	c *Coordinator
+	n int
 
 	tr     *obs.Trace
 	span   obs.SpanRef
@@ -90,14 +89,13 @@ type reqCtx struct {
 // generation or unpinned (PinGen 0 until a partition's first reply).
 func (c *Coordinator) newReqCtx(st *scatterStats, tr *obs.Trace, pinned bool) *reqCtx {
 	rc := &reqCtx{
-		c:         c,
-		n:         c.n,
-		scanBlock: c.opts.ScanBlock,
-		tr:        tr,
-		stats:     st,
-		stream:    make([]streamStat, c.n),
-		pins:      make([]uint64, c.n),
-		dead:      make([]bool, c.n),
+		c:      c,
+		n:      c.n,
+		tr:     tr,
+		stats:  st,
+		stream: make([]streamStat, c.n),
+		pins:   make([]uint64, c.n),
+		dead:   make([]bool, c.n),
 	}
 	if pinned {
 		for p := range rc.pins {
@@ -350,7 +348,7 @@ type legResult struct {
 }
 
 // leg executes one hedged send to partition p. The leg context carves
-// LegFraction of the request's remaining deadline (floored at
+// legFraction of the request's remaining deadline (floored at
 // MinLegBudget, capped at the remainder). The FIRST attempt runs
 // synchronously on the request goroutine — the hot path pays no
 // goroutine spawn, no channel handoff and no cross-core cache migration
@@ -376,7 +374,7 @@ func (rc *reqCtx) leg(ctx context.Context, p int, call Call, kind string) (Reply
 	var cancel context.CancelFunc
 	if dl, ok := ctx.Deadline(); ok {
 		remaining := time.Until(dl)
-		budget := time.Duration(float64(remaining) * c.opts.LegFraction)
+		budget := time.Duration(float64(remaining) * legFraction)
 		if budget < c.opts.MinLegBudget {
 			budget = c.opts.MinLegBudget
 		}
@@ -583,7 +581,7 @@ func (c *Coordinator) observeLeg(p int, seconds float64) {
 
 // hedgeBaseDelay is partition p's un-jittered hedge delay: no hedging
 // until the partition has hedgeAfterSamples latency samples, then the
-// multiple of its observed p99, floored at HedgeFloor. This is the
+// multiple of its observed p99, floored at hedgeFloor. This is the
 // value the cluster_hedge_delay_seconds gauge exports — the policy,
 // not one draw of it.
 func (c *Coordinator) hedgeBaseDelay(p int) time.Duration {
@@ -591,9 +589,9 @@ func (c *Coordinator) hedgeBaseDelay(p int) time.Duration {
 	if !ok {
 		return 0
 	}
-	d := time.Duration(p99 * c.opts.HedgeMultiplier * float64(time.Second))
-	if d < c.opts.HedgeFloor {
-		d = c.opts.HedgeFloor
+	d := time.Duration(p99 * hedgeMultiplier * float64(time.Second))
+	if d < hedgeFloor {
+		d = hedgeFloor
 	}
 	return d
 }

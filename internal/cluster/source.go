@@ -205,7 +205,7 @@ func (s *scatterSource) mergeOne(i int, ml *mergedList) bool {
 				Dim:   s.dim,
 				List:  i,
 				Start: f.pos,
-				Count: min(f.remaining, s.rc.scanBlock),
+				Count: min(f.remaining, scanBlock),
 			})
 			if err != nil {
 				f.failed = true

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,6 +15,7 @@ import (
 	"fairjob/internal/obs"
 	"fairjob/internal/serve"
 	"fairjob/internal/stats"
+	"fairjob/internal/testutil"
 	"fairjob/internal/topk"
 )
 
@@ -177,7 +179,8 @@ func TestClusterTracingEndToEnd(t *testing.T) {
 // TestClusterTracingEngineJoin: a single-partition coordinator serves
 // through OpServe, and the node-side engine must JOIN the coordinator's
 // trace as an "engine" child of the serve leg — one request, one trace —
-// instead of starting a second trace of its own.
+// instead of starting a second trace of its own. The engine's phase
+// spans nest under that engine span.
 func TestClusterTracingEngineJoin(t *testing.T) {
 	tbl := clusterTable(stats.NewRNG(7), 6, 5, 4, 0.15)
 	tz := obs.NewTracer(8)
@@ -204,6 +207,71 @@ func TestClusterTracingEngineJoin(t *testing.T) {
 	}
 	if eng.Parent != leg.ID || eng.Kind != "engine" || eng.Gen == 0 {
 		t.Fatalf("engine span wrong (want child of serve leg %d): %+v", leg.ID, eng)
+	}
+	var phases []string
+	for _, cs := range tr.Children {
+		if cs.Parent == eng.ID {
+			phases = append(phases, cs.Name)
+		}
+	}
+	if got := strings.Join(phases, " "); got != "validate cache-lookup execute access-accounting" {
+		t.Fatalf("engine phases = %q, want validate cache-lookup execute access-accounting", got)
+	}
+	if len(tr.Children) != 7 {
+		t.Fatalf("one-partition trace has %d spans, want 7 (scatter, serve, engine, four phases): %+v", len(tr.Children), tr.Children)
+	}
+}
+
+// TestClusterCacheHitEvent: a one-partition coordinator serves through
+// a node engine's cache, and the wide event of a cached answer must say
+// so — cache "hit" and no access costs, which the cache hit never
+// spent — exactly as the engine's own event does.
+func TestClusterCacheHitEvent(t *testing.T) {
+	tbl := clusterTable(stats.NewRNG(7), 6, 5, 4, 0.15)
+	sink := obs.NewRingSink(8)
+	coord := cluster.New(tbl, cluster.Options{Partitions: 1, Log: obs.NewLogger(obs.LoggerOptions{Sink: sink})})
+	req := serve.Request{Problem: serve.Quantify, Dim: compare.ByGroup, K: 3, Algorithm: topk.TA}
+	for i := 0; i < 2; i++ {
+		if resp := coord.Do(req); resp.Err != nil {
+			t.Fatalf("quantify %d failed: %v", i, resp.Err)
+		}
+	}
+	events := sink.Recent() // newest first
+	if len(events) != 2 {
+		t.Fatalf("emitted %d wide events, want 2", len(events))
+	}
+	miss, hit := events[1], events[0]
+	if miss.Cache != "" || miss.SortedAccesses == 0 || miss.Rounds == 0 {
+		t.Fatalf("computed answer's event lacks its access costs: %+v", miss)
+	}
+	if hit.Cache != "hit" || hit.SortedAccesses != 0 || hit.RandomAccesses != 0 || hit.Rounds != 0 {
+		t.Fatalf("cached answer's event = cache %q, sorted %d, random %d, rounds %d; want cache hit and no costs",
+			hit.Cache, hit.SortedAccesses, hit.RandomAccesses, hit.Rounds)
+	}
+}
+
+// TestClusterTracingAllocations bounds what tracing costs a
+// one-partition coordinator in allocations: the scatter, leg, engine and
+// phase spans all live in the pooled trace's inline buffer, so the only
+// extra allocations are the two of obs.ContextWithSpan (the context node
+// and the span ref boxed into it) that carry the serve leg's span to the
+// node. The tracer keeps only the warm-up request's trace.
+func TestClusterTracingAllocations(t *testing.T) {
+	if testutil.RaceEnabled() {
+		t.Skip("the race detector drops sync.Pool entries at random")
+	}
+	tbl := clusterTable(stats.NewRNG(7), 6, 5, 4, 0.15)
+	req := serve.Request{Problem: serve.Quantify, Dim: compare.ByGroup, K: 2, Algorithm: topk.TA}
+	allocs := func(tz *obs.Tracer) float64 {
+		coord := cluster.New(tbl, cluster.Options{Partitions: 1, NodeCacheSize: -1, Tracer: tz})
+		coord.Do(req)
+		return testing.AllocsPerRun(100, func() { coord.Do(req) })
+	}
+	plain := allocs(nil)
+	traced := allocs(obs.NewTracerTailSampled(0, obs.TailSamplingPolicy{KeepOneInN: math.MaxUint64}))
+	t.Logf("%v allocs traced, %v untraced", traced, plain)
+	if traced-plain > 2 {
+		t.Fatalf("tracing costs %v allocs per request (%v traced, %v untraced), want at most 2", traced-plain, traced, plain)
 	}
 }
 

@@ -108,10 +108,10 @@ func observabilityRunner() Runner {
 }
 
 // scrapeMetrics fetches the /metrics exposition, preferring a real TCP
-// round-trip through obs.Serve and falling back to an in-process
+// round-trip through obs.ServeAdmin and falling back to an in-process
 // request when the environment forbids listening.
 func scrapeMetrics(reg *obs.Registry, tz *obs.Tracer) (body, transport string, err error) {
-	if srv, serr := obs.Serve("127.0.0.1:0", reg, tz, nil); serr == nil {
+	if srv, serr := obs.ServeAdmin("127.0.0.1:0", obs.AdminOptions{Registry: reg, Tracer: tz}); serr == nil {
 		defer srv.Close()
 		resp, gerr := http.Get("http://" + srv.Addr() + "/metrics")
 		if gerr == nil {
@@ -124,7 +124,7 @@ func scrapeMetrics(reg *obs.Registry, tz *obs.Tracer) (body, transport string, e
 		}
 	}
 	rec := httptest.NewRecorder()
-	obs.Handler(reg, tz, nil).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	obs.NewHandler(obs.AdminOptions{Registry: reg, Tracer: tz}).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	return rec.Body.String(), "in-process handler (listen unavailable)", nil
 }
 

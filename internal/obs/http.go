@@ -265,12 +265,6 @@ type AdminOptions struct {
 	Profiler *Profiler
 }
 
-// Handler is the two-source compatibility constructor predating
-// AdminOptions; it serves no SLO or event views.
-func Handler(reg *Registry, tz *Tracer, h *Health) http.Handler {
-	return NewHandler(AdminOptions{Registry: reg, Tracer: tz, Health: h})
-}
-
 // readOnly guards a GET/HEAD endpoint: it answers HEAD with the headers
 // alone (the probe a scraper's liveness check sends), rejects other
 // methods with 405, and delegates GET to fn.
@@ -526,12 +520,6 @@ func writeJSON(w http.ResponseWriter, v any) {
 type Server struct {
 	srv *http.Server
 	ln  net.Listener
-}
-
-// Serve is the compatibility wrapper over ServeAdmin without SLO or
-// event views.
-func Serve(addr string, reg *Registry, tz *Tracer, h *Health) (*Server, error) {
-	return ServeAdmin(addr, AdminOptions{Registry: reg, Tracer: tz, Health: h})
 }
 
 // ServeAdmin starts the admin endpoint on addr (e.g. ":6060" or

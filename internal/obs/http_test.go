@@ -27,7 +27,7 @@ func TestMetricsExposition(t *testing.T) {
 	h.Observe(99)
 
 	rec := httptest.NewRecorder()
-	Handler(reg, nil, nil).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	NewHandler(AdminOptions{Registry: reg}).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d", rec.Code)
 	}
@@ -65,7 +65,7 @@ func TestMetricsExpositionLabeledHistogram(t *testing.T) {
 	reg.Histogram(Name("cost", "algo", "TA"), []float64{10}).Observe(4)
 
 	rec := httptest.NewRecorder()
-	Handler(reg, nil, nil).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	NewHandler(AdminOptions{Registry: reg}).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	body := rec.Body.String()
 	for _, want := range []string{
 		`cost_bucket{algo="TA",le="10"} 1`,
@@ -100,23 +100,23 @@ func parseExpositionValue(t *testing.T, body, prefix string) float64 {
 func TestDebugTraces(t *testing.T) {
 	tz := NewTracer(8)
 	tr := tz.Start("quantify")
-	tr.Mark("snapshot-pin")
-	tr.Mark("execute")
+	tr.StartSpan("validate").Finish()
+	tr.StartSpan("execute").Finish()
 	tr.Annotate("algo", "TA")
 	tz.Finish(tr)
 
 	rec := httptest.NewRecorder()
-	Handler(nil, tz, nil).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/traces", nil))
+	NewHandler(AdminOptions{Tracer: tz}).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/traces", nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d", rec.Code)
 	}
 	var out struct {
 		Finished uint64 `json:"finished"`
 		Traces   []struct {
-			Label string `json:"label"`
-			Spans []struct {
+			Label    string `json:"label"`
+			Children []struct {
 				Name string `json:"name"`
-			} `json:"spans"`
+			} `json:"children"`
 			Annotations []struct {
 				Key, Value string
 			} `json:"annotations"`
@@ -129,7 +129,7 @@ func TestDebugTraces(t *testing.T) {
 		t.Fatalf("finished=%d traces=%d", out.Finished, len(out.Traces))
 	}
 	got := out.Traces[0]
-	if got.Label != "quantify" || len(got.Spans) != 2 || got.Spans[0].Name != "snapshot-pin" {
+	if got.Label != "quantify" || len(got.Children) != 2 || got.Children[0].Name != "validate" {
 		t.Fatalf("trace = %+v", got)
 	}
 	if len(got.Annotations) != 1 || got.Annotations[0].Key != "algo" {
@@ -139,7 +139,7 @@ func TestDebugTraces(t *testing.T) {
 
 func TestDebugTracesEmpty(t *testing.T) {
 	rec := httptest.NewRecorder()
-	Handler(nil, nil, nil).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/traces", nil))
+	NewHandler(AdminOptions{}).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/traces", nil))
 	var out struct {
 		Traces []json.RawMessage `json:"traces"`
 	}
@@ -152,7 +152,7 @@ func TestDebugTracesEmpty(t *testing.T) {
 }
 
 func TestIndexAndNotFound(t *testing.T) {
-	h := Handler(NewRegistry(), NewTracer(1), nil)
+	h := NewHandler(AdminOptions{Registry: NewRegistry(), Tracer: NewTracer(1)})
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
 	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "/metrics") {
@@ -179,17 +179,17 @@ func TestHealthProbes(t *testing.T) {
 		return rec
 	}
 
-	nilHealth := Handler(nil, nil, nil)
+	nilHealth := NewHandler(AdminOptions{})
 	for _, path := range []string{"/healthz", "/readyz"} {
 		if rec := get(nilHealth, path); rec.Code != http.StatusOK || rec.Body.String() != "ok\n" {
 			t.Fatalf("%s with nil health: %d %q", path, rec.Code, rec.Body.String())
 		}
 	}
 
-	h := Handler(nil, nil, &Health{
+	h := NewHandler(AdminOptions{Health: &Health{
 		Live:  func() error { return nil },
 		Ready: func() error { return errors.New("gate saturated") },
-	})
+	}})
 	if rec := get(h, "/healthz"); rec.Code != http.StatusOK {
 		t.Fatalf("/healthz = %d, want 200", rec.Code)
 	}
@@ -205,7 +205,7 @@ func TestHealthProbes(t *testing.T) {
 // TestServerShutdown checks graceful shutdown: a Shutdown with headroom
 // returns nil and further connections are refused.
 func TestServerShutdown(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0", NewRegistry(), nil, nil)
+	srv, err := ServeAdmin("127.0.0.1:0", AdminOptions{Registry: NewRegistry()})
 	if err != nil {
 		t.Skipf("cannot listen: %v", err)
 	}
@@ -226,7 +226,7 @@ func TestServerShutdown(t *testing.T) {
 func TestServeLiveEndpoint(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("live_total").Add(5)
-	srv, err := Serve("127.0.0.1:0", reg, NewTracer(4), nil)
+	srv, err := ServeAdmin("127.0.0.1:0", AdminOptions{Registry: reg, Tracer: NewTracer(4)})
 	if err != nil {
 		t.Skipf("cannot listen: %v", err)
 	}

@@ -163,7 +163,6 @@ func TestSpanStragglerAfterRecycleIsIgnored(t *testing.T) {
 	mu.Lock()
 	*tr = Trace{ID: tr.ID + 1, Label: "second", Begin: time.Now()}
 	tr.cmu = mu
-	tr.Spans = tr.spanBuf[:0]
 	tr.Annots = tr.annotBuf[:0]
 	tr.Children = tr.childBuf[:0]
 	mu.Unlock()
@@ -278,7 +277,7 @@ func TestWaterfallRendering(t *testing.T) {
 	leg.FinishDur(2 * time.Millisecond)
 	hedge.FinishDur(time.Millisecond)
 	scatter.Finish()
-	tr.Mark("validate")
+	tr.StartSpan("validate").Finish()
 	tz.Finish(tr)
 
 	var buf bytes.Buffer
@@ -291,11 +290,20 @@ func TestWaterfallRendering(t *testing.T) {
 		"serve p1 [hedge]",
 		"◀ winner",
 		"peer=#",
-		"phases: validate",
+		"validate",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("waterfall lacks %q:\n%s", want, out)
 		}
+	}
+	// A phase is a span line like any other; there is no flat phase list.
+	for _, line := range strings.Split(out, "\n") {
+		if strings.Contains(line, "validate") && !strings.HasPrefix(line, "#4 ") {
+			t.Errorf("the validate phase must render as span #4, got %q:\n%s", line, out)
+		}
+	}
+	if strings.Contains(out, "phases:") {
+		t.Errorf("waterfall still prints a flat phases line:\n%s", out)
 	}
 	tz.Release(tr)
 }

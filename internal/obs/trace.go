@@ -7,17 +7,6 @@ import (
 	"time"
 )
 
-// Span is one phase of a traced query: its name, its offset from the
-// trace start, and its duration. Spans are contiguous — each Mark closes
-// the span running since the previous mark — which matches the serve
-// pipeline's linear phase structure (snapshot pin → cache lookup →
-// execute → record).
-type Span struct {
-	Name  string        `json:"name"`
-	Start time.Duration `json:"start_ns"`
-	Dur   time.Duration `json:"dur_ns"`
-}
-
 // Annotation is one key-value tag on a trace (generation, algorithm,
 // cache-hit flag, error text).
 type Annotation struct {
@@ -25,12 +14,12 @@ type Annotation struct {
 	Value string `json:"value"`
 }
 
-// ChildSpan is one node of a trace's span tree: a sub-operation (a
-// fan-out leg, a hedge duplicate, a retry attempt, a degraded
-// recompute, a node-side engine execution) with its own offset,
-// duration and outcome. Unlike the contiguous Mark spans, child spans
-// may overlap and nest — parent links form the tree, Link pairs a hedge
-// duplicate with the leg it raced.
+// ChildSpan is one node of a trace's span tree: a sub-operation (an
+// engine pipeline phase, a fan-out leg, a hedge duplicate, a retry
+// attempt, a degraded recompute, a node-side engine execution) with its
+// own offset, duration and outcome. Spans may overlap and nest — parent
+// links form the tree, Link pairs a hedge duplicate with the leg it
+// raced.
 type ChildSpan struct {
 	// ID is the span's 1-based position in the trace's Children slice;
 	// Parent is the ID of the enclosing span, 0 for a child of the trace
@@ -68,8 +57,9 @@ type ChildSpan struct {
 // reading its own object (JoinID, wide-event fields) until it hands it
 // back with Release. All methods are nil-receiver-safe so
 // instrumentation sites can run unconditionally — with tracing
-// disabled, Start returns nil and every Mark/Annotate on it is a no-op
-// costing one predictable branch.
+// disabled, Start returns nil and every StartSpan/Annotate on it is a
+// no-op costing one predictable branch. Children, the span tree, is the
+// trace's only timing record.
 type Trace struct {
 	ID    uint64        `json:"id"`
 	Label string        `json:"label"`
@@ -87,7 +77,6 @@ type Trace struct {
 	// Together they drive tail sampling and the /debug/traces filters.
 	Outcome string       `json:"outcome,omitempty"`
 	Slow    bool         `json:"slow,omitempty"`
-	Spans   []Span       `json:"spans"`
 	Annots  []Annotation `json:"annotations,omitempty"`
 	// Children is the span tree (see ChildSpan); SpansDropped counts
 	// spans refused by the MaxChildSpans cap, so a truncated tree is
@@ -95,13 +84,13 @@ type Trace struct {
 	Children     []ChildSpan `json:"children,omitempty"`
 	SpansDropped int32       `json:"spans_dropped,omitempty"`
 
-	spanBuf  [5]Span       // inline storage: the serve pipeline has ≤ 5 phases
 	annotBuf [2]Annotation // typical traces carry ≤ 2 string tags
-	childBuf [8]ChildSpan  // a single-leg request tree fits inline
-	last     time.Duration
+	// childBuf is inline span storage: an engine request's four phases,
+	// and a one-partition coordinator request's seven spans, fit.
+	childBuf [8]ChildSpan
 	retained bool // set by Finish when the trace entered the ring
 
-	// cmu guards Children and SpansDropped: unlike Mark/Annotate (owning
+	// cmu guards Children and SpansDropped: unlike Annotate (owning
 	// goroutine only), child spans are also written by node-side engine
 	// goroutines joining the trace through a context, which may race the
 	// owner and may even straggle past Finish. It is a pointer so the
@@ -170,17 +159,6 @@ func (t *Trace) Class() string {
 	default:
 		return "ok"
 	}
-}
-
-// Mark closes the current span under the given name: it covers the time
-// since the previous mark (or the trace start).
-func (t *Trace) Mark(name string) {
-	if t == nil {
-		return
-	}
-	now := time.Since(t.Begin)
-	t.Spans = append(t.Spans, Span{Name: name, Start: t.last, Dur: now - t.last})
-	t.last = now
 }
 
 // Annotate tags the trace with a key-value pair.
@@ -466,25 +444,22 @@ type traceSlot struct {
 // serves every tracer.
 var tracePool = sync.Pool{New: func() any { return new(Trace) }}
 
-// copyTrace copies src into dst by value, re-pointing the span,
-// annotation and child slices at dst's inline buffers when src's still
-// live in its own (the common, ≤ 5-span / ≤ 8-child case). A slice that
-// overflowed to the heap is shared instead: after Finish nothing
-// appends to it — a recycled trace is reset to its inline buffer and
-// growth allocates a fresh array — so the shared array is immutable.
-// Children is the exception to overflow sharing: a straggling SpanRef
+// copyTrace copies src into dst by value, re-pointing the annotation
+// and child slices at dst's inline buffers when src's still live in its
+// own (the common, ≤ 2-annotation / ≤ 8-child case). An annotation
+// slice that overflowed to the heap is shared instead: after Finish
+// nothing appends to it — a recycled trace is reset to its inline
+// buffer and growth allocates a fresh array — so the shared array is
+// immutable. Children is never shared: a straggling SpanRef
 // (a hedge duplicate's engine goroutine, say) may mutate a child
 // element after Finish, so the destination always takes its own copy —
 // inline when it fits, else into a heap array the destination owns
 // (ring slots recycle theirs across evictions, so steady-state
 // publication still allocates nothing).
 func copyTrace(dst, src *Trace) {
-	ns, na, nc := len(src.Spans), len(src.Annots), len(src.Children)
+	na, nc := len(src.Annots), len(src.Children)
 	spare := dst.Children
 	*dst = *src
-	if ns <= len(dst.spanBuf) {
-		dst.Spans = dst.spanBuf[:ns]
-	}
 	if na <= len(dst.annotBuf) {
 		dst.Annots = dst.annotBuf[:na]
 	}
@@ -565,7 +540,6 @@ func (tz *Tracer) Start(label string) *Trace {
 		Begin: time.Now(),
 	}
 	t.cmu = mu
-	t.Spans = t.spanBuf[:0]
 	t.Annots = t.annotBuf[:0]
 	t.Children = t.childBuf[:0]
 	mu.Unlock()

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestNilTracerIsFullyInert covers the disabled-tracing contract: every
@@ -16,7 +15,7 @@ func TestNilTracerIsFullyInert(t *testing.T) {
 	if tr != nil {
 		t.Fatal("nil tracer returned a trace")
 	}
-	tr.Mark("phase") // must not panic
+	tr.StartSpan("phase").Finish() // must not panic
 	tr.Annotate("k", "v")
 	tz.Finish(tr)
 	if tz.Finished() != 0 {
@@ -24,38 +23,6 @@ func TestNilTracerIsFullyInert(t *testing.T) {
 	}
 	if tz.Recent() != nil {
 		t.Fatal("nil tracer has recent traces")
-	}
-}
-
-func TestTraceSpansAreContiguous(t *testing.T) {
-	tz := NewTracer(4)
-	tr := tz.Start("query")
-	tr.Mark("a")
-	time.Sleep(time.Millisecond)
-	tr.Mark("b")
-	tr.Annotate("cache", "miss")
-	tz.Finish(tr)
-
-	if len(tr.Spans) != 2 {
-		t.Fatalf("spans = %v", tr.Spans)
-	}
-	if tr.Spans[0].Name != "a" || tr.Spans[1].Name != "b" {
-		t.Fatalf("span names = %q, %q", tr.Spans[0].Name, tr.Spans[1].Name)
-	}
-	if tr.Spans[0].Start != 0 {
-		t.Fatalf("first span starts at %v", tr.Spans[0].Start)
-	}
-	if tr.Spans[1].Start != tr.Spans[0].Start+tr.Spans[0].Dur {
-		t.Fatal("spans are not contiguous")
-	}
-	if tr.Spans[1].Dur < time.Millisecond {
-		t.Fatalf("span b duration = %v, want ≥ 1ms", tr.Spans[1].Dur)
-	}
-	if tr.Total < tr.Spans[1].Start+tr.Spans[1].Dur {
-		t.Fatalf("total %v < end of last span", tr.Total)
-	}
-	if len(tr.Annots) != 1 || tr.Annots[0] != (Annotation{"cache", "miss"}) {
-		t.Fatalf("annotations = %v", tr.Annots)
 	}
 }
 
@@ -111,7 +78,7 @@ func TestTraceIDsAreUnique(t *testing.T) {
 	}
 }
 
-// TestConcurrentTracing hammers Start/Mark/Finish/Recent from many
+// TestConcurrentTracing hammers Start/StartSpan/Finish/Recent from many
 // goroutines; -race must stay quiet and the finished count exact.
 func TestConcurrentTracing(t *testing.T) {
 	const workers, perWorker = 8, 500
@@ -123,7 +90,7 @@ func TestConcurrentTracing(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				tr := tz.Start("q")
-				tr.Mark("only")
+				tr.StartSpan("only").Finish()
 				tz.Finish(tr)
 				if i%100 == 0 {
 					tz.Recent()

@@ -14,6 +14,7 @@ import (
 	"fairjob/internal/compare"
 	"fairjob/internal/core"
 	"fairjob/internal/faultinject"
+	"fairjob/internal/obs"
 	"fairjob/internal/serve"
 	"fairjob/internal/stats"
 	"fairjob/internal/topk"
@@ -288,12 +289,14 @@ func TestChaosConvergenceAfterFaultsClear(t *testing.T) {
 	}
 	rng := stats.NewRNG(77)
 	snap := serve.NewSnapshot(randomTable(rng, 6, 4, 4, 0.1))
+	tz := obs.NewTracer(256)
 	eng := serve.NewEngine(snap, serve.Options{
 		Workers:     4,
 		CacheSize:   4, // constant eviction churn across the battery
 		MaxInflight: 2,
 		MaxQueue:    2,
 		Retry:       serve.RetryPolicy{MaxAttempts: 5, Sleep: func(time.Duration) {}},
+		Tracer:      tz,
 	})
 	reqs := battery(snap)
 
@@ -356,6 +359,19 @@ func TestChaosConvergenceAfterFaultsClear(t *testing.T) {
 	} {
 		if faultinject.Hits(fp) == 0 {
 			t.Fatalf("failpoint %s never fired during the chaos phase", fp)
+		}
+	}
+	// Every outcome path — hit, miss, shed, panic — leaves a well-formed
+	// trace whose phase spans follow one another in pipeline order.
+	for _, tr := range tz.Recent() {
+		if err := tr.CheckSpans(); err != nil {
+			t.Fatalf("trace %d (%s) malformed: %v", tr.ID, tr.Outcome, err)
+		}
+		for i := 1; i < len(tr.Children); i++ {
+			prev, cur := tr.Children[i-1], tr.Children[i]
+			if cur.Parent != 0 || cur.Start < prev.Start+prev.Dur {
+				t.Fatalf("trace %d (%s): phase %q overlaps or nests under %q: %+v", tr.ID, tr.Outcome, cur.Name, prev.Name, tr.Children)
+			}
 		}
 	}
 

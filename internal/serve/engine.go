@@ -172,10 +172,10 @@ type Options struct {
 	// callbacks (cache length, snapshot age), so give each engine its
 	// own registry rather than sharing one across engines.
 	Obs *obs.Registry
-	// Tracer, when non-nil, records a per-query trace (snapshot pin →
-	// validate → cache lookup → execute → access accounting) into its
-	// ring buffer. Nil disables tracing; the per-query cost is then a
-	// few nil checks. A tail-sampled tracer
+	// Tracer, when non-nil, records a per-query trace (validate → cache
+	// lookup → execute → access accounting, one child span per phase)
+	// into its ring buffer. Nil disables tracing; the per-query cost is
+	// then a few nil checks. A tail-sampled tracer
 	// (obs.NewTracerTailSampled) keeps error and slow traces while
 	// dropping most fast successes, so the interesting trace survives
 	// heavy traffic.
@@ -520,22 +520,19 @@ func (e *Engine) Do(req Request) Response {
 // A context carrying a parent span (obs.ContextWithSpan — the cluster
 // coordinator's legs do this) makes the engine JOIN that trace as an
 // "engine" child span instead of starting a second, unjoined trace of
-// its own: one request, one trace id, with the engine's work visible
-// in the caller's waterfall.
+// its own: one request, one trace id, with the engine's work — its
+// phase spans included — visible in the caller's waterfall.
 func (e *Engine) DoCtx(ctx context.Context, req Request) Response {
 	if ps, ok := obs.SpanFromContext(ctx); ok {
 		es := ps.StartChild("engine")
 		es.SetKind("engine")
-		resp := e.doOn(ctx, e.Snapshot(), req, nil)
+		resp := e.doOn(ctx, e.Snapshot(), req, nil, es)
 		es.SetGen(resp.Gen)
 		es.SetOutcome(Outcome(resp.Err))
 		es.Finish()
 		return resp
 	}
-	tr := e.tracer.Start(req.Problem.String())
-	snap := e.Snapshot()
-	tr.Mark("snapshot-pin")
-	return e.doOn(ctx, snap, req, tr)
+	return e.doOn(ctx, e.Snapshot(), req, e.tracer.Start(req.Problem.String()), obs.SpanRef{})
 }
 
 // DoBatch answers a batch of requests across the bounded worker pool and
@@ -566,25 +563,31 @@ func (e *Engine) DoBatchCtx(ctx context.Context, reqs []Request) []Response {
 		e.met.queueWait.Observe(wait.Seconds())
 		tr := e.tracer.Start(reqs[i].Problem.String())
 		tr.SetQueueWait(wait)
-		tr.Mark("snapshot-pin")
-		out[i] = e.doOn(ctx, snap, reqs[i], tr)
+		out[i] = e.doOn(ctx, snap, reqs[i], tr, obs.SpanRef{})
 	})
 	return out
 }
 
-// doOn answers req against a pinned snapshot, consulting the cache. tr
-// may be nil (tracing disabled); every response — hit, miss or error —
-// lands in the per-problem latency histogram.
+// doOn answers req against a pinned snapshot, consulting the cache, and
+// records its phases — validate, cache-lookup, execute,
+// access-accounting — as spans under one parent: the root of tr for a
+// standalone request, or parent when the request joined a caller's
+// trace. tr is nil on the joined path and when tracing is disabled;
+// every response — hit, miss or error — lands in the per-problem
+// latency histogram.
 //
 // The resilient path runs in a fixed order (DESIGN.md §10): validate →
 // cache probe → deadline → admission → guarded execute. The cache probe
 // sits BEFORE the deadline and the gate on purpose — a cached answer
 // costs no compute, so it is served even when the gate is shedding
 // everything, which keeps hot queries alive through overload.
-func (e *Engine) doOn(ctx context.Context, snap *Snapshot, req Request, tr *obs.Trace) Response {
+func (e *Engine) doOn(ctx context.Context, snap *Snapshot, req Request, tr *obs.Trace, parent obs.SpanRef) Response {
 	start := time.Now()
 	tr.SetGen(snap.gen)
-	if err := validate(req); err != nil {
+	phase := startPhase(tr, parent, "validate")
+	err := validate(req)
+	phase.Finish()
+	if err != nil {
 		e.met.errors.Inc()
 		tr.Annotate("err", err.Error())
 		tr.SetOutcome("error")
@@ -594,19 +597,19 @@ func (e *Engine) doOn(ctx context.Context, snap *Snapshot, req Request, tr *obs.
 		// observation — but it does get a wide event, because "who sends
 		// malformed queries" is an operational question.
 		resp := Response{Gen: snap.gen, Err: err}
-		e.emit(req, resp, tr, "error", time.Since(start), "")
+		e.emit(req, resp, tr, time.Since(start), "")
 		e.tracer.Release(tr)
 		return resp
 	}
-	tr.Mark("validate")
 	pi := req.Problem
 	e.met.requests[pi].Inc()
+	phase = startPhase(tr, parent, "cache-lookup")
 	var key cacheKey
 	if e.cache != nil {
 		key = req.key(snap.gen)
 		if resp, ok := e.cache.Get(key); ok {
 			e.met.cacheHits.Inc()
-			tr.Mark("cache-lookup")
+			phase.Finish()
 			tr.Annotate("cache", "hit")
 			resp.CacheHit = true
 			lat := time.Since(start)
@@ -614,14 +617,15 @@ func (e *Engine) doOn(ctx context.Context, snap *Snapshot, req Request, tr *obs.
 			e.tracer.Finish(tr)
 			e.met.latency[pi].ObserveWithExemplar(lat.Seconds(), tr.JoinID())
 			e.slo.Observe(lat, nil)
-			e.emit(req, resp, tr, "ok", lat, "hit")
+			e.emit(req, resp, tr, lat, "hit")
 			e.tracer.Release(tr)
 			return resp
 		}
 		e.met.cacheMisses.Inc()
 	}
-	tr.Mark("cache-lookup")
+	phase.Finish()
 
+	phase = startPhase(tr, parent, "execute")
 	if d := req.Deadline; d > 0 || e.defaultDeadline > 0 {
 		if d <= 0 {
 			d = e.defaultDeadline
@@ -634,12 +638,14 @@ func (e *Engine) doOn(ctx context.Context, snap *Snapshot, req Request, tr *obs.
 	if e.gate != nil {
 		weight := requestWeight(req)
 		if err := e.gate.acquire(ctx, weight); err != nil {
+			phase.Finish()
 			return e.refuse(snap, req, err, tr, start)
 		}
 		defer e.gate.release(weight)
 	} else if err := ctx.Err(); err != nil {
 		// No gate to observe the context; still refuse dead requests
 		// before spending compute on them.
+		phase.Finish()
 		return e.refuse(snap, req, ctxError(err), tr, start)
 	}
 
@@ -653,7 +659,9 @@ func (e *Engine) doOn(ctx context.Context, snap *Snapshot, req Request, tr *obs.
 		resp = e.executeSafe(ctx, snap, req, tr)
 	})
 	e.met.inflight.Add(-1)
-	tr.Mark("execute")
+	phase.Finish()
+
+	phase = startPhase(tr, parent, "access-accounting")
 	resp.Err = ctxError(resp.Err)
 	if resp.Err != nil {
 		e.met.errors.Inc()
@@ -669,10 +677,9 @@ func (e *Engine) doOn(ctx context.Context, snap *Snapshot, req Request, tr *obs.
 			}
 		}
 	}
-	tr.Mark("access-accounting")
+	phase.Finish()
 	lat := time.Since(start)
-	outcome := Outcome(resp.Err)
-	tr.SetOutcome(outcome)
+	tr.SetOutcome(Outcome(resp.Err))
 	// Finish before publishing the trace ID anywhere: the tail sampler
 	// decides retention there, and only a retained trace's ID (JoinID)
 	// may land in the latency exemplar and the wide event — otherwise
@@ -680,9 +687,19 @@ func (e *Engine) doOn(ctx context.Context, snap *Snapshot, req Request, tr *obs.
 	e.tracer.Finish(tr)
 	e.met.latency[pi].ObserveWithExemplar(lat.Seconds(), tr.JoinID())
 	e.slo.Observe(lat, resp.Err)
-	e.emit(req, resp, tr, outcome, lat, e.cacheState())
+	e.emit(req, resp, tr, lat, e.cacheState())
 	e.tracer.Release(tr)
 	return resp
+}
+
+// startPhase opens one pipeline phase span under the request's parent:
+// the joined engine span when a caller's trace carried one in, else the
+// root of tr. Both are inert when tracing is off.
+func startPhase(tr *obs.Trace, parent obs.SpanRef, name string) obs.SpanRef {
+	if parent.Valid() {
+		return parent.StartChild(name)
+	}
+	return tr.StartSpan(name)
 }
 
 // refuse finishes a request that never executed (shed, expired or
@@ -694,13 +711,12 @@ func (e *Engine) refuse(snap *Snapshot, req Request, err error, tr *obs.Trace, s
 	e.countFailure(err)
 	tr.Annotate("err", err.Error())
 	lat := time.Since(start)
-	outcome := Outcome(err)
-	tr.SetOutcome(outcome)
+	tr.SetOutcome(Outcome(err))
 	e.tracer.Finish(tr)
 	e.met.latency[req.Problem].ObserveWithExemplar(lat.Seconds(), tr.JoinID())
 	e.slo.Observe(lat, err)
 	resp := Response{Gen: snap.gen, Err: err}
-	e.emit(req, resp, tr, outcome, lat, e.cacheState())
+	e.emit(req, resp, tr, lat, e.cacheState())
 	e.tracer.Release(tr)
 	return resp
 }
@@ -714,27 +730,42 @@ func (e *Engine) cacheState() string {
 	return "miss"
 }
 
-// emit assembles and logs the request's wide event. It runs after the
-// trace finishes, so the event carries the final outcome and the same
-// join ID the latency exemplar published — the three telemetry views
-// join on it, and a trace the tail sampler dropped contributes no ID at
-// all (the join never dangles). Access-cost counters are only
-// attributed to requests that actually computed (a cache hit spends
-// none).
-func (e *Engine) emit(req Request, resp Response, tr *obs.Trace, outcome string, lat time.Duration, cache string) {
+// emit logs the request's wide event: WideEvent's mapping of the
+// request and response, plus what only the engine knows — latency,
+// join ID, cache state and queue wait. It runs after the trace
+// finishes, so the event carries the same join ID the latency exemplar
+// published — the three telemetry views join on it, and a trace the
+// tail sampler dropped contributes no ID at all (the join never
+// dangles).
+func (e *Engine) emit(req Request, resp Response, tr *obs.Trace, lat time.Duration, cache string) {
 	if e.log == nil {
 		return
 	}
-	ev := obs.Event{
-		Outcome:   outcome,
-		LatencyNS: lat.Nanoseconds(),
-		TraceID:   tr.JoinID(),
-		Gen:       resp.Gen,
-		Problem:   req.Problem.String(),
-		Cache:     cache,
-	}
+	ev := WideEvent(req, resp)
+	ev.LatencyNS = lat.Nanoseconds()
+	ev.TraceID = tr.JoinID()
+	ev.Cache = cache
 	if tr != nil {
 		ev.QueueWaitNS = int64(tr.QueueWait)
+	}
+	e.log.Log(ev)
+}
+
+// WideEvent maps one answered request to its wide event (DESIGN.md
+// §11): the outcome and error, the snapshot generation, the request
+// shape, the access costs and the mitigation delta. Access costs are
+// only attributed to requests that computed: a cache hit spent none, so
+// its event carries cache "hit" and no cost fields. The engine and the
+// cluster coordinator both build their events here and add the fields
+// only they know (latency, trace join ID, queue wait, fan-out cost).
+func WideEvent(req Request, resp Response) obs.Event {
+	ev := obs.Event{
+		Outcome: Outcome(resp.Err),
+		Gen:     resp.Gen,
+		Problem: req.Problem.String(),
+	}
+	if resp.CacheHit {
+		ev.Cache = "hit"
 	}
 	if resp.Err != nil {
 		ev.Err = resp.Err.Error()
@@ -767,7 +798,7 @@ func (e *Engine) emit(req Request, resp Response, tr *obs.Trace, outcome string,
 			ev.DeltaUnfairness = resp.Mitigation.Delta()
 		}
 	}
-	e.log.Log(ev)
+	return ev
 }
 
 // countFailure classifies a request failure into the resilience

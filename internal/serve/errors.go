@@ -88,12 +88,14 @@ type outcomer interface {
 // (errors implementing RequestOutcome() string), or "error". The engine
 // uses it for its own metrics and events; the loadgen harness and the
 // cluster coordinator share it so every layer buckets failures
-// identically.
+// identically. A nil error returns before the errors.As target is
+// declared: that target escapes, so success stays allocation-free.
 func Outcome(err error) string {
+	if err == nil {
+		return "ok"
+	}
 	var oc outcomer
 	switch {
-	case err == nil:
-		return "ok"
 	case errors.As(err, &oc):
 		return oc.RequestOutcome()
 	case errors.Is(err, ErrOverloaded):

@@ -1,6 +1,7 @@
 package serve_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"fairjob/internal/obs"
 	"fairjob/internal/serve"
 	"fairjob/internal/stats"
+	"fairjob/internal/testutil"
 	"fairjob/internal/topk"
 )
 
@@ -109,9 +111,9 @@ func TestEngineTelemetryCounters(t *testing.T) {
 	}
 }
 
-// TestEngineTracing checks the per-query trace lifecycle: span structure
-// on the miss path, the cache annotation on the hit path, the error
-// annotation on rejects, and the ring's bounded retention.
+// TestEngineTracing checks the per-query trace lifecycle: the phase
+// spans on the miss path, the cache annotation on the hit path, the
+// error annotation on rejects, and the ring's bounded retention.
 func TestEngineTracing(t *testing.T) {
 	rng := stats.NewRNG(12)
 	snap := serve.NewSnapshot(randomTable(rng, 4, 3, 3, 0))
@@ -132,19 +134,29 @@ func TestEngineTracing(t *testing.T) {
 	}
 	reject, hit, miss := recent[0], recent[1], recent[2]
 
-	wantSpans := []string{"snapshot-pin", "validate", "cache-lookup", "execute", "access-accounting"}
-	if len(miss.Spans) != len(wantSpans) {
-		t.Fatalf("miss spans = %+v", miss.Spans)
+	// A miss records its four phases as root-level spans that follow one
+	// another without overlapping.
+	wantSpans := []string{"validate", "cache-lookup", "execute", "access-accounting"}
+	if len(miss.Children) != len(wantSpans) {
+		t.Fatalf("miss spans = %+v", miss.Children)
 	}
-	for i, sp := range miss.Spans {
-		if sp.Name != wantSpans[i] {
-			t.Fatalf("miss span %d = %q, want %q", i, sp.Name, wantSpans[i])
+	for i, sp := range miss.Children {
+		if sp.Name != wantSpans[i] || sp.Parent != 0 {
+			t.Fatalf("miss span %d = %q under %d, want %q under the root", i, sp.Name, sp.Parent, wantSpans[i])
+		}
+		if i > 0 {
+			if prev := miss.Children[i-1]; sp.Start < prev.Start+prev.Dur {
+				t.Fatalf("miss span %q starts at %v, before %q ends at %v", sp.Name, sp.Start, prev.Name, prev.Start+prev.Dur)
+			}
+		}
+		if end := sp.Start + sp.Dur; end > miss.Total {
+			t.Fatalf("miss span %q ends at %v, after the trace total %v", sp.Name, end, miss.Total)
 		}
 	}
 	if !hasAnnotation(hit, "cache", "hit") {
 		t.Fatalf("hit trace lacks cache=hit: %+v", hit.Annots)
 	}
-	for _, sp := range hit.Spans {
+	for _, sp := range hit.Children {
 		if sp.Name == "execute" {
 			t.Fatal("cache hit recorded an execute span")
 		}
@@ -159,6 +171,9 @@ func TestEngineTracing(t *testing.T) {
 		t.Fatalf("reject trace lacks err annotation: %+v", reject.Annots)
 	}
 	for _, tr := range recent {
+		if err := tr.CheckSpans(); err != nil {
+			t.Fatalf("trace %d malformed: %v", tr.ID, err)
+		}
 		if tr.Gen != snap.Gen() {
 			t.Fatalf("trace gen = %d, want %d", tr.Gen, snap.Gen())
 		}
@@ -173,6 +188,36 @@ func TestEngineTracing(t *testing.T) {
 	}
 	if got := len(tz.Recent()); got != 4 {
 		t.Fatalf("ring retained %d traces, want capacity 4", got)
+	}
+}
+
+// TestTracingAllocatesNothing pins the zero-garbage trace pool (DESIGN.md
+// §9): a traced request, its phase spans included, must allocate
+// exactly as much as an untraced one, on the cache-hit and the miss
+// path. The tracer keeps only the first fast-OK trace, which the warm-up
+// request takes, so no retained trace's exemplar is counted.
+func TestTracingAllocatesNothing(t *testing.T) {
+	if testutil.RaceEnabled() {
+		t.Skip("the race detector drops sync.Pool entries at random")
+	}
+	snap := serve.NewSnapshot(randomTable(stats.NewRNG(12), 4, 3, 3, 0))
+	req := serve.Request{Problem: serve.Quantify, Dim: compare.ByGroup, K: 2, Algorithm: topk.TA}
+	allocs := func(opts serve.Options) float64 {
+		eng := serve.NewEngine(snap, opts)
+		eng.Do(req)
+		return testing.AllocsPerRun(100, func() { eng.Do(req) })
+	}
+	for _, path := range []struct {
+		name      string
+		cacheSize int
+	}{{"hit", 0}, {"miss", -1}} {
+		plain := allocs(serve.Options{CacheSize: path.cacheSize})
+		traced := allocs(serve.Options{CacheSize: path.cacheSize, Tracer: obs.NewTracerTailSampled(0,
+			obs.TailSamplingPolicy{KeepOneInN: math.MaxUint64})})
+		if traced != plain {
+			t.Errorf("%s path: %v allocs traced, %v untraced", path.name, traced, plain)
+		}
+		t.Logf("%s path: %v allocs traced, %v untraced", path.name, traced, plain)
 	}
 }
 

@@ -9,12 +9,14 @@
 // tests that compose their own failure messages, and testing.TB-based
 // asserters (Approx, ApproxSlice) that fail with a uniform message.
 // BytesPerRun is testing.AllocsPerRun's byte counterpart, for memory
-// tests that bound a data structure's footprint.
+// tests that bound a data structure's footprint, and RaceEnabled lets
+// allocation tests step aside under the race detector.
 package testutil
 
 import (
 	"math"
 	"runtime"
+	"runtime/debug"
 	"testing"
 )
 
@@ -84,4 +86,20 @@ func BytesPerRun(runs int, f func()) float64 {
 	}
 	runtime.ReadMemStats(&after)
 	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// RaceEnabled reports whether the test binary was built with -race. The
+// race detector makes sync.Pool drop entries at random, so allocation
+// counts of pooled paths are only meaningful without it.
+func RaceEnabled() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
 }

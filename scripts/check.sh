@@ -75,6 +75,10 @@
 #                            drift window does not. A breach in both
 #                            measurements FAILS the build.
 #
+# The named gates in steps 5-8 run through gate(), which first fails
+# when any alternative of a gate's -run pattern matches no test, so a
+# renamed test cannot silently switch its gate off.
+#
 # Usage: scripts/check.sh [-short]
 #
 # With -short the test step runs `go test -race -short ./...`, trimming
@@ -105,25 +109,40 @@ go -C bench vet .
 echo "== go test -race ./internal/obs ./internal/serve (telemetry gate)"
 go test -race -count=1 ./internal/obs/ ./internal/serve/
 
+# gate PATTERN PKG runs the tests of PKG that -run PATTERN selects,
+# under -race. A pattern that selects nothing passes silently, so a
+# renamed test would quietly turn its gate off: before running, gate
+# fails unless every |-separated alternative of PATTERN matches at least
+# one Test or Fuzz name that go test -list reports for PKG.
+gate() {
+    for alt in $(printf '%s\n' "$1" | tr '|' ' '); do
+        if ! go test -race -list "$alt" "$2" | grep -Eq '^(Test|Fuzz)'; then
+            echo "check.sh: FAIL — gate pattern '$alt' matches no test in $2" >&2
+            exit 1
+        fi
+    done
+    go test -race -count=1 -run "$1" "$2"
+}
+
 echo "== go test -race -run 'TestStress|TestWideEventSchemaGate' (observability gate)"
-go test -race -count=1 -run 'TestStress' ./internal/obs/
-go test -race -count=1 -run 'TestWideEventSchemaGate' ./internal/serve/
-go test -race -count=1 -run 'TestWideEventSchemaGate' ./internal/cluster/
+gate 'TestStress' ./internal/obs/
+gate 'TestWideEventSchemaGate' ./internal/serve/
+gate 'TestWideEventSchemaGate' ./internal/cluster/
 
 echo "== go test -race -run 'TestSpan|TestClusterTracing' (tracing gate)"
-go test -race -count=1 -run 'TestSpan|TestWaterfall|TestTraceIDLookup' ./internal/obs/
-go test -race -count=1 -run 'TestClusterTracing' ./internal/cluster/
+gate 'TestSpan|TestWaterfall|TestTraceIDLookup' ./internal/obs/
+gate 'TestClusterTracing' ./internal/cluster/
 
 echo "== go test -race -tags faultinject ./internal/serve/... ./internal/faultinject/... ./internal/cluster/... (chaos gate)"
 go test -race -tags faultinject -count=1 ./internal/serve/... ./internal/faultinject/... ./internal/topk/... ./internal/cluster/...
 
 echo "== go test -race ./internal/mitigate ./internal/serve (mitigation gate)"
 go test -race -count=1 ./internal/mitigate/ ./internal/testutil/
-go test -race -count=1 -run 'FuzzMitigators' ./internal/mitigate/
-go test -race -count=1 -run 'TestServeMitigate' ./internal/serve/
+gate 'FuzzMitigators' ./internal/mitigate/
+gate 'TestServeMitigate' ./internal/serve/
 
 echo "== profiling gate: labeled profiles, runtime bridge, load harness, loadtest smoke"
-go test -race -count=1 -run 'TestProfiler|TestDebugProfilesEndpoint|TestRegisterRuntimeMetrics|TestStressAdminEndpointsUnderLoad' ./internal/obs/
+gate 'TestProfiler|TestDebugProfilesEndpoint|TestRegisterRuntimeMetrics|TestStressAdminEndpointsUnderLoad' ./internal/obs/
 go test -race -count=1 ./internal/loadgen/
 lt_smoke="$(mktemp)"
 trap 'rm -f "$lt_smoke"' EXIT
