@@ -250,6 +250,21 @@ func TestCoordinatorSplitCoversTable(t *testing.T) {
 	}
 }
 
+// TestSplitTableAllocations pins SplitTable's cost to its sub-tables
+// and its pages, not to its cells: it routes each (query, location)
+// page once and sets each cell by the group key the table already
+// holds, so splitting allocates fewer objects than the table has pages.
+// Building a key string per cell costs several objects per cell.
+func TestSplitTableAllocations(t *testing.T) {
+	tbl := clusterTable(stats.NewRNG(3), 11, 24, 14, 0.05)
+	pages := len(tbl.Queries()) * len(tbl.Locations())
+	allocs := testing.AllocsPerRun(5, func() { cluster.SplitTable(tbl, 4) })
+	t.Logf("SplitTable into 4: %.0f allocations for %d cells on %d pages", allocs, tbl.Len(), pages)
+	if allocs >= float64(pages) {
+		t.Errorf("SplitTable allocates %.0f objects for %d pages; want fewer than one per page", allocs, pages)
+	}
+}
+
 // TestRouteIsStable pins the routing function's determinism and range.
 func TestRouteIsStable(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 5, 8, 13} {

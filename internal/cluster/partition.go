@@ -103,19 +103,32 @@ func (u *Universe) counts() (g, q, l int) {
 // n sub-tables. Every defined cell lands on exactly one partition —
 // Route(q, l, n) — so the union of the sub-tables is the original
 // table, the invariant behind coordinator≡single-engine equivalence.
+// Each page is routed once, and each cell is set by the group key tbl
+// already holds.
 func SplitTable(tbl *core.Table, n int) []*core.Table {
 	subs := make([]*core.Table, n)
 	for p := range subs {
-		subs[p] = core.NewTable()
+		subs[p] = core.NewTableSized(tbl.Len()/n, 0, 0, 0)
 	}
+	owner := make(map[page]int)
 	tbl.Range(func(tr core.Triple, v float64) {
-		g, ok := tbl.GroupByKey(tr.GroupKey)
+		pg := page{tr.Query, tr.Location}
+		p, ok := owner[pg]
 		if !ok {
-			return // unreachable: every cell's group is recorded
+			p = Route(tr.Query, tr.Location, n)
+			owner[pg] = p
 		}
-		subs[Route(tr.Query, tr.Location, n)].Set(g, tr.Query, tr.Location, v)
+		g, _ := tbl.GroupByKey(tr.GroupKey) // every cell's group is recorded
+		subs[p].SetKey(tr.GroupKey, g, tr.Query, tr.Location, v)
 	})
 	return subs
+}
+
+// page is one (query, location) pair: a result page and the cells
+// evaluated from it.
+type page struct {
+	q core.Query
+	l core.Location
 }
 
 // SplitRankings partitions marketplace pages by the same (query,

@@ -345,7 +345,7 @@ func (e *MarketplaceEvaluator) EvaluateAllCtx(ctx context.Context, rankings []*M
 			sc.preparePage(e, r)
 			for i := range plan.groups {
 				if v, ok := e.unfairnessCell(cell, r, part, plan.keys[i], nil, plan.compKeys[i], sc); ok {
-					t.setKeyed(plan.keys[i], plan.groups[i], r.Query, r.Location, v)
+					t.SetKey(plan.keys[i], plan.groups[i], r.Query, r.Location, v)
 					cells++
 				}
 			}

@@ -297,7 +297,7 @@ func (e *SearchEvaluator) EvaluateAllCtx(ctx context.Context, results []*SearchR
 			dc.reset(dist, len(sr.Users))
 			for i := range plan.groups {
 				if v, ok := e.unfairnessCell(sr, part, dc, plan.keys[i], plan.compKeys[i]); ok {
-					t.setKeyed(plan.keys[i], plan.groups[i], sr.Query, sr.Location, v)
+					t.SetKey(plan.keys[i], plan.groups[i], sr.Query, sr.Location, v)
 					cells++
 				}
 			}

@@ -27,7 +27,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sync"
 
 	"fairjob/internal/core"
 )
@@ -51,20 +50,26 @@ type family struct {
 }
 
 // newFamily sets up storage for postings postings over the sorted keys;
-// ids, if not nil, already holds every key and is renumbered in place.
+// ids already holds every key and is renumbered in place.
 func newFamily(keys []string, ids map[string]int32, postings int) *family {
+	return &family{
+		keys:  keys,
+		ids:   number(keys, ids),
+		order: make([]int32, 0, postings),
+		vals:  make([]float64, 0, postings),
+	}
+}
+
+// number sets each key's id in ids to its position in keys and returns
+// ids, a new map when nil.
+func number(keys []string, ids map[string]int32) map[string]int32 {
 	if ids == nil {
 		ids = make(map[string]int32, len(keys))
 	}
 	for i, k := range keys {
 		ids[k] = int32(i)
 	}
-	return &family{
-		keys:  keys,
-		ids:   ids,
-		order: make([]int32, 0, postings),
-		vals:  make([]float64, 0, postings),
-	}
+	return ids
 }
 
 // posting is one list member while its list is being built.
@@ -95,14 +100,22 @@ func (f *family) add(ps []posting) Inverted {
 			f.vals = append(f.vals, p.v)
 		}
 	}
-	slices.SortFunc(ps, canonical)
-	for _, p := range ps {
-		f.order = append(f.order, p.id)
-		if !complete {
+	f.appendOrder(ps)
+	if !complete {
+		for _, p := range ps {
 			f.vals = append(f.vals, p.v)
 		}
 	}
 	return Inverted{f: f, off: int32(off), n: int32(len(ps))}
+}
+
+// appendOrder sorts ps into posting order and appends their member ids
+// to the family's order array.
+func (f *family) appendOrder(ps []posting) {
+	slices.SortFunc(ps, canonical)
+	for _, p := range ps {
+		f.order = append(f.order, p.id)
+	}
 }
 
 // Inverted is a posting list sorted by descending Value (ties broken by
@@ -215,20 +228,20 @@ func NewLists(lists [][]Entry) []*Inverted {
 	return out
 }
 
-// completeLists builds one family of lists that each hold every member
-// of keys: one list per (outer, inner) pair, outer-major, with member
-// m's value in list (o, i) given by value(o, i, m).
-func completeLists(keys []string, nOuter, nInner int, value func(o, i, m int) float64) []Inverted {
-	f := newFamily(keys, nil, nOuter*nInner*len(keys))
-	lists := make([]Inverted, 0, nOuter*nInner)
-	ps := make([]posting, len(keys))
-	for o := 0; o < nOuter; o++ {
-		for i := 0; i < nInner; i++ {
-			for m := range ps {
-				ps[m] = posting{int32(m), value(o, i, m)}
-			}
-			lists = append(lists, f.add(ps))
+// sortLists cuts the family's values, laid out list by list and by
+// member id within a list, into nLists lists that each hold every
+// member, and appends each list's member ids in posting order.
+func (f *family) sortLists(nLists int) []Inverted {
+	n := len(f.keys)
+	lists := make([]Inverted, nLists)
+	ps := make([]posting, n)
+	for i := range lists {
+		off := i * n
+		for m := range ps {
+			ps[m] = posting{int32(m), f.vals[off+m]}
 		}
+		f.appendOrder(ps)
+		lists[i] = Inverted{f: f, off: int32(off), n: int32(n)}
 	}
 	return lists
 }
@@ -273,17 +286,6 @@ type LocationIndex struct {
 	Locations []core.Location
 }
 
-func dims(t *core.Table) (gks []string, gmap map[string]core.Group, qs []core.Query, ls []core.Location) {
-	groups := t.Groups()
-	gks = make([]string, len(groups))
-	gmap = make(map[string]core.Group, len(groups))
-	for i, g := range groups {
-		gks[i] = g.Key()
-		gmap[gks[i]] = g
-	}
-	return gks, gmap, t.Queries(), t.Locations()
-}
-
 // strs converts a sorted dimension to the member keys of its dictionary.
 func strs[T ~string](xs []T) []string {
 	out := make([]string, len(xs))
@@ -293,25 +295,69 @@ func strs[T ~string](xs []T) []string {
 	return out
 }
 
-// value returns the table's value for the triple, or 0 when undefined
-// (the completion invariant).
-func value(t *core.Table, g string, q core.Query, l core.Location) float64 {
-	v, ok := t.GetKey(g, q, l)
-	if !ok {
-		return 0
+// filling is one family of complete lists while build fills it. Its
+// values are laid out list by list and by member id within a list, so
+// the cell at positions (g, q, l) of the sorted dimensions has value
+// slot(g, q, l); the sorted lists go to *dst.
+type filling struct {
+	f      *family
+	nLists int
+	slot   func(g, q, l int) int
+	dst    *[]Inverted
+}
+
+// build builds the families of t that group, query and location select.
+// One Range pass over the table fills every selected family's values,
+// and a member whose cell is undefined keeps 0, the completion
+// invariant. Then each family's lists are sorted on a goroutine of its
+// own. The families share the sorted dimensions and, per dimension, the
+// member dictionary that numbers the members of the family over it.
+func build(t *core.Table, group, query, location bool) (gi *GroupIndex, qi *QueryIndex, li *LocationIndex) {
+	groups, qs, ls := t.Groups(), t.Queries(), t.Locations()
+	gks := make([]string, len(groups))
+	gmap := make(map[string]core.Group, len(groups))
+	for i, g := range groups {
+		gks[i] = g.Key()
+		gmap[gks[i]] = g
 	}
-	return v
+	qks, lks := strs(qs), strs(ls)
+	gid, qid, lid := number(gks, nil), number(qks, nil), number(lks, nil)
+	ng, nq, nl := len(gks), len(qs), len(ls)
+
+	var fs []filling
+	add := func(keys []string, ids map[string]int32, nLists int, dst *[]Inverted, slot func(g, q, l int) int) {
+		n := nLists * len(keys)
+		f := &family{keys: keys, ids: ids, order: make([]int32, 0, n), vals: make([]float64, n)}
+		fs = append(fs, filling{f, nLists, slot, dst})
+	}
+	if group {
+		gi = &GroupIndex{GroupKeys: gks, Queries: qs, Locations: ls, groups: gmap}
+		add(gks, gid, nq*nl, &gi.lists, func(g, q, l int) int { return (q*nl+l)*ng + g })
+	}
+	if query {
+		qi = &QueryIndex{GroupKeys: gks, Queries: qs, Locations: ls}
+		add(qks, qid, ng*nl, &qi.lists, func(g, q, l int) int { return (g*nl+l)*nq + q })
+	}
+	if location {
+		li = &LocationIndex{GroupKeys: gks, Queries: qs, Locations: ls}
+		add(lks, lid, ng*nq, &li.lists, func(g, q, l int) int { return (g*nq+q)*nl + l })
+	}
+	t.Range(func(tr core.Triple, v float64) {
+		g, q, l := int(gid[tr.GroupKey]), int(qid[string(tr.Query)]), int(lid[string(tr.Location)])
+		for _, x := range fs {
+			x.f.vals[x.slot(g, q, l)] = v
+		}
+	})
+	core.RunIndexed(len(fs), len(fs), func(i int) {
+		*fs[i].dst = fs[i].f.sortLists(fs[i].nLists)
+	})
+	return gi, qi, li
 }
 
 // BuildGroupIndex builds the I(q,l) family from an unfairness table.
 func BuildGroupIndex(t *core.Table) *GroupIndex {
-	gks, gmap, qs, ls := dims(t)
-	return &GroupIndex{
-		lists: completeLists(gks, len(qs), len(ls), func(q, l, g int) float64 {
-			return value(t, gks[g], qs[q], ls[l])
-		}),
-		GroupKeys: gks, Queries: qs, Locations: ls, groups: gmap,
-	}
+	gi, _, _ := build(t, true, false, false)
+	return gi
 }
 
 // Get returns the inverted list of groups for (q, l), or nil when the pair
@@ -329,13 +375,8 @@ func (gi *GroupIndex) Group(key string) (core.Group, bool) {
 
 // BuildQueryIndex builds the I(g,l) family from an unfairness table.
 func BuildQueryIndex(t *core.Table) *QueryIndex {
-	gks, _, qs, ls := dims(t)
-	return &QueryIndex{
-		lists: completeLists(strs(qs), len(gks), len(ls), func(g, l, q int) float64 {
-			return value(t, gks[g], qs[q], ls[l])
-		}),
-		GroupKeys: gks, Queries: qs, Locations: ls,
-	}
+	_, qi, _ := build(t, false, true, false)
+	return qi
 }
 
 // Get returns the inverted list of queries for (groupKey, l).
@@ -345,13 +386,8 @@ func (qi *QueryIndex) Get(g string, l core.Location) *Inverted {
 
 // BuildLocationIndex builds the I(g,q) family from an unfairness table.
 func BuildLocationIndex(t *core.Table) *LocationIndex {
-	gks, _, qs, ls := dims(t)
-	return &LocationIndex{
-		lists: completeLists(strs(ls), len(gks), len(qs), func(g, q, l int) float64 {
-			return value(t, gks[g], qs[q], ls[l])
-		}),
-		GroupKeys: gks, Queries: qs, Locations: ls,
-	}
+	_, _, li := build(t, false, false, true)
+	return li
 }
 
 // Get returns the inverted list of locations for (groupKey, q).
@@ -360,23 +396,12 @@ func (li *LocationIndex) Get(g string, q core.Query) *Inverted {
 }
 
 // BuildAll builds the three Table-5 index families from one unfairness
-// table, one family per goroutine (the families are independent and each
-// build only reads the table). Every index this package builds is
-// immutable once its Build* constructor returns — there is no mutating
-// method on any index type — so the returned families may be shared by
-// any number of concurrent readers; internal/serve relies on this to
-// freeze them into query-serving snapshots.
+// table: one pass over its cells fills all three, and each family's
+// lists are sorted on a goroutine of its own. Every index this package
+// builds is immutable once its Build* constructor returns — there is no
+// mutating method on any index type — so the returned families may be
+// shared by any number of concurrent readers; internal/serve relies on
+// this to freeze them into query-serving snapshots.
 func BuildAll(t *core.Table) (*GroupIndex, *QueryIndex, *LocationIndex) {
-	var (
-		gi *GroupIndex
-		qi *QueryIndex
-		li *LocationIndex
-		wg sync.WaitGroup
-	)
-	wg.Add(3)
-	go func() { defer wg.Done(); gi = BuildGroupIndex(t) }()
-	go func() { defer wg.Done(); qi = BuildQueryIndex(t) }()
-	go func() { defer wg.Done(); li = BuildLocationIndex(t) }()
-	wg.Wait()
-	return gi, qi, li
+	return build(t, true, true, true)
 }

@@ -2,26 +2,28 @@
 # check.sh — the repo's verification gate, make-free by design.
 #
 # Runs, in order:
-#   1. go vet ./...          static checks
-#   2. go build ./...        everything compiles
-#   3. benchmark module      go -C bench vet . and go test -short in
+#   1. gofmt -l .            every Go file in the tree is gofmt-formatted;
+#                            fails when gofmt lists any file
+#   2. go vet ./...          static checks
+#   3. go build ./...        everything compiles
+#   4. benchmark module      go -C bench vet . and go test -short in
 #                            bench/: the benchmark is a module of its
 #                            own, outside ./..., so without this step an
 #                            internal API change that breaks its build
 #                            would still pass
-#   4. go test -race ./internal/obs ./internal/serve
+#   5. go test -race ./internal/obs ./internal/serve
 #                            the telemetry gate: the lock-free metric
 #                            and trace paths plus the instrumented
 #                            engine, raced first and uncached so a
 #                            telemetry regression fails fast
-#   5. observability gate    go test -race over the PR 5 stress suite
+#   6. observability gate    go test -race over the PR 5 stress suite
 #                            (histogram exemplars, tail-sampled trace
 #                            ring and event ring under concurrent
 #                            scrapes) plus the jq-free schema gate: a Go
 #                            test that drives a mixed workload through
 #                            the engine and validates every emitted wide
 #                            event against the documented closed schema
-#   6. chaos gate            go test -race -tags faultinject over the
+#   7. chaos gate            go test -race -tags faultinject over the
 #                            serving stack, the failpoint registry and
 #                            the partitioned cluster — the chaos suite
 #                            arms every failpoint (slow evaluator,
@@ -30,23 +32,23 @@
 #                            asserts the engine and the scatter-gather
 #                            coordinator converge back to correct
 #                            answers once faults clear
-#   7. mitigation gate       go test -race over internal/mitigate (the
+#   8. mitigation gate       go test -race over internal/mitigate (the
 #                            Problem 3 golden tests, property tests and
 #                            the FuzzMitigators seed corpus) plus the
 #                            served-path goldens and the concurrent
 #                            mitigate race stress in internal/serve
-#   8. profiling gate        go test -race over the continuous profiler
+#   9. profiling gate        go test -race over the continuous profiler
 #                            (a captured CPU profile must carry the
 #                            request pprof labels), the runtime-metrics
 #                            bridge and the open-loop load harness, plus
 #                            a fairjob loadtest smoke: one short run must
 #                            emit a JSON artifact joining CO-corrected
 #                            latency with labeled CPU attribution
-#   9. go test -race ./...   full suite under the race detector — the
+#  10. go test -race ./...   full suite under the race detector — the
 #                            evaluators' sharded worker pools and the
 #                            serve engine's concurrent query paths must
 #                            stay race-clean at any worker count
-#  10. overhead gates        the telemetry, resilience, logging,
+#  11. overhead gates        the telemetry, resilience, logging,
 #                            profiling and scatter-gather on-vs-off
 #                            benchmark pairs, each with the
 #                            < 5% acceptance budget. Each measurement is
@@ -75,7 +77,7 @@
 #                            drift window does not. A breach in both
 #                            measurements FAILS the build.
 #
-# The named gates in steps 5-8 run through gate(), which first fails
+# The named gates in steps 6-9 run through gate(), which first fails
 # when any alternative of a gate's -run pattern matches no test, so a
 # renamed test cannot silently switch its gate off.
 #
@@ -94,6 +96,14 @@ cd "$(dirname "$0")/.."
 short=""
 if [ "${1:-}" = "-short" ]; then
     short="-short"
+fi
+
+echo "== gofmt -l ."
+unformatted="$(gofmt -l .)"
+if [ -n "$unformatted" ]; then
+    echo "check.sh: FAIL — gofmt -l lists unformatted files:" >&2
+    echo "$unformatted" >&2
+    exit 1
 fi
 
 echo "== go vet ./..."
