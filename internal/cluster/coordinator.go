@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -81,17 +82,7 @@ type latTracker struct {
 	mu    sync.Mutex
 	ring  [64]float64
 	count int
-	// p99 cache: the sorted-quantile computation runs at most once per
-	// p99RecomputeEvery samples, not once per leg — the hedge delay does
-	// not need sample-level freshness, it needs to be within an epoch of
-	// the partition's behavior.
-	p99v  float64
-	p99at int
 }
-
-// p99RecomputeEvery is how many new samples may arrive before the cached
-// p99 is recomputed.
-const p99RecomputeEvery = 8
 
 func (t *latTracker) record(seconds float64) {
 	t.mu.Lock()
@@ -101,29 +92,17 @@ func (t *latTracker) record(seconds float64) {
 }
 
 // p99 returns the tracked 99th percentile in seconds and whether enough
-// samples exist to trust it.
+// samples exist to trust it. The 99th percentile of m samples is the
+// ceil(0.99·m)-th smallest, which is the largest while m < 100. The ring
+// holds 64, so p99 equals the maximum and is a scan rather than a sort;
+// a ring of 100 or more would need the sort back.
 func (t *latTracker) p99() (float64, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.count < hedgeAfterSamples {
 		return 0, false
 	}
-	if t.p99at == 0 || t.count-t.p99at >= p99RecomputeEvery {
-		m := t.count
-		if m > len(t.ring) {
-			m = len(t.ring)
-		}
-		buf := make([]float64, m)
-		copy(buf, t.ring[:m])
-		sort.Float64s(buf)
-		idx := (99*m + 99) / 100 // ceil(0.99·m)
-		if idx > m {
-			idx = m
-		}
-		t.p99v = buf[idx-1]
-		t.p99at = t.count
-	}
-	return t.p99v, true
+	return slices.Max(t.ring[:min(t.count, len(t.ring))]), true
 }
 
 type clusterMetrics struct {
@@ -478,7 +457,7 @@ func (c *Coordinator) runQuantify(ctx context.Context, rc *reqCtx, req serve.Req
 		src = restricted
 	}
 	resp := serve.Response{Gen: rc.pinnedGen()}
-	resp.Results, resp.Stats, resp.Err = topk.TopKCtxWith(runCtx, src, req.K, req.Direction, req.Algorithm, nil)
+	resp.Results, resp.Stats, resp.Err = topk.TopKCtx(runCtx, src, req.K, req.Direction, req.Algorithm)
 	// One summary span per streamed-from partition, instead of a span per
 	// scan round-trip (see MaxChildSpans): the rpcs counts they carry are
 	// the per-request evidence for the O(lists) scan-batching problem.
@@ -629,27 +608,34 @@ func (c *Coordinator) degradedEngine(ctx context.Context, rc *reqCtx, missing []
 // missing_partitions names the holes in a partial answer, and the
 // scatter cost block (rpcs, hedges_fired, hedges_won, leg_retries,
 // slowest_partition) is the one-line summary of what the trace's span
-// tree shows leg by leg.
+// tree shows leg by leg. Like the engine's, the event is built only
+// when the logger's sampling keeps it.
 func (c *Coordinator) emit(req serve.Request, resp serve.Response, tr *obs.Trace, lat time.Duration, st *scatterStats) {
 	if c.log == nil {
 		return
 	}
-	ev := serve.WideEvent(req, resp)
-	ev.LatencyNS = lat.Nanoseconds()
-	ev.TraceID = tr.JoinID()
-	ev.Partitions = c.n
-	if st != nil {
-		ev.RPCs = st.rpcs.Load()
-		ev.HedgesFired = st.hedgesFired.Load()
-		ev.HedgesWon = st.hedgesWon.Load()
-		ev.LegRetries = st.legRetries.Load()
-		ev.SlowestPartition = st.slowest()
-	}
-	var pres *PartialResultError
-	if errors.As(resp.Err, &pres) {
-		ev.MissingPartitions = pres.MissingList()
-	}
-	c.log.Log(ev)
+	c.log.LogFunc(serve.Outcome(resp.Err), func() obs.Event {
+		ev := serve.WideEvent(req, resp)
+		ev.LatencyNS = lat.Nanoseconds()
+		ev.TraceID = tr.JoinID()
+		ev.Partitions = c.n
+		if st != nil {
+			ev.RPCs = st.rpcs.Load()
+			ev.HedgesFired = st.hedgesFired.Load()
+			ev.HedgesWon = st.hedgesWon.Load()
+			ev.LegRetries = st.legRetries.Load()
+			ev.SlowestPartition = st.slowest()
+		}
+		if resp.Err != nil {
+			// Inside the branch: errors.As makes pres escape to the heap,
+			// and a success should not pay that allocation.
+			var pres *PartialResultError
+			if errors.As(resp.Err, &pres) {
+				ev.MissingPartitions = pres.MissingList()
+			}
+		}
+		return ev
+	})
 }
 
 // intsList renders partition ids as a comma-joined string.

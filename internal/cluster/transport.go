@@ -107,8 +107,12 @@ type Reply struct {
 // Transport delivers calls to partitions. The in-process LocalTransport
 // is the only implementation today; the interface exists so a real
 // network split later replaces one type, not the coordinator. Send must
-// honor ctx — a canceled caller gets an error promptly even when the
-// partition is stalled — and must be safe for concurrent use.
+// be safe for concurrent use, and a call whose ctx has ended by the time
+// its reply is in hand returns ctx.Err(), never the reply: an OpServe
+// reply carries the engine's error inside Reply.Resp, so a
+// hedge-canceled leg or one whose budget expired would otherwise come
+// back as the leg's answer. How soon an ended ctx releases the caller is
+// the implementation's to state (see LocalTransport.Send).
 type Transport interface {
 	Send(ctx context.Context, partition int, call Call) (Reply, error)
 }
@@ -127,11 +131,19 @@ func NewLocalTransport(nodes []*Node) *LocalTransport {
 	return &LocalTransport{nodes: nodes}
 }
 
-// Send delivers one call. The failpoint layout mirrors a real RPC:
-// partition-down and partition-flap fire before the "wire" (the send
-// errors, the node never sees the call), partition-slow fires on the
-// serving side (the handler stalls, and a caller whose ctx expires —
-// or whose hedge won — abandons the leg without waiting for it).
+// Send delivers one call as a plain function call: the node's handler
+// runs on the caller's goroutine, as the first attempt of every leg
+// already does (see reqCtx.leg), so the hot path starts no goroutine.
+// The failpoint layout mirrors a real RPC: partition-down and
+// partition-flap fire before the "wire" (the send errors, the node
+// never sees the call), partition-slow fires on the serving side (the
+// handler stalls). A caller whose ctx ends — its budget expired, or its
+// hedge won — abandons a partition-slow stall at once:
+// faultinject.InjectKeyedCtx runs the stall on its own goroutine for
+// that. Any other slow handler runs on: an OpServe engine to its next
+// round checkpoint, an OpScan, OpLookup or OpCells to its end. Once
+// Handle returns, an ended ctx makes Send return ctx.Err() instead of
+// the reply.
 func (t *LocalTransport) Send(ctx context.Context, partition int, call Call) (Reply, error) {
 	if partition < 0 || partition >= len(t.nodes) {
 		return Reply{}, fmt.Errorf("cluster: no partition %d (have %d)", partition, len(t.nodes))
@@ -143,22 +155,12 @@ func (t *LocalTransport) Send(ctx context.Context, partition int, call Call) (Re
 	if err := faultinject.InjectKeyedErr(faultinject.ClusterPartitionFlap, key); err != nil {
 		return Reply{}, fmt.Errorf("%w: partition %d flapped: %v", ErrPartitionUnavailable, partition, err)
 	}
-	type result struct {
-		reply Reply
-		err   error
+	if err := faultinject.InjectKeyedCtx(ctx, faultinject.ClusterPartitionSlow, key); err != nil {
+		return Reply{}, err
 	}
-	done := make(chan result, 1)
-	go func() {
-		// The slow failpoint may sleep or block on a channel; it runs on
-		// the serving goroutine so the select below can abandon the leg.
-		_ = faultinject.InjectKeyedErr(faultinject.ClusterPartitionSlow, key)
-		r, err := t.nodes[partition].Handle(ctx, call)
-		done <- result{r, err}
-	}()
-	select {
-	case <-ctx.Done():
-		return Reply{}, ctx.Err()
-	case res := <-done:
-		return res.reply, res.err
+	reply, err := t.nodes[partition].Handle(ctx, call)
+	if cerr := ctx.Err(); cerr != nil {
+		return Reply{}, cerr
 	}
+	return reply, err
 }

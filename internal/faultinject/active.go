@@ -3,6 +3,7 @@
 package faultinject
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 )
@@ -130,15 +131,50 @@ func lookupKeyed(name string) (func(key string) error, *atomic.Uint64) {
 	return registry.keyed[name], registry.hits[name]
 }
 
+// armedKeyed resolves what a keyed injection at name fires for key:
+// the keyed handler installed with SetKeyed, else an unkeyed one
+// installed with Set, counting the hit. It returns nil when nothing is
+// armed.
+func armedKeyed(name, key string) func() error {
+	if fn, hits := lookupKeyed(name); fn != nil {
+		hits.Add(1)
+		return func() error { return fn(key) }
+	}
+	if fn, hits := lookup(name); fn != nil {
+		hits.Add(1)
+		return fn
+	}
+	return nil
+}
+
 // InjectKeyedErr fires the named failpoint with a site-supplied key
 // (e.g. a partition id) and returns the handler's error. A keyed
 // handler installed with SetKeyed sees the key; absent one, an unkeyed
 // handler installed with Set fires for every key. Unarmed failpoints
 // return nil.
 func InjectKeyedErr(name, key string) error {
-	if fn, hits := lookupKeyed(name); fn != nil {
-		hits.Add(1)
-		return fn(key)
+	if fire := armedKeyed(name, key); fire != nil {
+		return fire()
 	}
-	return InjectErr(name)
+	return nil
+}
+
+// InjectKeyedCtx fires the named failpoint like InjectKeyedErr, but
+// abandonably: an armed handler runs on its own goroutine, and the call
+// returns ctx.Err() as soon as ctx ends, leaving a stalled handler to
+// finish on its own. A handler that finishes first has its error
+// returned. Unarmed failpoints return nil and start no goroutine.
+func InjectKeyedCtx(ctx context.Context, name, key string) error {
+	fire := armedKeyed(name, key)
+	if fire == nil {
+		return nil
+	}
+	done := make(chan error, 1)
+	go func() { done <- fire() }()
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case err := <-done:
+		return err
+	}
 }

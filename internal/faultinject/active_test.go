@@ -3,6 +3,7 @@
 package faultinject
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -78,5 +79,39 @@ func TestConcurrentInjects(t *testing.T) {
 	wg.Wait()
 	if Hits("t.conc") != 4000 {
 		t.Fatalf("hits = %d, want 4000", Hits("t.conc"))
+	}
+}
+
+// TestInjectKeyedCtxAbandonsStall pins the context-aware injection: an
+// unarmed site returns nil, a handler that finishes first returns its
+// error, and a stalled handler is abandoned with ctx.Err() once the
+// context ends, while it is still blocked.
+func TestInjectKeyedCtxAbandonsStall(t *testing.T) {
+	defer Reset()
+	if err := InjectKeyedCtx(context.Background(), "t.ctx", "0"); err != nil {
+		t.Fatalf("unarmed InjectKeyedCtx = %v, want nil", err)
+	}
+	want := errors.New("boom")
+	SetKeyed("t.ctx", func(key string) error {
+		if key == "1" {
+			return want
+		}
+		return nil
+	})
+	if err := InjectKeyedCtx(context.Background(), "t.ctx", "1"); !errors.Is(err, want) {
+		t.Fatalf("InjectKeyedCtx = %v, want the handler's %v", err, want)
+	}
+
+	release := make(chan struct{})
+	defer close(release)
+	stalled := make(chan struct{})
+	Set("t.stall", func() error { close(stalled); <-release; return nil })
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() { <-stalled; cancel() }()
+	if err := InjectKeyedCtx(ctx, "t.stall", "0"); !errors.Is(err, context.Canceled) {
+		t.Fatalf("stalled InjectKeyedCtx = %v, want context.Canceled", err)
+	}
+	if Hits("t.ctx") != 1 || Hits("t.stall") != 1 {
+		t.Fatalf("hits = %d and %d, want 1 and 1", Hits("t.ctx"), Hits("t.stall"))
 	}
 }

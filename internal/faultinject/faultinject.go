@@ -39,8 +39,10 @@
 // whether (and how) to fault. Unkeyed handlers installed with Set fire
 // for every key of the same name, so a blanket fault needs no routing.
 //
-// Handlers run on the goroutine that hits the failpoint and must be safe
-// for concurrent use; the chaos tests run under -race.
+// Handlers run on the goroutine that hits the failpoint, except under
+// InjectKeyedCtx, which runs them on a goroutine of their own so the
+// caller can abandon a stall when its context ends. Handlers must be
+// safe for concurrent use; the chaos tests run under -race.
 package faultinject
 
 // The failpoint catalog. Every name is "<package>.<site>" of the point
@@ -69,7 +71,8 @@ const (
 	// ClusterPartitionSlow is hit (keyed by partition id) on the serving
 	// side of every simulated RPC; a sleeping or channel-blocking handler
 	// stalls the leg, exercising the p99-derived hedge and leg deadline
-	// budgets.
+	// budgets. The site injects through InjectKeyedCtx, so a caller whose
+	// context ends abandons the stall.
 	ClusterPartitionSlow = "cluster.partition-slow"
 	// ClusterPartitionFlap is hit (keyed by partition id) at the top of
 	// every simulated-RPC send, after ClusterPartitionDown; a handler

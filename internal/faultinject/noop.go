@@ -2,6 +2,8 @@
 
 package faultinject
 
+import "context"
+
 // Enabled reports whether failpoints are compiled in. This build
 // compiles them all to no-ops; every function below is empty and
 // inlines away, so injection sites on hot paths cost nothing.
@@ -30,3 +32,6 @@ func InjectErr(string) error { return nil }
 
 // InjectKeyedErr always returns nil without the faultinject build tag.
 func InjectKeyedErr(string, string) error { return nil }
+
+// InjectKeyedCtx always returns nil without the faultinject build tag.
+func InjectKeyedCtx(context.Context, string, string) error { return nil }

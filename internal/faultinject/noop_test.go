@@ -2,12 +2,15 @@
 
 package faultinject
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // TestNoopBuildIsInert pins the default build's contract: failpoints are
-// disabled, Set does not arm anything, and Inject/InjectErr are free
-// no-ops — the guarantee that lets production code keep injection sites
-// on hot paths.
+// disabled, Set and SetKeyed do not arm anything, and the Inject
+// functions are free no-ops — the guarantee that lets production code
+// keep injection sites on hot paths.
 func TestNoopBuildIsInert(t *testing.T) {
 	if Enabled {
 		t.Fatal("default build must report failpoints disabled")
@@ -16,6 +19,10 @@ func TestNoopBuildIsInert(t *testing.T) {
 	Inject(SlowEvaluator)
 	if err := InjectErr(SlowEvaluator); err != nil {
 		t.Fatalf("InjectErr = %v, want nil", err)
+	}
+	SetKeyed(ClusterPartitionSlow, func(string) error { panic("must never run") })
+	if err := InjectKeyedCtx(context.Background(), ClusterPartitionSlow, "0"); err != nil {
+		t.Fatalf("InjectKeyedCtx = %v, want nil", err)
 	}
 	if Hits(SlowEvaluator) != 0 {
 		t.Fatalf("hits = %d, want 0", Hits(SlowEvaluator))

@@ -307,9 +307,8 @@ type loggerCore struct {
 	min     atomic.Int32
 	sampleN uint64
 
-	seq     atomic.Uint64 // success events seen, drives 1-in-N sampling
+	seq     atomic.Uint64 // success events seen under sampling, drives 1-in-N
 	emitted atomic.Uint64 // events that reached the sink
-	sampled atomic.Uint64 // success events dropped by sampling
 }
 
 // NewLogger builds a wide-event logger.
@@ -372,10 +371,18 @@ func levelFor(outcome string) Level {
 // success-sampling run, and the survivor goes to the sink. The event is
 // copied, so the caller may reuse its value.
 func (l *Logger) Log(e Event) {
+	l.LogFunc(e.Outcome, func() Event { return e })
+}
+
+// LogFunc is Log for an event that costs more to build than to drop:
+// leveling and sampling run on outcome first, and build runs only for
+// an event that survives them, so a sampled-out success builds nothing.
+// outcome must be the Outcome build sets.
+func (l *Logger) LogFunc(outcome string, build func() Event) {
 	if l == nil {
 		return
 	}
-	lvl := levelFor(e.Outcome)
+	lvl := levelFor(outcome)
 	if lvl < Level(l.core.min.Load()) {
 		return
 	}
@@ -383,15 +390,13 @@ func (l *Logger) Log(e Event) {
 		// Deterministic 1-in-N: the first success and every Nth after it
 		// survive; failures never enter this branch.
 		if (l.core.seq.Add(1)-1)%l.core.sampleN != 0 {
-			l.core.sampled.Add(1)
 			return
 		}
 	}
 	// The sink keeps a pointer, so the survivor must live on the heap —
-	// but only the survivor: copying into a fresh variable *after* the
-	// sampling returns keeps the parameter itself stack-allocated, so a
-	// sampled-out call costs no allocation at all.
-	ev := e
+	// but only the survivor: building it after the sampling returns
+	// keeps a sampled-out call free of any allocation.
+	ev := build()
 	if ev.Component == "" {
 		ev.Component = l.component
 	}
@@ -422,5 +427,12 @@ func (l *Logger) Stats() LoggerStats {
 	if l == nil {
 		return LoggerStats{}
 	}
-	return LoggerStats{Emitted: l.core.emitted.Load(), Sampled: l.core.sampled.Load()}
+	st := LoggerStats{Emitted: l.core.emitted.Load()}
+	if n := l.core.sampleN; n > 1 {
+		// Of the first s successes, the 1st, (N+1)th, (2N+1)th … survive:
+		// ceil(s/N) of them. The rest were sampled out.
+		s := l.core.seq.Load()
+		st.Sampled = s - (s+n-1)/n
+	}
+	return st
 }

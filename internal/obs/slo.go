@@ -63,8 +63,12 @@ const DefaultSLOMinWindowRequests = 10
 
 // SLOOptions configures NewSLOMonitor.
 type SLOOptions struct {
-	// Clock supplies the current time; nil selects time.Now. Tests
-	// inject a fake clock and slide windows without sleeping.
+	// Clock supplies the current time; nil selects the monitor's own
+	// monotonic clock (the wall time at construction plus the monotonic
+	// time elapsed since), which costs one monotonic read per Observe
+	// instead of time.Now's wall-and-monotonic pair, and which a wall
+	// clock step cannot move. Tests inject a fake clock and slide
+	// windows without sleeping.
 	Clock func() time.Time
 	// Alerts is the burn-rate rule set; nil selects DefaultBurnAlerts.
 	Alerts []BurnAlert
@@ -87,18 +91,22 @@ type SLOMonitor struct {
 	clock     func() time.Time
 	alerts    []BurnAlert
 	minEvents uint64 // per-window volume floor for alert firing
-	objs      []*sloObjective
+	// mu guards every objective's bucket ring, so one Observe takes one
+	// lock however many objectives it lands in.
+	mu   sync.Mutex
+	objs []*sloObjective
 }
 
 // sloObjective is one objective's sliding-window state: a ring of
 // fixed-duration buckets covering the longest alert window. Observe
 // lands in the bucket of the current time; burn rates sum the buckets
-// inside the queried window. The mutex spans one ring index plus a few
-// integer adds per Observe — far off the atomic-metrics hot path, but
-// Observe happens once per request, not per sample, so it stays cheap.
+// inside the queried window. The monitor's mutex spans one ring index
+// plus a few integer adds per objective per Observe — far off the
+// atomic-metrics hot path, but Observe happens once per request, not per
+// sample, so it stays cheap.
 type sloObjective struct {
 	Objective
-	mu      sync.Mutex
+	mu      *sync.Mutex // the monitor's
 	bucketD time.Duration
 	buckets []sloBucket // ring, indexed by (unix time / bucketD) % len
 }
@@ -116,7 +124,8 @@ type sloBucket struct {
 func NewSLOMonitor(objectives []Objective, opts SLOOptions) *SLOMonitor {
 	clock := opts.Clock
 	if clock == nil {
-		clock = time.Now
+		base := time.Now()
+		clock = func() time.Time { return base.Add(time.Since(base)) }
 	}
 	alerts := opts.Alerts
 	if alerts == nil {
@@ -153,6 +162,7 @@ func NewSLOMonitor(objectives []Objective, opts SLOOptions) *SLOMonitor {
 		}
 		m.objs = append(m.objs, &sloObjective{
 			Objective: o,
+			mu:        &m.mu,
 			bucketD:   bucketD,
 			buckets:   make([]sloBucket, n),
 		})
@@ -168,15 +178,17 @@ func (m *SLOMonitor) Observe(latency time.Duration, err error) {
 		return
 	}
 	now := m.clock()
+	m.mu.Lock()
 	for _, o := range m.objs {
-		good := err == nil && (o.LatencyBound <= 0 || latency <= o.LatencyBound)
-		o.record(now, good)
+		o.record(now, err == nil && (o.LatencyBound <= 0 || latency <= o.LatencyBound))
 	}
+	m.mu.Unlock()
 }
 
+// record counts one observation in the bucket of now; the caller holds
+// the monitor's mutex.
 func (o *sloObjective) record(now time.Time, good bool) {
 	epoch := now.UnixNano() / int64(o.bucketD)
-	o.mu.Lock()
 	b := &o.buckets[int(epoch%int64(len(o.buckets)))]
 	if b.epoch != epoch {
 		*b = sloBucket{epoch: epoch}
@@ -186,7 +198,6 @@ func (o *sloObjective) record(now time.Time, good bool) {
 	} else {
 		b.bad++
 	}
-	o.mu.Unlock()
 }
 
 // window sums the buckets inside [now-w, now].

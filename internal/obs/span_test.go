@@ -7,10 +7,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestSpanTreeBasics(t *testing.T) {
@@ -87,6 +89,86 @@ func TestSpanInvalidRefsAreInert(t *testing.T) {
 	s.Link(s)
 	if c := s.StartChild("y"); c.Valid() {
 		t.Fatal("child of an invalid ref must be invalid")
+	}
+	if n := s.Next("z"); n.Valid() {
+		t.Fatal("the next sibling of an invalid ref must be invalid")
+	}
+}
+
+// TestSpanNextIsOneInstant pins SpanRef.Next, the engine's phase
+// boundary: the next span shares the closed span's parent and begins
+// at the very instant it ended, under the trace root and under a
+// nested span alike, and Next leaves an already-finished span's
+// duration alone.
+func TestSpanNextIsOneInstant(t *testing.T) {
+	tz := NewTracer(2)
+	tr := tz.Start("x")
+	a := tr.StartSpan("validate")
+	b := a.Next("cache-lookup")
+	leg := tr.StartSpan("leg")
+	c := leg.StartChild("validate")
+	d := c.Next("execute")
+	d.Finish()
+	b.Finish()
+	leg.Finish()
+	done := tr.StartSpan("done")
+	done.FinishDur(time.Millisecond)
+	done.Next("after").Finish()
+	if dd := tr.Children[done.ID()-1].Dur; dd != time.Millisecond {
+		t.Fatalf("Next changed a finished span's duration to %v", dd)
+	}
+	for _, pair := range [][2]SpanRef{{a, b}, {c, d}} {
+		prev, next := tr.Children[pair[0].ID()-1], tr.Children[pair[1].ID()-1]
+		if next.Parent != prev.Parent {
+			t.Errorf("%s's parent %d, want %s's %d", next.Name, next.Parent, prev.Name, prev.Parent)
+		}
+		if prev.Dur < 0 || next.Start != prev.Start+prev.Dur {
+			t.Errorf("%s starts at %v, want the end of %s at %v+%v", next.Name, next.Start, prev.Name, prev.Start, prev.Dur)
+		}
+	}
+	tz.Finish(tr)
+	if err := tz.Recent()[0].CheckSpans(); err != nil {
+		t.Fatalf("tree malformed: %v", err)
+	}
+	tz.Release(tr)
+}
+
+// TestTraceResetClearsEveryField guards Trace.reset, which readies a
+// pooled trace field by field instead of zeroing the whole struct: it
+// dirties every field and wants reset to leave a trace equal to a fresh
+// one, apart from the inline buffers' stale contents and the mutex that
+// survives recycles. A field added to Trace without a line in reset
+// fails here.
+func TestTraceResetClearsEveryField(t *testing.T) {
+	var tr Trace
+	v := reflect.ValueOf(&tr).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		sf := v.Type().Field(i)
+		f := reflect.NewAt(sf.Type, unsafe.Pointer(v.Field(i).UnsafeAddr())).Elem()
+		switch {
+		case sf.Name == "annotBuf" || sf.Name == "childBuf" || sf.Name == "cmu":
+		case sf.Type == reflect.TypeOf(time.Time{}):
+			f.Set(reflect.ValueOf(time.Unix(1, 0)))
+		case f.Kind() == reflect.String:
+			f.SetString("stale")
+		case f.Kind() == reflect.Bool:
+			f.SetBool(true)
+		case f.Kind() == reflect.Slice:
+			f.Set(reflect.MakeSlice(sf.Type, 1, 1))
+		case f.CanInt():
+			f.SetInt(7)
+		case f.CanUint():
+			f.SetUint(7)
+		default:
+			t.Fatalf("Trace.%s (%v): teach this test to dirty it", sf.Name, sf.Type)
+		}
+	}
+	begin := time.Now()
+	tr.reset(42, "fresh", begin)
+	want := Trace{ID: 42, Label: "fresh", Begin: begin, annotBuf: tr.annotBuf, childBuf: tr.childBuf, cmu: tr.cmu}
+	want.Annots, want.Children = tr.annotBuf[:0], tr.childBuf[:0]
+	if !reflect.DeepEqual(tr, want) {
+		t.Fatalf("reset left stale fields:\n got %+v\nwant %+v", tr, want)
 	}
 }
 

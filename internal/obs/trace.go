@@ -206,8 +206,12 @@ func (s SpanRef) ID() int32 {
 	return s.id
 }
 
-// StartSpan opens a child span of the trace root, starting now.
+// StartSpan opens a child span of the trace root, starting now. A nil
+// trace reads no clock.
 func (t *Trace) StartSpan(name string) SpanRef {
+	if t == nil {
+		return SpanRef{}
+	}
 	return t.StartSpanAt(name, time.Now())
 }
 
@@ -219,8 +223,12 @@ func (t *Trace) StartSpanAt(name string, at time.Time) SpanRef {
 	return t.startSpan(0, name, at)
 }
 
-// StartChild opens a span nested under s, starting now.
+// StartChild opens a span nested under s, starting now. An invalid ref
+// reads no clock.
 func (s SpanRef) StartChild(name string) SpanRef {
+	if !s.Valid() {
+		return SpanRef{}
+	}
 	return s.StartChildAt(name, time.Now())
 }
 
@@ -258,6 +266,12 @@ func (t *Trace) startSpanMu(mu *sync.Mutex, tid uint64, parent int32, name strin
 	if t.ID != tid {
 		return SpanRef{} // the trace was recycled under the caller's ref
 	}
+	return t.appendSpan(mu, parent, name, at.Sub(t.Begin))
+}
+
+// appendSpan appends a span starting at offset start from Begin; the
+// caller holds mu and has checked the trace's incarnation.
+func (t *Trace) appendSpan(mu *sync.Mutex, parent int32, name string, start time.Duration) SpanRef {
 	if parent > 0 && int(parent) > len(t.Children) {
 		return SpanRef{} // stale parent
 	}
@@ -271,10 +285,32 @@ func (t *Trace) startSpanMu(mu *sync.Mutex, tid uint64, parent int32, name strin
 		Parent:    parent,
 		Name:      name,
 		Partition: -1,
-		Start:     at.Sub(t.Begin),
+		Start:     start,
 		Dur:       -1,
 	})
-	return SpanRef{t: t, mu: mu, tid: tid, id: id}
+	return SpanRef{t: t, mu: mu, tid: t.ID, id: id}
+}
+
+// Next closes s and opens its next sibling, name, at the same instant,
+// with one clock read: the moment one pipeline phase ends is the moment
+// the next begins. The sibling shares s's parent. An invalid ref reads
+// no clock and returns an invalid ref.
+func (s SpanRef) Next(name string) SpanRef {
+	if !s.Valid() {
+		return SpanRef{}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	t := s.t
+	if t.ID != s.tid || int(s.id) > len(t.Children) {
+		return SpanRef{}
+	}
+	now := time.Since(t.Begin)
+	cs := &t.Children[s.id-1]
+	if cs.Dur < 0 {
+		cs.Dur = now - cs.Start
+	}
+	return t.appendSpan(s.mu, cs.Parent, name, now)
 }
 
 // mutate applies fn to the span under the tree lock, verifying the
@@ -392,7 +428,6 @@ func (t *Trace) CheckSpans() error {
 type Tracer struct {
 	capacity int
 	seq      atomic.Uint64
-	finished atomic.Uint64
 
 	// next counts slot claims; claim i lands in ring[i % capacity]. A
 	// reader can observe a claimed-but-not-yet-stored slot, in which
@@ -408,11 +443,12 @@ type Tracer struct {
 	// request behind a latency spike — is evicted by a flood of
 	// uninteresting fast successes within milliseconds. The policy keeps
 	// every error and slow trace and probabilistically drops fast-OK
-	// traces before they enter the ring.
-	policy  TailSamplingPolicy
-	okSeen  atomic.Uint64 // fast-OK traces seen, drives 1-in-N retention
-	kept    [3]atomic.Uint64
-	dropped [3]atomic.Uint64
+	// traces before they enter the ring. Only fast OKs are ever dropped,
+	// so the drop count is okSeen − kept[ok] and Finished sums the rest:
+	// a dropped trace costs Finish one shared counter.
+	policy TailSamplingPolicy
+	okSeen atomic.Uint64 // fast-OK traces seen under the policy, drives 1-in-N retention
+	kept   [3]atomic.Uint64
 }
 
 // TailSamplingPolicy decides, at Finish time, whether a completed trace
@@ -510,14 +546,6 @@ func NewTracerTailSampled(capacity int, policy TailSamplingPolicy) *Tracer {
 	return &Tracer{capacity: capacity, ring: make([]traceSlot, capacity), policy: policy}
 }
 
-// Policy returns the tracer's tail-sampling policy.
-func (tz *Tracer) Policy() TailSamplingPolicy {
-	if tz == nil {
-		return TailSamplingPolicy{}
-	}
-	return tz.policy
-}
-
 // Start begins a new trace, drawn from the process-wide pool. On a nil
 // tracer it returns nil, which every Trace method accepts.
 func (tz *Tracer) Start(label string) *Trace {
@@ -534,16 +562,22 @@ func (tz *Tracer) Start(label string) *Trace {
 		mu = new(sync.Mutex)
 	}
 	mu.Lock()
-	*t = Trace{
-		ID:    tz.seq.Add(1),
-		Label: label,
-		Begin: time.Now(),
-	}
+	t.reset(tz.seq.Add(1), label, time.Now())
 	t.cmu = mu
-	t.Annots = t.annotBuf[:0]
-	t.Children = t.childBuf[:0]
 	mu.Unlock()
 	return t
+}
+
+// reset readies a pooled trace for a new request, field by field: the
+// inline buffers are not zeroed, because the slices are cut to length 0
+// and an append overwrites a whole element, and zeroing their ~1 KB
+// cost more than the rest of Start. TestTraceResetClearsEveryField
+// fails when a new field is not reset here.
+func (t *Trace) reset(id uint64, label string, begin time.Time) {
+	t.ID, t.Label, t.Begin, t.Total = id, label, begin, 0
+	t.Gen, t.QueueWait, t.Outcome, t.Slow = 0, 0, "", false
+	t.Annots, t.Children, t.SpansDropped = t.annotBuf[:0], t.childBuf[:0], 0
+	t.retained = false
 }
 
 // Release returns a trace obtained from Start to the pool. Call it once
@@ -563,7 +597,7 @@ func (tz *Tracer) Release(t *Trace) {
 // consults the tail-sampling policy, and — when the trace is retained —
 // marks it (see JoinID) and publishes it into the ring, evicting the
 // oldest trace once the ring is full. Dropped traces still count in
-// Finished and the retention counters, so the drop rate is observable.
+// Finished and Retention, so the drop rate is observable.
 // Nil tracer or nil trace are no-ops. The retention decision lands
 // before the trace becomes visible, so callers publish the trace ID
 // elsewhere (exemplars, wide events) only after Finish, via JoinID.
@@ -575,10 +609,8 @@ func (tz *Tracer) Finish(t *Trace) {
 	if tz.policy.SlowThreshold > 0 && t.Total >= tz.policy.SlowThreshold {
 		t.Slow = true
 	}
-	tz.finished.Add(1)
 	ci := classIndex(t.Class())
 	if ci == 0 && tz.policy.enabled() && (tz.okSeen.Add(1)-1)%tz.policy.KeepOneInN != 0 {
-		tz.dropped[ci].Add(1)
 		return
 	}
 	tz.kept[ci].Add(1)
@@ -629,9 +661,20 @@ func (tz *Tracer) Retention() map[string]TraceRetention {
 	}
 	out := make(map[string]TraceRetention, len(traceClasses))
 	for i, class := range traceClasses {
-		out[class] = TraceRetention{Kept: tz.kept[i].Load(), Dropped: tz.dropped[i].Load()}
+		out[class] = TraceRetention{Kept: tz.kept[i].Load()}
 	}
+	out["ok"] = TraceRetention{Kept: out["ok"].Kept, Dropped: tz.droppedOK(out["ok"].Kept)}
 	return out
+}
+
+// droppedOK is how many fast-OK traces the sampler dropped, given a
+// kept[ok] loaded before this call: Finish counts a trace in okSeen
+// before it can count it in kept, so the difference never underflows.
+func (tz *Tracer) droppedOK(keptOK uint64) uint64 {
+	if !tz.policy.enabled() {
+		return 0 // okSeen only counts under a policy, which nothing else drops
+	}
+	return tz.okSeen.Load() - keptOK
 }
 
 // Finished returns the number of traces completed so far (including
@@ -640,7 +683,8 @@ func (tz *Tracer) Finished() uint64 {
 	if tz == nil {
 		return 0
 	}
-	return tz.finished.Load()
+	keptOK := tz.kept[0].Load()
+	return keptOK + tz.droppedOK(keptOK) + tz.kept[1].Load() + tz.kept[2].Load()
 }
 
 // Recent returns the retained traces, newest first. The traces are

@@ -55,168 +55,76 @@ func BenchmarkServeConcurrent(b *testing.B) {
 	})
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(benchName("engine-w", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				eng := serve.NewEngine(snap, serve.Options{Workers: workers})
-				for _, resp := range eng.DoBatch(reqs) {
-					if resp.Err != nil {
-						b.Fatal(resp.Err)
-					}
-				}
-			}
-			b.ReportMetric(float64(len(reqs))*float64(b.N)/b.Elapsed().Seconds(), "queries/s")
+			runBatches(b, snap, reqs, serve.Options{Workers: workers})
 		})
 	}
 }
 
-// BenchmarkServeInstrumented measures the telemetry layer's overhead on
-// the batch serving path at the engine-w4 configuration. "off" is the
-// default engine — metrics land in its private registry (metric
-// recording is always on; it is what CacheStats reads), with tracing
-// disabled. "on" adds the full opt-in surface: a caller-shared registry
-// plus a per-query trace ring at DefaultTraceCapacity. The acceptance
-// budget for on-vs-off is < 5% (bench.sh computes the delta into the
-// BENCH JSON).
-func BenchmarkServeInstrumented(b *testing.B) {
-	snap, reqs := benchWorkload()
-	run := func(b *testing.B, opts func() serve.Options) {
-		for i := 0; i < b.N; i++ {
-			eng := serve.NewEngine(snap, opts())
-			for _, resp := range eng.DoBatch(reqs) {
-				if resp.Err != nil {
-					b.Fatal(resp.Err)
-				}
+// The two overhead pairs below are scripts/check.sh's wall-clock gate,
+// one per deployed serving stack: every opt-in layer of the stack on,
+// against all of them off, under a < 5% budget for the sum. Per-layer
+// costs are pinned in allocations instead (TestTracingAllocatesNothing,
+// TestClusterTracingAllocations), where the counts repeat exactly.
+
+// runBatches serves reqs through a fresh engine per iteration and
+// reports queries/s.
+func runBatches(b *testing.B, snap *serve.Snapshot, reqs []serve.Request, opts serve.Options) {
+	for i := 0; i < b.N; i++ {
+		eng := serve.NewEngine(snap, opts)
+		for _, resp := range eng.DoBatch(reqs) {
+			if resp.Err != nil {
+				b.Fatal(resp.Err)
 			}
 		}
-		b.ReportMetric(float64(len(reqs))*float64(b.N)/b.Elapsed().Seconds(), "queries/s")
 	}
-	b.Run("off", func(b *testing.B) {
-		run(b, func() serve.Options { return serve.Options{Workers: 4} })
-	})
-	b.Run("on", func(b *testing.B) {
-		// One process-lifetime registry and tracer shared across engine
-		// generations, as cmd/fairjob wires it — so the pair prices the
-		// per-query telemetry cost, not reconstruction of process-scoped
-		// observability state every batch.
-		reg := obs.NewRegistry()
-		tracer := obs.NewTracer(obs.DefaultTraceCapacity)
-		run(b, func() serve.Options {
-			return serve.Options{Workers: 4, Obs: reg, Tracer: tracer}
-		})
-	})
+	b.ReportMetric(float64(len(reqs))*float64(b.N)/b.Elapsed().Seconds(), "queries/s")
 }
 
-// BenchmarkServeResilient measures the resilience layer's overhead on
-// the batch serving path at the engine-w4 configuration. "off" is the
-// default engine: no deadline, no admission gate — the context plumbing
-// and algorithm checkpoints are still compiled in, so this pair prices
-// the *enabled* machinery, not the plumbing. "on" turns the full
-// resilience surface on: a generous per-request deadline (so every
-// request pays context.WithTimeout plus the round checkpoints against a
-// live Done channel) and an admission gate wide enough to admit the
-// workload without shedding (so every compute request pays one
-// acquire/release). The acceptance budget for on-vs-off is < 5%
-// (bench.sh computes the delta into the BENCH JSON).
-func BenchmarkServeResilient(b *testing.B) {
-	snap, reqs := benchWorkload()
-	run := func(b *testing.B, opts serve.Options) {
-		for i := 0; i < b.N; i++ {
-			eng := serve.NewEngine(snap, opts)
-			for _, resp := range eng.DoBatch(reqs) {
-				if resp.Err != nil {
-					b.Fatal(resp.Err)
-				}
+// runEach serves reqs one at a time through do and reports queries/s.
+func runEach(b *testing.B, reqs []serve.Request, do func(serve.Request) serve.Response) {
+	for i := 0; i < b.N; i++ {
+		for _, r := range reqs {
+			if resp := do(r); resp.Err != nil {
+				b.Fatal(resp.Err)
 			}
 		}
-		b.ReportMetric(float64(len(reqs))*float64(b.N)/b.Elapsed().Seconds(), "queries/s")
 	}
-	b.Run("off", func(b *testing.B) {
-		run(b, serve.Options{Workers: 4})
-	})
-	b.Run("on", func(b *testing.B) {
-		run(b, serve.Options{
-			Workers:         4,
-			DefaultDeadline: time.Minute,
-			MaxInflight:     64,
-		})
-	})
+	b.ReportMetric(float64(len(reqs))*float64(b.N)/b.Elapsed().Seconds(), "queries/s")
 }
 
-// BenchmarkServeLogging measures the wide-event logging layer's overhead
-// on the batch serving path at the engine-w4 configuration. "off" is the
-// instrumented engine without a logger (the nil-logger branch). "on"
-// wires the full observability-v2 surface as cmd/fairjob does: a
-// wide-event logger at 1-in-128 success sampling into a ring sink, a
-// tail-sampled tracer keeping 1-in-128 fast-OK traces, and an SLO
-// monitor observing every request. The acceptance budget for on-vs-off
-// is < 5% (bench.sh computes the delta into the BENCH JSON).
-func BenchmarkServeLogging(b *testing.B) {
-	snap, reqs := benchWorkload()
-	run := func(b *testing.B, opts func() serve.Options) {
-		for i := 0; i < b.N; i++ {
-			eng := serve.NewEngine(snap, opts())
-			for _, resp := range eng.DoBatch(reqs) {
-				if resp.Err != nil {
-					b.Fatal(resp.Err)
-				}
-			}
-		}
-		b.ReportMetric(float64(len(reqs))*float64(b.N)/b.Elapsed().Seconds(), "queries/s")
-	}
-	b.Run("off", func(b *testing.B) {
-		// Process-lifetime observability state lives outside the loop in
-		// both variants (see BenchmarkServeInstrumented).
-		reg := obs.NewRegistry()
-		tracer := obs.NewTracer(obs.DefaultTraceCapacity)
-		run(b, func() serve.Options {
-			return serve.Options{Workers: 4, Obs: reg, Tracer: tracer}
-		})
+// observability is the process-lifetime telemetry cmd/fairjob wires: a
+// tail-sampled tracer and a wide-event logger, both keeping 1 in 128
+// fast successes, and an SLO monitor. Both pairs build it once outside
+// the loop, so they price the per-request cost, not its construction.
+func observability() (*obs.Tracer, *obs.Logger, *obs.SLOMonitor) {
+	tracer := obs.NewTracerTailSampled(obs.DefaultTraceCapacity, obs.TailSamplingPolicy{
+		SlowThreshold: 50 * time.Millisecond,
+		KeepOneInN:    128,
 	})
-	b.Run("on", func(b *testing.B) {
-		reg := obs.NewRegistry()
-		tracer := obs.NewTracerTailSampled(obs.DefaultTraceCapacity, obs.TailSamplingPolicy{
-			SlowThreshold: 50 * time.Millisecond,
-			KeepOneInN:    128,
-		})
-		log := obs.NewLogger(obs.LoggerOptions{Component: "serve", SampleN: 128})
-		slo := obs.NewSLOMonitor([]obs.Objective{
-			{Name: "latency", Target: 0.99, LatencyBound: 50 * time.Millisecond},
-			{Name: "errors", Target: 0.999},
-		}, obs.SLOOptions{})
-		run(b, func() serve.Options {
-			return serve.Options{Workers: 4, Obs: reg, Tracer: tracer, Log: log, SLO: slo}
-		})
-	})
+	log := obs.NewLogger(obs.LoggerOptions{Component: "serve", SampleN: 128})
+	slo := obs.NewSLOMonitor([]obs.Objective{
+		{Name: "latency", Target: 0.99, LatencyBound: 50 * time.Millisecond},
+		{Name: "errors", Target: 0.999},
+	}, obs.SLOOptions{})
+	return tracer, log, slo
 }
 
-// BenchmarkServeProfiled measures the continuous profiler's overhead on
-// the batch serving path at the engine-w4 configuration. The pprof
-// request labels are attached unconditionally (they only cost when a
-// CPU profile is actually consuming them), so this pair prices the
-// *capture*: "off" is the instrumented engine with no profiler; "on"
-// serves the identical workload while a Profiler captures rounds on a
-// 1s/100ms cadence — the same ~10% CPU-sampling duty cycle as the
-// production 60s/5s default, compressed so several full rounds (CPU
-// window, snapshot writes, forced-GC heap delta) land inside each bench
-// invocation. The acceptance budget for on-vs-off is < 5% (bench.sh
-// computes the delta into the BENCH JSON; check.sh gates on it).
-func BenchmarkServeProfiled(b *testing.B) {
+// BenchmarkEngineOverhead prices every layer a deployed engine adds, at
+// the engine-w4 configuration over benchWorkload's batch. "off" is the
+// default engine. "on" adds a shared registry, the tracer, logger and
+// SLO monitor of observability, a per-request deadline (so every
+// request pays context.WithTimeout and the round checkpoints against a
+// live Done channel), an admission gate wide enough to shed nothing, and
+// a Profiler capturing on a 1s/100ms cadence — the production 60s/5s
+// duty cycle compressed so several rounds land in each invocation.
+func BenchmarkEngineOverhead(b *testing.B) {
 	snap, reqs := benchWorkload()
-	run := func(b *testing.B, reg *obs.Registry) {
-		for i := 0; i < b.N; i++ {
-			eng := serve.NewEngine(snap, serve.Options{Workers: 4, Obs: reg})
-			for _, resp := range eng.DoBatch(reqs) {
-				if resp.Err != nil {
-					b.Fatal(resp.Err)
-				}
-			}
-		}
-		b.ReportMetric(float64(len(reqs))*float64(b.N)/b.Elapsed().Seconds(), "queries/s")
-	}
 	b.Run("off", func(b *testing.B) {
-		run(b, obs.NewRegistry())
+		runBatches(b, snap, reqs, serve.Options{Workers: 4})
 	})
 	b.Run("on", func(b *testing.B) {
 		reg := obs.NewRegistry()
+		tracer, log, slo := observability()
 		prof := obs.NewProfiler(obs.ProfilerOptions{
 			Registry:    reg,
 			Interval:    time.Second,
@@ -225,88 +133,51 @@ func BenchmarkServeProfiled(b *testing.B) {
 		})
 		prof.Start()
 		defer prof.Stop()
-		run(b, reg)
+		runBatches(b, snap, reqs, serve.Options{
+			Workers:         4,
+			Obs:             reg,
+			Tracer:          tracer,
+			Log:             log,
+			SLO:             slo,
+			DefaultDeadline: time.Minute,
+			MaxInflight:     64,
+		})
 	})
 }
 
-// BenchmarkScatterGather measures the scatter-gather coordinator's tax
-// over direct engine serving. "off" is a plain single-worker engine
-// with the result cache disabled, so every request pays real compute.
-// "on" serves the identical request battery through a one-partition
-// cluster.Coordinator (node caches also disabled): the fan-out geometry
-// is degenerate, so the pair prices exactly the distributed-serving
-// machinery — generation pinning, the simulated-RPC transport hop, leg
-// budgets, hedge timers and the reply merge — and none of the actual
-// partitioning. Both variants are constructed once outside the loop:
-// coordinator construction rebuilds per-node snapshots, which is a
-// refresh cost, not a per-request one. The acceptance budget for
-// on-vs-off is < 5% (bench.sh computes the delta into the BENCH JSON;
-// check.sh gates on it).
-func BenchmarkScatterGather(b *testing.B) {
+// BenchmarkClusterOverhead prices the scatter-gather stack over direct
+// engine serving. "off" is a single-worker engine with the result cache
+// off, so every request pays real compute. "on" serves the same battery
+// through a one-partition coordinator with node caches off, wired as
+// fairjob loadtest -partitions wires it: a shared registry, the tracer
+// and logger of observability, and a default deadline. One partition
+// makes the fan-out degenerate, so the pair prices the distributed
+// machinery — generation pinning, the transport hop, leg budgets, hedge
+// timers, spans and the reply merge — and none of the partitioning.
+// Both sides are built outside the timer: building a coordinator is a
+// refresh cost, not a per-request one.
+func BenchmarkClusterOverhead(b *testing.B) {
 	rng := stats.NewRNG(4242)
 	tbl := randomTable(rng, 11, 48, 10, 0.1)
 	snap := serve.NewSnapshot(tbl)
 	reqs := battery(snap)
-	run := func(b *testing.B, do func(serve.Request) serve.Response) {
-		for i := 0; i < b.N; i++ {
-			for _, r := range reqs {
-				if resp := do(r); resp.Err != nil {
-					b.Fatal(resp.Err)
-				}
-			}
-		}
-		b.ReportMetric(float64(len(reqs))*float64(b.N)/b.Elapsed().Seconds(), "queries/s")
-	}
 	b.Run("off", func(b *testing.B) {
 		eng := serve.NewEngine(snap, serve.Options{Workers: 1, CacheSize: -1})
 		b.ResetTimer()
-		run(b, eng.Do)
+		runEach(b, reqs, eng.Do)
 	})
 	b.Run("on", func(b *testing.B) {
-		coord := cluster.New(tbl, cluster.Options{Partitions: 1, NodeCacheSize: -1})
-		b.ResetTimer()
-		run(b, coord.Do)
-	})
-}
-
-// BenchmarkSpanTracing measures the per-request cost of distributed
-// tracing on the scatter-gather path. Both variants serve the identical
-// battery through a one-partition coordinator (node caches disabled);
-// "on" additionally wires a Tracer, so every request pays the pooled
-// trace checkout, the per-leg child-span tree (scatter attempt, leg
-// spans, scan-stream summaries, the engine join), the ring retention
-// copy and tail-sampling decision. The delta over "off" prices exactly
-// the span machinery — allocation-free by design (sync.Pool traces,
-// inline child arrays) — and the acceptance budget is < 5% (bench.sh
-// records it as span_tracing_overhead; check.sh gates on it).
-func BenchmarkSpanTracing(b *testing.B) {
-	rng := stats.NewRNG(4242)
-	tbl := randomTable(rng, 11, 48, 10, 0.1)
-	snap := serve.NewSnapshot(tbl)
-	reqs := battery(snap)
-	run := func(b *testing.B, do func(serve.Request) serve.Response) {
-		for i := 0; i < b.N; i++ {
-			for _, r := range reqs {
-				if resp := do(r); resp.Err != nil {
-					b.Fatal(resp.Err)
-				}
-			}
-		}
-		b.ReportMetric(float64(len(reqs))*float64(b.N)/b.Elapsed().Seconds(), "queries/s")
-	}
-	b.Run("off", func(b *testing.B) {
-		coord := cluster.New(tbl, cluster.Options{Partitions: 1, NodeCacheSize: -1})
-		b.ResetTimer()
-		run(b, coord.Do)
-	})
-	b.Run("on", func(b *testing.B) {
+		tracer, log, _ := observability()
 		coord := cluster.New(tbl, cluster.Options{
-			Partitions:    1,
-			NodeCacheSize: -1,
-			Tracer:        obs.NewTracer(obs.DefaultTraceCapacity),
+			Partitions:      1,
+			NodeCacheSize:   -1,
+			Obs:             obs.NewRegistry(),
+			Tracer:          tracer,
+			Log:             log,
+			DefaultDeadline: time.Minute,
 		})
 		b.ResetTimer()
-		run(b, coord.Do)
+		runEach(b, reqs, coord.Do)
 	})
 }
 

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -73,6 +74,11 @@ func TestChaosSlowEvaluatorHitsDeadline(t *testing.T) {
 	if got := eng.Registry().Counter("serve_deadline_exceeded_total").Value(); got != 1 {
 		t.Fatalf("serve_deadline_exceeded_total = %d, want 1", got)
 	}
+	// Only finished runs are recorded (DESIGN.md §10): the cut-short run
+	// left no sample in any top-k access histogram.
+	if n := topkSamples(eng.Registry()); n != 0 {
+		t.Fatalf("the deadline-cut run recorded %d topk_* samples, want 0", n)
+	}
 
 	// Fault cleared: the same request completes and matches a fault-free
 	// reference.
@@ -82,6 +88,20 @@ func TestChaosSlowEvaluatorHitsDeadline(t *testing.T) {
 	if got := fingerprint(eng.Do(req)); got != want {
 		t.Fatalf("after fault cleared: got %s, want %s", got, want)
 	}
+	if n := topkSamples(eng.Registry()); n != 3 {
+		t.Fatalf("a finished run recorded %d topk_* samples, want 3 (sorted, random, rounds)", n)
+	}
+}
+
+// topkSamples counts the samples in every topk_* histogram of reg.
+func topkSamples(reg *obs.Registry) uint64 {
+	var n uint64
+	for name, h := range reg.Snapshot().Histograms {
+		if strings.HasPrefix(name, "topk_") {
+			n += h.Count
+		}
+	}
+	return n
 }
 
 // TestChaosCancelMidQuery cancels a request while it is blocked inside

@@ -384,17 +384,6 @@ func NewEngine(snap *Snapshot, opts Options) *Engine {
 // admin-endpoint wiring.
 func (e *Engine) Registry() *obs.Registry { return e.reg }
 
-// RecordTopK implements topk.Recorder: every Problem 1 execution feeds
-// its access-cost Stats into the per-algorithm histograms.
-func (e *Engine) RecordTopK(algo topk.Algorithm, _ topk.Direction, st topk.Stats) {
-	if int(algo) < 0 || int(algo) >= len(e.met.sorted) {
-		return
-	}
-	e.met.sorted[algo].Observe(float64(st.SortedAccesses))
-	e.met.random[algo].Observe(float64(st.RandomAccesses))
-	e.met.rounds[algo].Observe(float64(st.Rounds))
-}
-
 // Snapshot returns the snapshot currently being served.
 func (e *Engine) Snapshot() *Snapshot { return e.snap.Load() }
 
@@ -582,12 +571,17 @@ func (e *Engine) DoBatchCtx(ctx context.Context, reqs []Request) []Response {
 // costs no compute, so it is served even when the gate is shedding
 // everything, which keeps hot queries alive through overload.
 func (e *Engine) doOn(ctx context.Context, snap *Snapshot, req Request, tr *obs.Trace, parent obs.SpanRef) Response {
-	start := time.Now()
+	var start time.Time
+	if tr != nil {
+		start = tr.Begin // the trace began with this request: one clock read serves both
+	} else {
+		start = time.Now()
+	}
 	tr.SetGen(snap.gen)
-	phase := startPhase(tr, parent, "validate")
+	phase := startPhase(tr, parent, "validate", start)
 	err := validate(req)
-	phase.Finish()
 	if err != nil {
+		phase.Finish()
 		e.met.errors.Inc()
 		tr.Annotate("err", err.Error())
 		tr.SetOutcome("error")
@@ -603,7 +597,7 @@ func (e *Engine) doOn(ctx context.Context, snap *Snapshot, req Request, tr *obs.
 	}
 	pi := req.Problem
 	e.met.requests[pi].Inc()
-	phase = startPhase(tr, parent, "cache-lookup")
+	phase = phase.Next("cache-lookup")
 	var key cacheKey
 	if e.cache != nil {
 		key = req.key(snap.gen)
@@ -623,9 +617,8 @@ func (e *Engine) doOn(ctx context.Context, snap *Snapshot, req Request, tr *obs.
 		}
 		e.met.cacheMisses.Inc()
 	}
-	phase.Finish()
 
-	phase = startPhase(tr, parent, "execute")
+	phase = phase.Next("execute")
 	if d := req.Deadline; d > 0 || e.defaultDeadline > 0 {
 		if d <= 0 {
 			d = e.defaultDeadline
@@ -659,16 +652,22 @@ func (e *Engine) doOn(ctx context.Context, snap *Snapshot, req Request, tr *obs.
 		resp = e.executeSafe(ctx, snap, req, tr)
 	})
 	e.met.inflight.Add(-1)
-	phase.Finish()
 
-	phase = startPhase(tr, parent, "access-accounting")
+	phase = phase.Next("access-accounting")
 	resp.Err = ctxError(resp.Err)
 	if resp.Err != nil {
 		e.met.errors.Inc()
 		e.countFailure(resp.Err)
 		tr.Annotate("err", resp.Err.Error())
 	} else {
-		if req.Problem == Compare && resp.Comparison != nil {
+		// Only finished runs reach the access histograms (DESIGN.md §10):
+		// a canceled run's partial counts describe no answer.
+		switch {
+		case req.Problem == Quantify:
+			e.met.sorted[req.Algorithm].Observe(float64(resp.Stats.SortedAccesses))
+			e.met.random[req.Algorithm].Observe(float64(resp.Stats.RandomAccesses))
+			e.met.rounds[req.Algorithm].Observe(float64(resp.Stats.Rounds))
+		case req.Problem == Compare && resp.Comparison != nil:
 			e.met.compareAccesses.Observe(float64(resp.Comparison.Accesses))
 		}
 		if e.cache != nil {
@@ -692,14 +691,16 @@ func (e *Engine) doOn(ctx context.Context, snap *Snapshot, req Request, tr *obs.
 	return resp
 }
 
-// startPhase opens one pipeline phase span under the request's parent:
-// the joined engine span when a caller's trace carried one in, else the
-// root of tr. Both are inert when tracing is off.
-func startPhase(tr *obs.Trace, parent obs.SpanRef, name string) obs.SpanRef {
+// startPhase opens the request's first pipeline phase at start, under
+// the request's parent: the joined engine span when a caller's trace
+// carried one in, else the root of tr. Each later phase opens with
+// SpanRef.Next, so a phase boundary reads the clock once, and an
+// untraced request reads it for none of them.
+func startPhase(tr *obs.Trace, parent obs.SpanRef, name string, start time.Time) obs.SpanRef {
 	if parent.Valid() {
-		return parent.StartChild(name)
+		return parent.StartChildAt(name, start)
 	}
-	return tr.StartSpan(name)
+	return tr.StartSpanAt(name, start)
 }
 
 // refuse finishes a request that never executed (shed, expired or
@@ -736,19 +737,22 @@ func (e *Engine) cacheState() string {
 // finishes, so the event carries the same join ID the latency exemplar
 // published — the three telemetry views join on it, and a trace the
 // tail sampler dropped contributes no ID at all (the join never
-// dangles).
+// dangles). The event is built only when the logger's sampling keeps
+// it.
 func (e *Engine) emit(req Request, resp Response, tr *obs.Trace, lat time.Duration, cache string) {
 	if e.log == nil {
 		return
 	}
-	ev := WideEvent(req, resp)
-	ev.LatencyNS = lat.Nanoseconds()
-	ev.TraceID = tr.JoinID()
-	ev.Cache = cache
-	if tr != nil {
-		ev.QueueWaitNS = int64(tr.QueueWait)
-	}
-	e.log.Log(ev)
+	e.log.LogFunc(Outcome(resp.Err), func() obs.Event {
+		ev := WideEvent(req, resp)
+		ev.LatencyNS = lat.Nanoseconds()
+		ev.TraceID = tr.JoinID()
+		ev.Cache = cache
+		if tr != nil {
+			ev.QueueWaitNS = int64(tr.QueueWait)
+		}
+		return ev
+	})
 }
 
 // WideEvent maps one answered request to its wide event (DESIGN.md
@@ -916,10 +920,8 @@ func validate(req Request) error {
 
 // execute runs the request's algorithm against the snapshot; all mutable
 // state lives inside the callee's per-call structs. Problem 1 runs
-// through topk.TopKCtxWith with the engine as Recorder, so the
-// access-cost Stats of every execution land in the per-algorithm
-// histograms and a dying context stops the run at its next round
-// checkpoint.
+// through topk.TopKCtx, so a dying context stops the run at its next
+// round checkpoint; doOn records the access costs of finished runs.
 func (e *Engine) execute(ctx context.Context, snap *Snapshot, req Request, tr *obs.Trace) Response {
 	resp := Response{Gen: snap.gen}
 	faultinject.Inject(faultinject.PanicMeasure)
@@ -939,7 +941,7 @@ func (e *Engine) execute(ctx context.Context, snap *Snapshot, req Request, tr *o
 			}
 			src = restricted
 		}
-		resp.Results, resp.Stats, resp.Err = topk.TopKCtxWith(ctx, src, req.K, req.Direction, req.Algorithm, e)
+		resp.Results, resp.Stats, resp.Err = topk.TopKCtx(ctx, src, req.K, req.Direction, req.Algorithm)
 	case Compare:
 		// Comparisons are two-member lookups, far below deadline scale;
 		// one checkpoint on entry bounds their cancellation latency.

@@ -206,10 +206,6 @@ func (s *Snapshot) Len() int { return s.tbl.Len() }
 // Gen returns the snapshot's process-unique generation number.
 func (s *Snapshot) Gen() uint64 { return s.gen }
 
-// CreatedAt returns when the snapshot was frozen; the engine's
-// snapshot-age gauge reads it.
-func (s *Snapshot) CreatedAt() time.Time { return s.created }
-
 // GroupKeys returns the canonical group keys of the snapshot's group
 // dimension, sorted.
 func (s *Snapshot) GroupKeys() []string { return s.groupIdx.GroupKeys }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"fairjob/internal/compare"
 	"fairjob/internal/obs"
@@ -191,11 +192,21 @@ func TestEngineTracing(t *testing.T) {
 	}
 }
 
-// TestTracingAllocatesNothing pins the zero-garbage trace pool (DESIGN.md
-// §9): a traced request, its phase spans included, must allocate
-// exactly as much as an untraced one, on the cache-hit and the miss
-// path. The tracer keeps only the first fast-OK trace, which the warm-up
-// request takes, so no retained trace's exemplar is counted.
+// TestTracingAllocatesNothing pins what each opt-in engine layer costs
+// one request in allocations, on the cache-hit and the cache-miss path:
+// the engine with the layer on, minus the default engine. These exact
+// counts stand in for the per-layer wall-clock pairs that the overhead
+// gate merged into one pair per stack (scripts/check.sh). The check is
+// exact: a count that falls fails too, so its pin is lowered in the
+// same change; a pin may rise only with its reason written down.
+//
+// The tracer's pin is the zero-garbage trace pool (DESIGN.md §9): a
+// traced request, its phase spans included, allocates exactly as much
+// as an untraced one, because the spans live in the pooled trace. The
+// tracer keeps only its first
+// fast-OK trace and the logger its first success in 128, which the
+// warm-up request takes, so no retained trace or logged event is
+// counted.
 func TestTracingAllocatesNothing(t *testing.T) {
 	if testutil.RaceEnabled() {
 		t.Skip("the race detector drops sync.Pool entries at random")
@@ -207,17 +218,43 @@ func TestTracingAllocatesNothing(t *testing.T) {
 		eng.Do(req)
 		return testing.AllocsPerRun(100, func() { eng.Do(req) })
 	}
-	for _, path := range []struct {
+	for _, layer := range []struct {
 		name      string
-		cacheSize int
-	}{{"hit", 0}, {"miss", -1}} {
-		plain := allocs(serve.Options{CacheSize: path.cacheSize})
-		traced := allocs(serve.Options{CacheSize: path.cacheSize, Tracer: obs.NewTracerTailSampled(0,
-			obs.TailSamplingPolicy{KeepOneInN: math.MaxUint64})})
-		if traced != plain {
-			t.Errorf("%s path: %v allocs traced, %v untraced", path.name, traced, plain)
+		on        func(*serve.Options)
+		hit, miss float64 // pinned allocations on minus off
+	}{
+		{"tracer", func(o *serve.Options) {
+			o.Tracer = obs.NewTracerTailSampled(0, obs.TailSamplingPolicy{KeepOneInN: math.MaxUint64})
+		}, 0, 0},
+		{"logger+slo", func(o *serve.Options) {
+			o.Log = obs.NewLogger(obs.LoggerOptions{SampleN: 128})
+			o.SLO = obs.NewSLOMonitor([]obs.Objective{
+				{Name: "latency", Target: 0.99, LatencyBound: 50 * time.Millisecond},
+				{Name: "errors", Target: 0.999},
+			}, obs.SLOOptions{})
+		}, 0, 0},
+		// A hit is answered before the deadline and the gate (DESIGN.md
+		// §10); a miss pays context.WithTimeout and its timer.
+		{"deadline+admission", func(o *serve.Options) {
+			o.DefaultDeadline = time.Minute
+			o.MaxInflight = 64
+		}, 0, 5},
+	} {
+		for _, path := range []struct {
+			name      string
+			cacheSize int
+			pin       float64
+		}{{"hit", 0, layer.hit}, {"miss", -1, layer.miss}} {
+			opts := serve.Options{CacheSize: path.cacheSize}
+			off := allocs(opts)
+			layer.on(&opts)
+			on := allocs(opts)
+			t.Logf("%s, %s path: %v allocs on, %v off", layer.name, path.name, on, off)
+			if on-off != path.pin {
+				t.Errorf("%s, %s path: %v allocs on, %v off; the layer costs %v, pinned at %v",
+					layer.name, path.name, on, off, on-off, path.pin)
+			}
 		}
-		t.Logf("%s path: %v allocs traced, %v untraced", path.name, traced, plain)
 	}
 }
 

@@ -88,56 +88,12 @@ func (s Stats) Total() int { return s.SortedAccesses + s.RandomAccesses }
 // safely serves any number of simultaneous TopK calls; the race and
 // concurrency tests pin this contract.
 
-// Recorder receives the access-cost statistics of completed top-k runs.
-// The serve engine implements it to export every execution's Stats into
-// its per-algorithm telemetry histograms (DESIGN.md §9); experiments and
-// ablations can implement it to collect Table-6-style cost series
-// without threading counters through call sites.
-type Recorder interface {
-	RecordTopK(algo Algorithm, dir Direction, st Stats)
-}
-
-// RecorderFunc adapts a plain function to Recorder, the way
-// http.HandlerFunc adapts handlers — wide-event emission and tests hook
-// the access-cost hand-off with a closure instead of a named type.
-type RecorderFunc func(algo Algorithm, dir Direction, st Stats)
-
-// RecordTopK implements Recorder by calling f.
-func (f RecorderFunc) RecordTopK(algo Algorithm, dir Direction, st Stats) { f(algo, dir, st) }
-
-// MultiRecorder fans each completed run out to every recorder in order,
-// skipping nils — e.g. the serve engine's histograms plus a wide-event
-// logger observing the same executions.
-func MultiRecorder(recs ...Recorder) Recorder {
-	kept := make(multiRecorder, 0, len(recs))
-	for _, r := range recs {
-		if r != nil {
-			kept = append(kept, r)
-		}
-	}
-	return kept
-}
-
-type multiRecorder []Recorder
-
-func (m multiRecorder) RecordTopK(algo Algorithm, dir Direction, st Stats) {
-	for _, r := range m {
-		r.RecordTopK(algo, dir, st)
-	}
-}
-
 // TopK solves fairness quantification over src: the k members with the
 // most/least average value across lists. It returns results in order
 // (most-unfair first for MostUnfair, least-unfair first for LeastUnfair).
 // k larger than the membership returns all members ranked.
 func TopK(src ListSource, k int, dir Direction, algo Algorithm) ([]Result, Stats, error) {
-	return TopKWith(src, k, dir, algo, nil)
-}
-
-// TopKWith is TopK with an optional Recorder: a successful run reports
-// its Stats to rec before returning. A nil rec records nothing.
-func TopKWith(src ListSource, k int, dir Direction, algo Algorithm, rec Recorder) ([]Result, Stats, error) {
-	return TopKCtxWith(context.Background(), src, k, dir, algo, rec)
+	return TopKCtx(context.Background(), src, k, dir, algo)
 }
 
 func errKNotPositive(k int) error {

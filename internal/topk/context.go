@@ -51,17 +51,9 @@ func (c canceler) check() error {
 // TopKCtx is TopK with cooperative cancellation: the run observes ctx at
 // every round boundary and returns ctx.Err() (context.Canceled or
 // context.DeadlineExceeded, untyped by this package) once it fires,
-// discarding partial results. A Background context makes it equivalent
-// to TopK.
+// discarding partial results but returning the partial access counts.
+// A Background context makes it equivalent to TopK.
 func TopKCtx(ctx context.Context, src ListSource, k int, dir Direction, algo Algorithm) ([]Result, Stats, error) {
-	return TopKCtxWith(ctx, src, k, dir, algo, nil)
-}
-
-// TopKCtxWith is TopKCtx with an optional Recorder; only completed runs
-// report Stats to rec — a canceled run's partial access counts are
-// returned to the caller but never recorded, so the telemetry
-// histograms describe finished work.
-func TopKCtxWith(ctx context.Context, src ListSource, k int, dir Direction, algo Algorithm, rec Recorder) ([]Result, Stats, error) {
 	if k <= 0 {
 		return nil, Stats{}, errKNotPositive(k)
 	}
@@ -100,9 +92,6 @@ func TopKCtxWith(ctx context.Context, src ListSource, k int, dir Direction, algo
 		for i := range results {
 			results[i].Value = -results[i].Value
 		}
-	}
-	if rec != nil {
-		rec.RecordTopK(algo, dir, stats)
 	}
 	return results, stats, nil
 }
