@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -22,11 +23,24 @@ type NodeOptions struct {
 }
 
 // Node is one partition: a serve snapshot of the cells whose (query,
-// location) pair routes here (the node's only copy of them), a local
-// engine over it (the single-leg OpServe path), and the three
-// list-fragment families the distributed TA scans. A node is a simulated
-// remote process — the coordinator talks to it only through the
-// Transport — but lives in-process today.
+// location) pair routes here (the node's only copy of them) and a local
+// engine over it. What else the node builds follows the partition count,
+// because the coordinator reads a node differently at each:
+//
+//   - At one partition every request is one OpServe to the engine. The
+//     snapshot builds its index families at construction, as a single
+//     engine's does, and the node builds no fragments: OpScan and
+//     OpLookup are refused.
+//   - Above one partition the coordinator streams quantify from the
+//     node's three list-fragment families (OpScan, OpLookup), gathers
+//     compare from its cells (OpCells), and sends OpServe only for
+//     mitigate, which reads the pages. So the node builds the fragments,
+//     and its snapshot is deferred (serve.NewDeferredSnapshot): the index
+//     families would be built only if a quantify or compare reached the
+//     engine, which the coordinator never sends there.
+//
+// A node is a simulated remote process — the coordinator talks to it
+// only through the Transport — but lives in-process today.
 //
 // Fragments are completed against the shared Universe, not the
 // sub-table's own dimensions: the I(q,l) fragments carry every group in
@@ -48,25 +62,31 @@ type Node struct {
 // snapshot: snapshot, engine and fragment families swap together,
 // atomically, so a pinned call never sees a torn mix of generations.
 type nodeState struct {
-	snap   *serve.Snapshot
+	snap   *serve.Snapshot // deferred above one partition, eager at one
 	engine *serve.Engine
 
 	// group, query and loc are the three families' fragments, indexed
 	// by global list id; a list this partition owns no piece of is
-	// empty.
+	// empty. All three are nil at one partition.
 	group, query, loc *topk.SliceLists
 }
 
-// NewNode builds partition id of n over its sub-table. The universe is
-// sealed and the snapshot owns the pages; Refresh replaces cells only.
+// NewNode builds partition id of n over its sub-table, in the shape n
+// selects (see Node). The universe is sealed and the snapshot owns the
+// pages; Refresh replaces cells only.
 func NewNode(id, n int, uni *Universe, sub *core.Table, schema *core.Schema, rankings []*core.MarketplaceRanking, opts NodeOptions) *Node {
 	nd := &Node{id: id, n: n, uni: uni, opts: opts}
-	nd.state.Store(nd.buildState(serve.NewSnapshotWithRankings(sub, schema, rankings)))
+	snapshot := serve.NewSnapshotWithRankings
+	if n > 1 {
+		snapshot = serve.NewDeferredSnapshot
+	}
+	nd.state.Store(nd.buildState(snapshot(sub, schema, rankings)))
 	return nd
 }
 
-// buildState freezes one generation around snap: its engine and the
-// three fragment families, all read from the snapshot's sealed cells.
+// buildState freezes one generation around snap: its engine and, above
+// one partition, the three fragment families, read from the snapshot's
+// sealed cells.
 func (nd *Node) buildState(snap *serve.Snapshot) *nodeState {
 	st := &nodeState{
 		snap: snap,
@@ -75,80 +95,107 @@ func (nd *Node) buildState(snap *serve.Snapshot) *nodeState {
 			CacheSize: nd.opts.CacheSize,
 		}),
 	}
-	st.group, st.query, st.loc = nd.buildFragments(snap)
+	if nd.n > 1 {
+		st.group, st.query, st.loc = nd.buildFragments(snap)
+	}
 	return st
 }
 
 // buildFragments materializes this partition's fragments of the three
-// list families, completed against the universe. Each family is one
-// index.NewLists call (through topk.NewSliceLists), which sorts every
-// fragment into the canonical order.
+// list families, completed against the universe. It routes each (query,
+// location) pair once, reads the sealed cells in one Range pass into an
+// array of the owned pairs' values by universe ids, where a cell left
+// undefined keeps 0 (the completion value), and cuts every fragment's
+// entries from that array. Each family is one index.NewLists call
+// (through topk.NewSliceLists), which sorts every fragment into the
+// canonical order.
 func (nd *Node) buildFragments(snap *serve.Snapshot) (group, query, loc *topk.SliceLists) {
-	G, Q, L := nd.uni.GroupKeys, nd.uni.Queries, nd.uni.Locations
+	u := nd.uni
+	G, Q, L := u.GroupKeys, u.Queries, u.Locations
 
-	// Ownership per (q, l) pair, plus the owned member sets per axis:
-	// ownedQ[li] = queries q with Route(q, L[li]) == id, ownedL[qi]
-	// symmetric.
-	ownedQ := make([][]core.Query, len(L))
-	ownedL := make([][]core.Location, len(Q))
+	// Ownership per (q, l) pair: slot[qi·|L| + li] numbers the pairs
+	// routed here and is -1 elsewhere. ownedQ[li] holds the queries qi
+	// with Route(Q[qi], L[li]) == id, ownedL[qi] the symmetric locations.
+	slot := make([]int32, len(Q)*len(L))
+	ownedQ := make([][]int, len(L))
+	ownedL := make([][]int, len(Q))
+	pairs := 0
 	for qi, q := range Q {
 		for li, l := range L {
+			slot[qi*len(L)+li] = -1
 			if Route(q, l, nd.n) == nd.id {
-				ownedQ[li] = append(ownedQ[li], q)
-				ownedL[qi] = append(ownedL[qi], l)
+				slot[qi*len(L)+li] = int32(pairs)
+				pairs++
+				ownedQ[li] = append(ownedQ[li], qi)
+				ownedL[qi] = append(ownedL[qi], li)
 			}
 		}
 	}
 
+	// cells[slot·|G| + gi] is group G[gi]'s value on an owned pair.
+	cells := make([]float64, pairs*len(G))
+	value := func(gi, qi, li int) float64 { return cells[int(slot[qi*len(L)+li])*len(G)+gi] }
+	snap.Range(func(tr core.Triple, v float64) {
+		gi, okG := u.gid[tr.GroupKey]
+		qi, okQ := u.qid[tr.Query]
+		li, okL := u.lid[tr.Location]
+		if !okG || !okQ || !okL {
+			return // outside the sealed universe: in no fragment
+		}
+		if s := slot[qi*len(L)+li]; s >= 0 {
+			cells[int(s)*len(G)+gi] = v
+		}
+	})
+
+	// Each family holds |G| postings per owned pair; its fragments are
+	// consecutive slices of one array of exactly that size.
+	var buf []index.Entry
+	cut := func(start int) []index.Entry { return buf[start:len(buf):len(buf)] }
+
 	// I(q,l) family: one list per owned pair, carrying every group.
 	glists := make([][]index.Entry, len(Q)*len(L))
-	for qi, q := range Q {
-		for li, l := range L {
-			if Route(q, l, nd.n) != nd.id {
-				continue
-			}
-			entries := make([]index.Entry, len(G))
+	buf = make([]index.Entry, 0, len(G)*pairs)
+	for li, qs := range ownedQ {
+		for _, qi := range qs {
+			start := len(buf)
 			for gi, g := range G {
-				v, _ := snap.Cell(g, q, l) // undefined completes to 0
-				entries[gi] = index.Entry{Key: g, Value: v}
+				buf = append(buf, index.Entry{Key: g, Value: value(gi, qi, li)})
 			}
-			glists[qi*len(L)+li] = entries
+			glists[qi*len(L)+li] = cut(start)
 		}
 	}
 
 	// I(g,l) family: for every (g, l), the queries whose (q, l) pair
 	// routes here.
 	qlists := make([][]index.Entry, len(G)*len(L))
-	for gi, g := range G {
-		for li, l := range L {
-			qs := ownedQ[li]
+	buf = make([]index.Entry, 0, len(G)*pairs)
+	for gi := range G {
+		for li, qs := range ownedQ {
 			if len(qs) == 0 {
 				continue
 			}
-			entries := make([]index.Entry, len(qs))
-			for i, q := range qs {
-				v, _ := snap.Cell(g, q, l)
-				entries[i] = index.Entry{Key: string(q), Value: v}
+			start := len(buf)
+			for _, qi := range qs {
+				buf = append(buf, index.Entry{Key: string(Q[qi]), Value: value(gi, qi, li)})
 			}
-			qlists[gi*len(L)+li] = entries
+			qlists[gi*len(L)+li] = cut(start)
 		}
 	}
 
 	// I(g,q) family: for every (g, q), the locations whose (q, l) pair
 	// routes here.
 	llists := make([][]index.Entry, len(G)*len(Q))
-	for gi, g := range G {
-		for qi, q := range Q {
-			ls := ownedL[qi]
+	buf = make([]index.Entry, 0, len(G)*pairs)
+	for gi := range G {
+		for qi, ls := range ownedL {
 			if len(ls) == 0 {
 				continue
 			}
-			entries := make([]index.Entry, len(ls))
-			for i, l := range ls {
-				v, _ := snap.Cell(g, q, l)
-				entries[i] = index.Entry{Key: string(l), Value: v}
+			start := len(buf)
+			for _, li := range ls {
+				buf = append(buf, index.Entry{Key: string(L[li]), Value: value(gi, qi, li)})
 			}
-			llists[gi*len(Q)+qi] = entries
+			llists[gi*len(Q)+qi] = cut(start)
 		}
 	}
 
@@ -162,9 +209,12 @@ func (nd *Node) Gen() uint64 {
 
 // Refresh applies a copy-on-write edit through Snapshot.WithUpdates (one
 // table clone, pages shared) and swaps in the new generation: snapshot,
-// engine and fragments together. Edits must stay within the partition's
-// owned (query, location) pairs and must not grow the dimension
-// universe — ownership and completion are anchored to the Universe.
+// engine and fragments together. Above one partition that is the clone
+// and the fragments, since the successor snapshot stays deferred; at one
+// partition it is the clone and the snapshot's index families. Edits
+// must stay within the partition's owned (query, location) pairs and
+// must not grow the dimension universe — ownership and completion are
+// anchored to the Universe.
 func (nd *Node) Refresh(apply func(*core.Table)) {
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
@@ -228,15 +278,22 @@ func (nd *Node) Handle(ctx context.Context, call Call) (Reply, error) {
 }
 
 // family resolves the fragment family for a quantification dimension.
+// A node at one partition holds none: its coordinator sends it OpServe
+// only.
 func (st *nodeState) family(dim compare.Dimension) (*topk.SliceLists, error) {
+	var fam *topk.SliceLists
 	switch dim {
 	case compare.ByGroup:
-		return st.group, nil
+		fam = st.group
 	case compare.ByQuery:
-		return st.query, nil
+		fam = st.query
 	case compare.ByLocation:
-		return st.loc, nil
+		fam = st.loc
 	default:
 		return nil, fmt.Errorf("cluster: unknown dimension %v", dim)
 	}
+	if fam == nil {
+		return nil, errors.New("cluster: a single partition holds no list fragments; it serves every request through OpServe")
+	}
+	return fam, nil
 }

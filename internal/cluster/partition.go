@@ -70,6 +70,11 @@ type Universe struct {
 	Locations []core.Location
 
 	groups map[string]core.Group
+	// gid, qid and lid give each member's position in its sorted
+	// dimension: the universe id list ids are derived from.
+	gid map[string]int
+	qid map[core.Query]int
+	lid map[core.Location]int
 }
 
 // NewUniverse freezes tbl's dimension metadata.
@@ -84,7 +89,17 @@ func NewUniverse(tbl *core.Table) *Universe {
 		u.GroupKeys = append(u.GroupKeys, key)
 		u.groups[key] = g
 	}
+	u.gid, u.qid, u.lid = positions(u.GroupKeys), positions(u.Queries), positions(u.Locations)
 	return u
+}
+
+// positions maps each member of a sorted dimension to its position.
+func positions[K comparable](members []K) map[K]int {
+	m := make(map[K]int, len(members))
+	for i, k := range members {
+		m[k] = i
+	}
+	return m
 }
 
 // Group resolves a canonical group key recorded in the universe.

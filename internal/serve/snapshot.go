@@ -9,13 +9,18 @@
 //
 // The design splits serving into two pieces:
 //
-//   - Snapshot: a frozen, shared-read view of the three index families
-//     built once from a core.Table. A snapshot is sealed — constructed
-//     only by NewSnapshot or WithUpdates, never mutated afterwards — and
-//     carries a process-unique generation number. Table refreshes are
-//     copy-on-write: WithUpdates clones the sealed table, applies the
-//     edits, and returns a brand-new snapshot; readers of the old
-//     generation are completely undisturbed.
+//   - Snapshot: a frozen, shared-read view of one core.Table and of what
+//     answers Problems 1 and 2 over it — the three index families, a
+//     full-scope list source per family, and the two comparers — plus
+//     the marketplace pages Problem 3 re-ranks. A snapshot is sealed —
+//     constructed only by its constructors or WithUpdates, never mutated
+//     afterwards — and carries a process-unique generation number. The
+//     query structures are built at most once: before NewSnapshot or
+//     NewSnapshotWithRankings returns, or, for NewDeferredSnapshot, on
+//     the first quantify or compare. Table refreshes are copy-on-write:
+//     WithUpdates clones the sealed table, applies the edits, and returns
+//     a brand-new snapshot; readers of the old generation are completely
+//     undisturbed.
 //
 //   - Engine: a query executor holding the current snapshot behind an
 //     atomic pointer, a bounded worker pool for batches (the PR 1
@@ -31,6 +36,7 @@ package serve
 
 import (
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -46,28 +52,26 @@ import (
 // snapshot — even across independent engines.
 var generation atomic.Uint64
 
-// Snapshot is an immutable, shared-read view of one unfairness table and
-// its three Table-5 index families, plus the two Problem 2 comparers
-// (completion and defined-only semantics). There is no mutating method.
-// The table is sealed by copy (producers keep editing theirs), the
+// Snapshot is an immutable, shared-read view of one unfairness table, of
+// the query structures that answer Problems 1 and 2 over it, and of the
+// marketplace pages Problem 3 re-ranks. There is no mutating method. The
+// table is sealed by copy (producers keep editing theirs), the
 // marketplace pages by ownership (nothing writes a page after the
-// crawl; see NewSnapshotWithRankings). A snapshot may be shared by any
+// crawl; see NewSnapshotWithRankings). The query structures are derived
+// from the sealed table at most once, before the constructor returns or,
+// for NewDeferredSnapshot, on first use. A snapshot may be shared by any
 // number of goroutines without synchronization.
 type Snapshot struct {
 	gen     uint64
 	created time.Time   // freeze time, for the snapshot-age gauge
 	tbl     *core.Table // private clone; never mutated after construction
 
-	groupIdx *index.GroupIndex
-	queryIdx *index.QueryIndex
-	locIdx   *index.LocationIndex
-
-	// Full-scope list sources, prebuilt once so per-query setup does not
-	// re-collect |Q|·|L| inverted lists. ListSources are read-only.
-	groupSrc, querySrc, locSrc topk.ListSource
-
-	completion  *compare.Comparer
-	definedOnly *compare.Comparer
+	// query returns the query structures, building them on its first
+	// call; concurrent first callers wait for that one build. deferred
+	// records whether the constructor left that call to the first
+	// quantify or compare, so WithUpdates can keep the choice.
+	query    func() *queryState
+	deferred bool
 
 	// Problem 3 (mitigation) state: the raw marketplace pages behind the
 	// table, keyed by (query, location), plus the schema that projects
@@ -76,6 +80,50 @@ type Snapshot struct {
 	// nil without pages, whose mitigate requests then error per-call.
 	schema   *core.Schema
 	rankings map[rankKey]*core.MarketplaceRanking
+}
+
+// queryState is what quantify and compare read: the three Table-5 index
+// families, held through their full-scope list sources, and the two
+// Problem 2 comparers (completion and defined-only semantics). It is
+// read-only once built.
+type queryState struct {
+	groupIdx *index.GroupIndex // also the snapshot's sorted dimensions
+
+	// Full-scope list sources, prebuilt once so per-query setup does not
+	// re-collect |Q|·|L| inverted lists; nil for an empty table, whose
+	// quantify requests then error per call.
+	groupSrc, querySrc, locSrc topk.ListSource
+
+	completion  *compare.Comparer
+	definedOnly *compare.Comparer
+}
+
+// buildQuery derives a snapshot's query structures from its sealed
+// table. It is a variable so the package's tests can count builds.
+var buildQuery = newQueryState
+
+// newQueryState builds the three index families from tbl (one goroutine
+// per family), their full-scope list sources and both comparers.
+func newQueryState(tbl *core.Table) *queryState {
+	gi, qi, li := index.BuildAll(tbl)
+	q := &queryState{
+		groupIdx:    gi,
+		completion:  compare.New(gi),
+		definedOnly: compare.NewDefinedOnlyWith(gi, tbl),
+	}
+	// The full-scope sources fail only on an empty table: every pair of
+	// the table's own dimensions is indexed by construction.
+	var err error
+	if q.groupSrc, err = topk.NewGroupLists(gi, nil, nil); err != nil {
+		q.groupSrc = nil
+	}
+	if q.querySrc, err = topk.NewQueryLists(qi, nil, nil); err != nil {
+		q.querySrc = nil
+	}
+	if q.locSrc, err = topk.NewLocationLists(li, nil, nil); err != nil {
+		q.locSrc = nil
+	}
+	return q
 }
 
 // rankKey addresses one marketplace page inside a snapshot.
@@ -90,7 +138,7 @@ type rankKey struct {
 // it may keep mutating it and later produce a fresh generation with
 // another NewSnapshot or with Snapshot.WithUpdates.
 func NewSnapshot(tbl *core.Table) *Snapshot {
-	return newOwnedSnapshot(tbl.Clone())
+	return newOwnedSnapshot(tbl.Clone(), false)
 }
 
 // NewSnapshotWithRankings freezes tbl together with the marketplace
@@ -101,7 +149,27 @@ func NewSnapshot(tbl *core.Table) *Snapshot {
 // modify a page or its workers afterwards. schema projects workers onto
 // the group labels mitigation targets (nil selects core.DefaultSchema).
 func NewSnapshotWithRankings(tbl *core.Table, schema *core.Schema, rankings []*core.MarketplaceRanking) *Snapshot {
-	s := newOwnedSnapshot(tbl.Clone())
+	return newSnapshotWithRankings(tbl, schema, rankings, false)
+}
+
+// NewDeferredSnapshot is NewSnapshotWithRankings without the index
+// build: the three index families, their list sources and the comparers
+// are built on the first quantify or compare (or the first call of
+// GroupKeys, Queries, Locations, Group or DimensionOf), once, however
+// many requests arrive together. A snapshot that only serves mitigate
+// requests and lends its cells through Cell, Range and Len — a cluster
+// node above one partition — never builds them. Snapshots derived with
+// WithUpdates stay deferred. A serving engine should not use it: the
+// build would land on the first request after start and after every
+// refresh, with the requests behind it waiting.
+func NewDeferredSnapshot(tbl *core.Table, schema *core.Schema, rankings []*core.MarketplaceRanking) *Snapshot {
+	return newSnapshotWithRankings(tbl, schema, rankings, true)
+}
+
+// newSnapshotWithRankings is the shared body of the two constructors
+// that take pages.
+func newSnapshotWithRankings(tbl *core.Table, schema *core.Schema, rankings []*core.MarketplaceRanking, deferred bool) *Snapshot {
+	s := newOwnedSnapshot(tbl.Clone(), deferred)
 	if schema == nil {
 		schema = core.DefaultSchema()
 	}
@@ -142,38 +210,27 @@ func (s *Snapshot) Pages() [][2]string {
 	return out
 }
 
-// newOwnedSnapshot seals a table the snapshot already owns exclusively.
-func newOwnedSnapshot(tbl *core.Table) *Snapshot {
-	gi, qi, li := index.BuildAll(tbl)
-	s := &Snapshot{
-		gen:         generation.Add(1),
-		created:     time.Now(),
-		tbl:         tbl,
-		groupIdx:    gi,
-		queryIdx:    qi,
-		locIdx:      li,
-		completion:  compare.New(gi),
-		definedOnly: compare.NewDefinedOnlyWith(gi, tbl),
+// newOwnedSnapshot seals a table the snapshot already owns exclusively,
+// building its query structures now unless deferred.
+func newOwnedSnapshot(tbl *core.Table, deferred bool) *Snapshot {
+	query := sync.OnceValue(func() *queryState { return buildQuery(tbl) })
+	if !deferred {
+		query()
 	}
-	// The full-scope sources cannot fail: every (pair) combination of the
-	// table's own dimensions is indexed by construction.
-	var err error
-	if s.groupSrc, err = topk.NewGroupLists(gi, nil, nil); err != nil {
-		s.groupSrc = nil // empty table: quantify requests will error per-call
+	return &Snapshot{
+		gen:      generation.Add(1),
+		created:  time.Now(),
+		tbl:      tbl,
+		query:    query,
+		deferred: deferred,
 	}
-	if s.querySrc, err = topk.NewQueryLists(qi, nil, nil); err != nil {
-		s.querySrc = nil
-	}
-	if s.locSrc, err = topk.NewLocationLists(li, nil, nil); err != nil {
-		s.locSrc = nil
-	}
-	return s
 }
 
 // WithUpdates returns a new snapshot whose table is a copy of this one
 // with apply's edits: the sealed table is cloned, apply mutates the clone
 // freely (Set / Merge / anything on core.Table), and the clone is frozen
-// under a fresh generation. The receiver is untouched — queries running
+// under a fresh generation, its query structures built now or deferred
+// as the receiver's were. The receiver is untouched — queries running
 // against it concurrently keep seeing the old generation, and cache
 // entries for the old generation simply stop being produced.
 func (s *Snapshot) WithUpdates(apply func(*core.Table)) *Snapshot {
@@ -181,7 +238,7 @@ func (s *Snapshot) WithUpdates(apply func(*core.Table)) *Snapshot {
 	if apply != nil {
 		apply(clone)
 	}
-	next := newOwnedSnapshot(clone)
+	next := newOwnedSnapshot(clone, s.deferred)
 	// The mitigation pages ride along unchanged: they are sealed, so the
 	// new generation may share them with the old one. A producer whose
 	// pages themselves changed rebuilds with NewSnapshotWithRankings.
@@ -208,31 +265,32 @@ func (s *Snapshot) Gen() uint64 { return s.gen }
 
 // GroupKeys returns the canonical group keys of the snapshot's group
 // dimension, sorted.
-func (s *Snapshot) GroupKeys() []string { return s.groupIdx.GroupKeys }
+func (s *Snapshot) GroupKeys() []string { return s.query().groupIdx.GroupKeys }
 
 // Queries returns the snapshot's query dimension, sorted.
-func (s *Snapshot) Queries() []core.Query { return s.groupIdx.Queries }
+func (s *Snapshot) Queries() []core.Query { return s.query().groupIdx.Queries }
 
 // Locations returns the snapshot's location dimension, sorted.
-func (s *Snapshot) Locations() []core.Location { return s.groupIdx.Locations }
+func (s *Snapshot) Locations() []core.Location { return s.query().groupIdx.Locations }
 
 // Group resolves a canonical group key to the core.Group recorded in the
 // sealed table.
-func (s *Snapshot) Group(key string) (core.Group, bool) { return s.groupIdx.Group(key) }
+func (s *Snapshot) Group(key string) (core.Group, bool) { return s.query().groupIdx.Group(key) }
 
 // DimensionOf resolves which dimension a comparison operand belongs to: a
 // canonical group key, a query, or a location. The second return is false
 // when the value appears in none of the snapshot's dimensions.
 func (s *Snapshot) DimensionOf(v string) (compare.Dimension, bool) {
-	if _, ok := s.groupIdx.Group(v); ok {
+	gi := s.query().groupIdx
+	if _, ok := gi.Group(v); ok {
 		return compare.ByGroup, true
 	}
-	for _, q := range s.groupIdx.Queries {
+	for _, q := range gi.Queries {
 		if string(q) == v {
 			return compare.ByQuery, true
 		}
 	}
-	for _, l := range s.groupIdx.Locations {
+	for _, l := range gi.Locations {
 		if string(l) == v {
 			return compare.ByLocation, true
 		}
@@ -243,13 +301,14 @@ func (s *Snapshot) DimensionOf(v string) (compare.Dimension, bool) {
 // source returns the prebuilt full-scope list source for a quantification
 // dimension, or nil for an unknown dimension or an empty table.
 func (s *Snapshot) source(dim compare.Dimension) topk.ListSource {
+	q := s.query()
 	switch dim {
 	case compare.ByGroup:
-		return s.groupSrc
+		return q.groupSrc
 	case compare.ByQuery:
-		return s.querySrc
+		return q.querySrc
 	case compare.ByLocation:
-		return s.locSrc
+		return q.locSrc
 	default:
 		return nil
 	}
@@ -257,8 +316,9 @@ func (s *Snapshot) source(dim compare.Dimension) topk.ListSource {
 
 // comparer returns the Problem 2 comparer for the requested semantics.
 func (s *Snapshot) comparer(definedOnly bool) *compare.Comparer {
+	q := s.query()
 	if definedOnly {
-		return s.definedOnly
+		return q.definedOnly
 	}
-	return s.completion
+	return q.completion
 }

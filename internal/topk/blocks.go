@@ -61,13 +61,19 @@ func (s *SliceLists) Len(i int) int { return s.lists[i].Len() }
 // fresh slice. The caller owns the cursor (start), so a stateless
 // server can answer interleaved scans from any number of clients — the
 // partition node serves the coordinator's block fetches with this. A
-// start at or past the end returns nil.
+// start at or past the end returns nil. The reply is sized once, by
+// list i's own length when src is ragged SliceLists.
 func ScanFrom(src ListSource, i, start, max int) []index.Entry {
-	if start < 0 || max <= 0 {
+	n := src.ListLen()
+	if s, ok := src.(*SliceLists); ok {
+		n = s.Len(i)
+	}
+	n = min(max, n-start)
+	if start < 0 || n <= 0 {
 		return nil
 	}
-	var out []index.Entry
-	for pos := start; pos < start+max; pos++ {
+	out := make([]index.Entry, 0, n)
+	for pos := start; pos < start+n; pos++ {
 		e, ok := src.At(i, pos)
 		if !ok {
 			break

@@ -18,10 +18,15 @@
 #                            observability stress suite and the closed
 #                            wide-event schema, span well-formedness and
 #                            cluster tracing, the mitigation fuzz corpus
-#                            and served-path goldens, and the profiler,
-#                            admin-endpoint and runtime-bridge tests. A
-#                            renamed test fails the script here instead
-#                            of silently dropping out; step 8 runs them
+#                            and served-path goldens, the profiler,
+#                            admin-endpoint and runtime-bridge tests,
+#                            the exact-equivalence contracts (TA ≡ FA ≡
+#                            NRA ≡ Naive, coordinator ≡ engine, the
+#                            Figure-5 goldens, deferred ≡ eager
+#                            snapshots) and the memory and allocation
+#                            pins. A renamed test fails the script here
+#                            instead of silently dropping out; step 8
+#                            runs them
 #   6. chaos gate            go test -race -tags faultinject over the
 #                            serving stack, the failpoint registry, topk
 #                            and the partitioned cluster — ./... does not
@@ -130,6 +135,15 @@ gate 'TestStress|TestSpan|TestWaterfall|TestTraceIDLookup|TestProfiler|TestDebug
 gate 'TestWideEventSchemaGate|TestServeMitigate' ./internal/serve/
 gate 'TestWideEventSchemaGate|TestClusterTracing' ./internal/cluster/
 gate 'FuzzMitigators' ./internal/mitigate/
+
+echo "== named gates: correctness contracts and memory pins"
+gate '^TestAlgorithmsEquivalentOnRandomTables$' ./internal/topk/
+gate '^TestCoordinatorEquivalence$|^TestCoordinatorEquivalenceAfterRefresh$|^FuzzClusterEquivalence$|^TestFragmentFootprint$|^TestSplitTableAllocations$|^TestNodeFootprint$|^TestScanReplyAllocatesOnce$' ./internal/cluster/
+gate '^TestGoldenCompletionSemantics$|^TestGoldenDefinedOnlySemantics$|^TestGoldenQueryAndLocationComparisons$' ./internal/compare/
+gate '^TestExposureMatchesPaperFigure5$|^TestTableFootprint$' ./internal/core/
+gate '^TestBuildAllFootprint$' ./internal/index/
+gate '^TestTracingAllocatesNothing$|^TestDeferredSnapshotMatchesEager$|^TestDeferredSnapshotBuildsOnce$|^TestWithUpdatesKeepsDeferral$' ./internal/serve/
+gate '^TestMitigateGolden$' ./internal/mitigate/
 
 echo "== go test -race -tags faultinject ./internal/serve/... ./internal/faultinject/... ./internal/topk/... ./internal/cluster/... (chaos gate)"
 go test -race -tags faultinject -count=1 ./internal/serve/... ./internal/faultinject/... ./internal/topk/... ./internal/cluster/...
