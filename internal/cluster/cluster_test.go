@@ -122,6 +122,14 @@ func clusterBattery(tbl *core.Table) []serve.Request {
 	if len(ls) >= 2 {
 		reqs = append(reqs, serve.Request{Problem: serve.Compare, Of: compare.ByLocation, R1: string(ls[0]), R2: string(ls[1]), By: compare.ByGroup})
 	}
+	// Operands the table does not hold: every path must fail with the
+	// engine's error, not answer over cells that do not exist.
+	for _, definedOnly := range []bool{false, true} {
+		reqs = append(reqs,
+			serve.Request{Problem: serve.Compare, Of: compare.ByQuery, R1: "nope", R2: string(qs[0]), By: compare.ByGroup, DefinedOnly: definedOnly},
+			serve.Request{Problem: serve.Compare, Of: compare.ByLocation, R1: string(ls[0]), R2: "nowhere", By: compare.ByQuery, DefinedOnly: definedOnly},
+		)
+	}
 	base := serve.Request{Problem: serve.Mitigate, Group: "ethnicity=Asian&gender=Female", Query: "Home Cleaning", Location: "San Francisco, CA"}
 	fair, greedy, exposure := base, base, base
 	fair.Mitigator, fair.MinProportion, fair.Alpha = mitigate.FairTopK, 0.3, 0.25

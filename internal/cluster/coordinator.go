@@ -138,7 +138,7 @@ type Coordinator struct {
 	schema    *core.Schema
 	subRank   [][]*core.MarketplaceRanking
 	transport Transport
-	geoms     map[compare.Dimension]*geom
+	geoms     map[compare.Dimension]*geom // nil at one partition
 
 	opts     Options
 	legRetry serve.RetryPolicy
@@ -207,7 +207,6 @@ func NewWithRankings(tbl *core.Table, schema *core.Schema, rankings []*core.Mark
 		schema:      schema,
 		subRank:     subRank,
 		transport:   transport,
-		geoms:       buildGeoms(uni, n),
 		opts:        opts,
 		legRetry:    opts.Retry,
 		reg:         reg,
@@ -218,6 +217,11 @@ func NewWithRankings(tbl *core.Table, schema *core.Schema, rankings []*core.Mark
 		gens:        make([]atomic.Uint64, n),
 		deg:         make(map[string]*serve.Engine),
 		hasRankings: len(rankings) > 0,
+	}
+	if n > 1 {
+		// Only runQuantify reads the geometry, and it never runs at one
+		// partition, where every request is one OpServe.
+		c.geoms = buildGeoms(uni, n)
 	}
 	c.met = clusterMetrics{
 		legs:              reg.Counter("cluster_fanout_legs_total"),

@@ -5,13 +5,18 @@
 //
 // This is the paper's Algorithm 2, with Algorithm 3 (ComputeGroupUnfairness
 // via random accesses to the group-based indices) as the overall-unfairness
-// subroutine. All aggregates use the same semantics as Algorithm 1 and 3:
-// undefined triples contribute 0 and denominators are the full scope size.
+// subroutine. A Comparer reads cells from one CellSource, and every
+// comparison is one walk over it: the two overall aggregates, then the two
+// sides pinned to each breakdown member. By default the aggregates use the
+// same semantics as Algorithms 1 and 3: undefined triples contribute 0 and
+// denominators are the full scope size.
 package compare
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"fairjob/internal/core"
 	"fairjob/internal/index"
@@ -40,8 +45,8 @@ func (d Dimension) String() string {
 }
 
 // Scope restricts the aggregation and breakdown sets. Nil fields default
-// to the full dimension recorded in the index. Group members are canonical
-// group keys.
+// to the full dimension of the Comparer's cell source. Group members are
+// canonical group keys.
 type Scope struct {
 	Groups    []string
 	Queries   []core.Query
@@ -72,15 +77,20 @@ type Comparison struct {
 	Accesses int
 }
 
-// Comparer answers fairness-comparison questions against a group-based
-// index family.
+// Comparer answers fairness-comparison questions over one CellSource.
 //
-// A Comparer is read-only while answering: the index, table and semantics
-// flag are fixed at construction and every Algorithm 3 accumulator lives
-// in a per-call accum value, so one Comparer may serve any number of
-// concurrent queries provided Epsilon is not reassigned after the
-// Comparer is shared (set it right after New / NewDefinedOnly, before
-// publishing).
+// Every comparison is one walk. Before it reads a cell, the walk checks
+// that each query and location it will visit is in the source's Dims,
+// and otherwise fails with the error naming the first such (query,
+// location) pair in visiting order. So every source, whether the group
+// index, the table or cells gathered from partitions, answers an unknown
+// query or location operand with the same error. An unknown group is not
+// an error: its cells read as undefined.
+//
+// A Comparer is read-only while answering: the source and semantics flag
+// are fixed at construction and every Algorithm 3 sum lives in the call
+// computing it, so one Comparer may serve any number of concurrent
+// queries.
 //
 // Two aggregation semantics are supported. The default (New) follows
 // Algorithms 1–3 exactly: undefined triples contribute 0 and denominators
@@ -90,201 +100,235 @@ type Comparison struct {
 // (Table 12) even though their per-page deviations coincide on pages where
 // both genders appear.
 type Comparer struct {
-	gi          *index.GroupIndex
-	tbl         *core.Table
-	cells       CellSource
-	cellGroups  []string
-	cellQueries []core.Query
-	cellLocs    []core.Location
+	src         CellSource
 	definedOnly bool
-	// Epsilon is the tolerance within which two aggregate unfairness
-	// values are considered tied by the reversal predicate. Aggregates
-	// are floating-point sums over thousands of cells; mathematically
-	// equal values (e.g. the two genders' per-page exposure deviations,
-	// which are provably identical when both genders appear) differ in
-	// the last bits, and a strict comparison would turn those ties into
-	// arbitrary orderings.
-	Epsilon float64
 }
 
-// New builds a Comparer with the completion semantics of Algorithms 1–3
-// (missing = 0, denominator = full scope size).
-func New(gi *index.GroupIndex) *Comparer {
-	return &Comparer{gi: gi, Epsilon: defaultEpsilon}
-}
+// epsilon is the tolerance within which two aggregate unfairness values
+// are considered tied by the reversal predicate. Aggregates are
+// floating-point sums over thousands of cells; mathematically equal
+// values (e.g. the two genders' per-page exposure deviations, which are
+// provably identical when both genders appear) differ in the last bits,
+// and a strict comparison would turn those ties into arbitrary orderings.
+const epsilon = 1e-9
 
-// defaultEpsilon absorbs floating-point noise in aggregate comparisons.
-const defaultEpsilon = 1e-9
-
-// NewDefinedOnly builds a Comparer that averages over defined triples
-// only, reading directly from the unfairness table.
-func NewDefinedOnly(tbl *core.Table) *Comparer {
-	return NewDefinedOnlyWith(index.BuildGroupIndex(tbl), tbl)
-}
-
-// NewDefinedOnlyWith is NewDefinedOnly for callers that already hold the
-// table's group-based index family (the serve layer's snapshots build all
-// three families once); gi must have been built from tbl.
-func NewDefinedOnlyWith(gi *index.GroupIndex, tbl *core.Table) *Comparer {
-	return &Comparer{gi: gi, tbl: tbl, definedOnly: true, Epsilon: defaultEpsilon}
-}
-
-// CellSource abstracts where the Algorithm 3 random accesses read from:
-// the group-based index family in-process, or cells gathered from remote
-// partitions by the scatter-gather coordinator. Dims returns the full
-// (sorted) dimension universe; Cell returns a triple's value and whether
-// it is defined. Both must be safe for concurrent calls.
+// CellSource is where the Algorithm 3 random accesses read from: the
+// group-based index family, the unfairness table, or cells gathered from
+// remote partitions by the scatter-gather coordinator. Dims returns the
+// full dimension universe, each dimension sorted; Cell returns a triple's
+// value and whether it is defined. Both must be safe for concurrent
+// calls.
 type CellSource interface {
 	Dims() (groups []string, queries []core.Query, locations []core.Location)
 	Cell(g string, q core.Query, l core.Location) (float64, bool)
 }
 
+// New builds a Comparer with the completion semantics of Algorithms 1–3
+// (missing = 0, denominator = full scope size) over the group-based index
+// family.
+func New(gi *index.GroupIndex) *Comparer {
+	return NewFromCells(groupIndex{gi})
+}
+
+// NewDefinedOnly builds a Comparer that averages over defined triples
+// only, reading directly from the unfairness table, which must not change
+// while the Comparer is in use.
+func NewDefinedOnly(tbl *core.Table) *Comparer {
+	groups := tbl.Groups()
+	gks := make([]string, len(groups))
+	for i, g := range groups {
+		gks[i] = g.Key()
+	}
+	return NewDefinedOnlyFromCells(&table{tbl, gks, tbl.Queries(), tbl.Locations()})
+}
+
+// NewDefinedOnlyWith is NewDefinedOnly for callers that already hold the
+// table's group-based index family (the serve layer's snapshots build all
+// three families once), whose sorted dimensions it reuses; gi must have
+// been built from tbl.
+func NewDefinedOnlyWith(gi *index.GroupIndex, tbl *core.Table) *Comparer {
+	return NewDefinedOnlyFromCells(&table{tbl, gi.GroupKeys, gi.Queries, gi.Locations})
+}
+
 // NewFromCells builds a Comparer with completion semantics (missing = 0,
 // denominator = full scope size) over an arbitrary cell source. Because
-// a comparison visits cells in the same deterministic (g, q, l) order as
-// the index-backed path and adding 0.0 to a float sum is exact, a cell
-// source agreeing with a table on its defined cells and dimensions
-// yields byte-identical Comparisons.
+// every source is walked in the same deterministic (g, q, l) order and
+// adding 0.0 to a float sum is exact, a cell source agreeing with a table
+// on its defined cells and dimensions yields byte-identical Comparisons.
 func NewFromCells(cs CellSource) *Comparer {
-	c := &Comparer{cells: cs, Epsilon: defaultEpsilon}
-	c.cellGroups, c.cellQueries, c.cellLocs = cs.Dims()
-	return c
+	return &Comparer{src: cs}
 }
 
 // NewDefinedOnlyFromCells is NewFromCells with defined-only aggregation
 // semantics.
 func NewDefinedOnlyFromCells(cs CellSource) *Comparer {
-	c := NewFromCells(cs)
-	c.definedOnly = true
-	return c
+	return &Comparer{src: cs, definedOnly: true}
 }
 
-func (c *Comparer) scopeOrAll(s Scope) Scope {
-	if c.cells != nil {
-		if s.Groups == nil {
-			s.Groups = c.cellGroups
-		}
-		if s.Queries == nil {
-			s.Queries = c.cellQueries
-		}
-		if s.Locations == nil {
-			s.Locations = c.cellLocs
-		}
-		return s
-	}
-	if s.Groups == nil {
-		s.Groups = c.gi.GroupKeys
-	}
-	if s.Queries == nil {
-		s.Queries = c.gi.Queries
-	}
-	if s.Locations == nil {
-		s.Locations = c.gi.Locations
-	}
-	return s
+// groupIndex reads cells by Algorithm 3's random access to the
+// group-based index: a Find on the (q, l) list. The lists are complete,
+// so an undefined cell of a known group reads as a defined 0, which is
+// all completion semantics needs.
+type groupIndex struct{ gi *index.GroupIndex }
+
+func (s groupIndex) Dims() ([]string, []core.Query, []core.Location) {
+	return s.gi.GroupKeys, s.gi.Queries, s.gi.Locations
 }
 
-// value performs the Algorithm 3 random access: d<g,q,l>, with the second
-// return reporting whether the triple was defined. It returns an error for
-// a (q,l) pair that was never indexed, which indicates a scope mistake
-// rather than sparse data.
-func (c *Comparer) value(g string, q core.Query, l core.Location) (float64, bool, error) {
-	if c.cells != nil {
-		v, ok := c.cells.Cell(g, q, l)
-		if c.definedOnly {
-			return v, ok, nil
-		}
-		if !ok {
-			v = 0 // completion semantics: undefined reads as 0, counted
-		}
-		return v, true, nil
+func (s groupIndex) Cell(g string, q core.Query, l core.Location) (float64, bool) {
+	if iv := s.gi.Get(q, l); iv != nil {
+		return iv.Find(g)
 	}
-	iv := c.gi.Get(q, l)
-	if iv == nil {
-		return 0, false, fmt.Errorf("compare: pair (%s, %s) not indexed", q, l)
-	}
-	if c.definedOnly {
-		v, ok := c.tbl.GetKey(g, q, l)
-		return v, ok, nil
-	}
-	v, _ := iv.Find(g)
-	return v, true, nil
+	return 0, false
 }
 
-// accum is the per-call accumulator of one Algorithm 3 aggregation: the
-// running sum over cells, how many of them were defined, and the full
-// scope size. Every aggregation a comparison performs builds its own
-// accum on the stack, which is what makes a shared Comparer safe for
-// concurrent queries — there is no aggregation state on the Comparer or
-// the index to contend on.
-type accum struct {
-	sum     float64
-	defined int
-	total   int
+// table reads cells from an unfairness table whose sorted dimensions
+// were collected once.
+type table struct {
+	t   *core.Table
+	gks []string
+	qs  []core.Query
+	ls  []core.Location
 }
 
-// average applies the Comparer's aggregation semantics to an accumulated
-// scope: full-denominator for completion semantics, defined-count for
-// defined-only semantics (0 when nothing was defined).
-func (c *Comparer) average(a accum) float64 {
-	if c.definedOnly {
-		if a.defined == 0 {
-			return 0
-		}
-		return a.sum / float64(a.defined)
-	}
-	return a.sum / float64(a.total)
-}
+func (s *table) Dims() ([]string, []core.Query, []core.Location) { return s.gks, s.qs, s.ls }
 
-// dctx is the per-call state of one comparison: the shared read-only
-// Comparer plus the running Algorithm 3 random-access count. Like topk's
-// per-call state structs, it is what keeps a shared Comparer safe for
-// concurrent queries while still letting each call account its own
-// access cost (Comparison.Accesses).
-type dctx struct {
-	c        *Comparer
-	accesses int
+func (s *table) Cell(g string, q core.Query, l core.Location) (float64, bool) {
+	return s.t.GetKey(g, q, l)
 }
 
 // d is Algorithm 3 generalized to a rectangular scope: the aggregate
-// unfairness over gs × qs × ls via random accesses to the group-based
-// index. The singleton forms of the paper — d<g,Q,L>, d<G,q,L>, d<G,Q,l>
-// — are d with one axis pinned to a single member; QuerySets passes a
-// multi-member query axis. Cells are visited in group-major (g, q, l)
-// order, so every aggregate is a deterministic left-to-right sum.
-func (dc *dctx) d(gs []string, qs []core.Query, ls []core.Location) (float64, error) {
-	a := accum{total: len(gs) * len(qs) * len(ls)}
-	for _, g := range gs {
-		for _, q := range qs {
-			for _, l := range ls {
-				v, ok, err := dc.c.value(g, q, l)
-				dc.accesses++
-				if err != nil {
-					return 0, err
+// unfairness over s.Groups × s.Queries × s.Locations, one random access
+// per cell, counted into *accesses. The singleton forms of the paper —
+// d<g,Q,L>, d<G,q,L>, d<G,Q,l> — are d with one axis pinned to a single
+// member; QuerySets passes a multi-member query axis. Cells are visited in
+// group-major (g, q, l) order, so every aggregate is a deterministic
+// left-to-right sum. Under completion semantics an undefined cell adds
+// an explicit 0 and the denominator is the scope size; under defined-only
+// semantics it is skipped, the denominator is the defined count, and a
+// scope with no defined cell averages to 0.
+func (c *Comparer) d(s Scope, accesses *int) float64 {
+	var sum float64
+	defined := 0
+	for _, g := range s.Groups {
+		for _, q := range s.Queries {
+			for _, l := range s.Locations {
+				v, ok := c.src.Cell(g, q, l)
+				switch {
+				case ok:
+					defined++
+				case c.definedOnly:
+					continue
+				default:
+					v = 0
 				}
-				if ok {
-					a.sum += v
-					a.defined++
-				}
+				sum += v
 			}
 		}
 	}
-	return dc.c.average(a), nil
+	n := len(s.Groups) * len(s.Queries) * len(s.Locations)
+	*accesses += n
+	if !c.definedOnly {
+		return sum / float64(n)
+	}
+	if defined == 0 {
+		return 0
+	}
+	return sum / float64(defined)
 }
 
-// dGroup is Algorithm 3: d<g,Q,L>.
-func (dc *dctx) dGroup(g string, qs []core.Query, ls []core.Location) (float64, error) {
-	return dc.d([]string{g}, qs, ls)
+// walk is Algorithm 2 over the two sides s1 and s2, which differ only in
+// the axis their operands pin. It resolves both sides against the
+// source, then computes the two overall aggregates and, for each member
+// of the by axis, the two sides narrowed to that member.
+func (c *Comparer) walk(r1, r2 string, s1, s2 Scope, by Dimension) (*Comparison, error) {
+	if by < ByGroup || by > ByLocation {
+		return nil, fmt.Errorf("compare: unknown breakdown dimension %v", by)
+	}
+	gs, qs, ls := c.src.Dims()
+	for _, s := range []*Scope{&s1, &s2} {
+		if err := s.resolve(gs, qs, ls); err != nil {
+			return nil, err
+		}
+	}
+	cmp := &Comparison{R1: r1, R2: r2, By: by}
+	cmp.Overall1, cmp.Overall2 = c.d(s1, &cmp.Accesses), c.d(s2, &cmp.Accesses)
+	for i := range s1.axisLen(by) {
+		b1, b := s1.pin(by, i)
+		b2, _ := s2.pin(by, i)
+		cmp.add(b, c.d(b1, &cmp.Accesses), c.d(b2, &cmp.Accesses))
+	}
+	return cmp, nil
 }
 
-// dQuery is the query analogue: d<G,q,L>.
-func (dc *dctx) dQuery(q core.Query, gs []string, ls []core.Location) (float64, error) {
-	return dc.d(gs, []core.Query{q}, ls)
+// resolve sets each nil axis of s to the source's full dimension, and
+// returns the error for the first (query, location) pair, in the walk's
+// visiting order, whose query or location is not in the sorted
+// dimensions qs and ls. An axis taken from the source needs no check, and
+// a side without groups or locations visits no cell.
+func (s *Scope) resolve(gs []string, qs []core.Query, ls []core.Location) error {
+	checkQ, checkL := s.Queries != nil, s.Locations != nil
+	if s.Groups == nil {
+		s.Groups = gs
+	}
+	if !checkQ {
+		s.Queries = qs
+	}
+	if !checkL {
+		s.Locations = ls
+	}
+	if len(s.Groups) == 0 || len(s.Locations) == 0 {
+		return nil
+	}
+	badL := -1
+	if checkL {
+		badL = slices.IndexFunc(s.Locations, func(l core.Location) bool { return !has(ls, l) })
+	}
+	for _, q := range s.Queries {
+		switch {
+		case checkQ && !has(qs, q):
+			return fmt.Errorf("compare: pair (%s, %s) not indexed", q, s.Locations[0])
+		case badL >= 0:
+			return fmt.Errorf("compare: pair (%s, %s) not indexed", q, s.Locations[badL])
+		case !checkQ:
+			return nil
+		}
+	}
+	return nil
 }
 
-// dLocation is the location analogue: d<G,Q,l>.
-func (dc *dctx) dLocation(l core.Location, gs []string, qs []core.Query) (float64, error) {
-	return dc.d(gs, qs, []core.Location{l})
+// has reports whether x is a member of the sorted slice.
+func has[T cmp.Ordered](sorted []T, x T) bool {
+	_, ok := slices.BinarySearch(sorted, x)
+	return ok
+}
+
+// axisLen returns how many members the by axis of s holds.
+func (s Scope) axisLen(by Dimension) int {
+	switch by {
+	case ByGroup:
+		return len(s.Groups)
+	case ByQuery:
+		return len(s.Queries)
+	default:
+		return len(s.Locations)
+	}
+}
+
+// pin returns s with its by axis narrowed to the i-th member, and that
+// member.
+func (s Scope) pin(by Dimension, i int) (Scope, string) {
+	switch by {
+	case ByGroup:
+		s.Groups = s.Groups[i : i+1]
+		return s, s.Groups[0]
+	case ByQuery:
+		s.Queries = s.Queries[i : i+1]
+		return s, string(s.Queries[0])
+	default:
+		s.Locations = s.Locations[i : i+1]
+		return s, string(s.Locations[0])
+	}
 }
 
 // reversed is the paper's Problem 2 predicate:
@@ -306,6 +350,14 @@ func reversed(o1, o2, b1, b2, eps float64) bool {
 	}
 }
 
+func (cmp *Comparison) add(b string, v1, v2 float64) {
+	row := Breakdown{B: b, V1: v1, V2: v2, Reversed: reversed(cmp.Overall1, cmp.Overall2, v1, v2, epsilon)}
+	cmp.All = append(cmp.All, row)
+	if row.Reversed {
+		cmp.Reversed = append(cmp.Reversed, row)
+	}
+}
+
 // Groups compares two groups (by canonical key), broken down by queries or
 // locations (Problem 2's group-comparison instance — e.g. Males vs Females
 // across locations, the paper's Tables 4, 12, 16, 17).
@@ -313,44 +365,9 @@ func (c *Comparer) Groups(g1, g2 string, by Dimension, scope Scope) (*Comparison
 	if by == ByGroup {
 		return nil, fmt.Errorf("compare: cannot break a group comparison down by group")
 	}
-	s := c.scopeOrAll(scope)
-	dc := &dctx{c: c}
-	o1, err := dc.dGroup(g1, s.Queries, s.Locations)
-	if err != nil {
-		return nil, err
-	}
-	o2, err := dc.dGroup(g2, s.Queries, s.Locations)
-	if err != nil {
-		return nil, err
-	}
-	cmp := &Comparison{R1: g1, R2: g2, By: by, Overall1: o1, Overall2: o2}
-	if by == ByLocation {
-		for _, l := range s.Locations {
-			v1, err := dc.dGroup(g1, s.Queries, []core.Location{l})
-			if err != nil {
-				return nil, err
-			}
-			v2, err := dc.dGroup(g2, s.Queries, []core.Location{l})
-			if err != nil {
-				return nil, err
-			}
-			cmp.add(string(l), v1, v2, c.Epsilon)
-		}
-	} else {
-		for _, q := range s.Queries {
-			v1, err := dc.dGroup(g1, []core.Query{q}, s.Locations)
-			if err != nil {
-				return nil, err
-			}
-			v2, err := dc.dGroup(g2, []core.Query{q}, s.Locations)
-			if err != nil {
-				return nil, err
-			}
-			cmp.add(string(q), v1, v2, c.Epsilon)
-		}
-	}
-	cmp.Accesses = dc.accesses
-	return cmp, nil
+	s1, s2 := scope, scope
+	s1.Groups, s2.Groups = []string{g1}, []string{g2}
+	return c.walk(g1, g2, s1, s2, by)
 }
 
 // Queries compares two queries broken down by groups or locations
@@ -360,44 +377,9 @@ func (c *Comparer) Queries(q1, q2 core.Query, by Dimension, scope Scope) (*Compa
 	if by == ByQuery {
 		return nil, fmt.Errorf("compare: cannot break a query comparison down by query")
 	}
-	s := c.scopeOrAll(scope)
-	dc := &dctx{c: c}
-	o1, err := dc.dQuery(q1, s.Groups, s.Locations)
-	if err != nil {
-		return nil, err
-	}
-	o2, err := dc.dQuery(q2, s.Groups, s.Locations)
-	if err != nil {
-		return nil, err
-	}
-	cmp := &Comparison{R1: string(q1), R2: string(q2), By: by, Overall1: o1, Overall2: o2}
-	if by == ByGroup {
-		for _, g := range s.Groups {
-			v1, err := dc.dQuery(q1, []string{g}, s.Locations)
-			if err != nil {
-				return nil, err
-			}
-			v2, err := dc.dQuery(q2, []string{g}, s.Locations)
-			if err != nil {
-				return nil, err
-			}
-			cmp.add(g, v1, v2, c.Epsilon)
-		}
-	} else {
-		for _, l := range s.Locations {
-			v1, err := dc.dQuery(q1, s.Groups, []core.Location{l})
-			if err != nil {
-				return nil, err
-			}
-			v2, err := dc.dQuery(q2, s.Groups, []core.Location{l})
-			if err != nil {
-				return nil, err
-			}
-			cmp.add(string(l), v1, v2, c.Epsilon)
-		}
-	}
-	cmp.Accesses = dc.accesses
-	return cmp, nil
+	s1, s2 := scope, scope
+	s1.Queries, s2.Queries = []core.Query{q1}, []core.Query{q2}
+	return c.walk(string(q1), string(q2), s1, s2, by)
 }
 
 // Locations compares two locations broken down by groups or queries
@@ -407,52 +389,9 @@ func (c *Comparer) Locations(l1, l2 core.Location, by Dimension, scope Scope) (*
 	if by == ByLocation {
 		return nil, fmt.Errorf("compare: cannot break a location comparison down by location")
 	}
-	s := c.scopeOrAll(scope)
-	dc := &dctx{c: c}
-	o1, err := dc.dLocation(l1, s.Groups, s.Queries)
-	if err != nil {
-		return nil, err
-	}
-	o2, err := dc.dLocation(l2, s.Groups, s.Queries)
-	if err != nil {
-		return nil, err
-	}
-	cmp := &Comparison{R1: string(l1), R2: string(l2), By: by, Overall1: o1, Overall2: o2}
-	if by == ByGroup {
-		for _, g := range s.Groups {
-			v1, err := dc.dLocation(l1, []string{g}, s.Queries)
-			if err != nil {
-				return nil, err
-			}
-			v2, err := dc.dLocation(l2, []string{g}, s.Queries)
-			if err != nil {
-				return nil, err
-			}
-			cmp.add(g, v1, v2, c.Epsilon)
-		}
-	} else {
-		for _, q := range s.Queries {
-			v1, err := dc.dLocation(l1, s.Groups, []core.Query{q})
-			if err != nil {
-				return nil, err
-			}
-			v2, err := dc.dLocation(l2, s.Groups, []core.Query{q})
-			if err != nil {
-				return nil, err
-			}
-			cmp.add(string(q), v1, v2, c.Epsilon)
-		}
-	}
-	cmp.Accesses = dc.accesses
-	return cmp, nil
-}
-
-func (cmp *Comparison) add(b string, v1, v2, eps float64) {
-	row := Breakdown{B: b, V1: v1, V2: v2, Reversed: reversed(cmp.Overall1, cmp.Overall2, v1, v2, eps)}
-	cmp.All = append(cmp.All, row)
-	if row.Reversed {
-		cmp.Reversed = append(cmp.Reversed, row)
-	}
+	s1, s2 := scope, scope
+	s1.Locations, s2.Locations = []core.Location{l1}, []core.Location{l2}
+	return c.walk(string(l1), string(l2), s1, s2, by)
 }
 
 // QuerySets compares two sets of queries (e.g. the concrete jobs of two
@@ -469,45 +408,7 @@ func (c *Comparer) QuerySets(label1, label2 string, qs1, qs2 []core.Query, by Di
 	if len(qs1) == 0 || len(qs2) == 0 {
 		return nil, fmt.Errorf("compare: empty query set")
 	}
-	s := c.scopeOrAll(scope)
-	dc := &dctx{c: c}
-	dSet := func(qs []core.Query, gs []string, ls []core.Location) (float64, error) {
-		return dc.d(gs, qs, ls)
-	}
-	o1, err := dSet(qs1, s.Groups, s.Locations)
-	if err != nil {
-		return nil, err
-	}
-	o2, err := dSet(qs2, s.Groups, s.Locations)
-	if err != nil {
-		return nil, err
-	}
-	cmp := &Comparison{R1: label1, R2: label2, By: by, Overall1: o1, Overall2: o2}
-	if by == ByGroup {
-		for _, g := range s.Groups {
-			v1, err := dSet(qs1, []string{g}, s.Locations)
-			if err != nil {
-				return nil, err
-			}
-			v2, err := dSet(qs2, []string{g}, s.Locations)
-			if err != nil {
-				return nil, err
-			}
-			cmp.add(g, v1, v2, c.Epsilon)
-		}
-	} else {
-		for _, l := range s.Locations {
-			v1, err := dSet(qs1, s.Groups, []core.Location{l})
-			if err != nil {
-				return nil, err
-			}
-			v2, err := dSet(qs2, s.Groups, []core.Location{l})
-			if err != nil {
-				return nil, err
-			}
-			cmp.add(string(l), v1, v2, c.Epsilon)
-		}
-	}
-	cmp.Accesses = dc.accesses
-	return cmp, nil
+	s1, s2 := scope, scope
+	s1.Queries, s2.Queries = qs1, qs2
+	return c.walk(label1, label2, s1, s2, by)
 }

@@ -184,26 +184,146 @@ func TestScopeRestriction(t *testing.T) {
 	}
 }
 
-func TestUnindexedScopeErrors(t *testing.T) {
-	c := New(index.BuildGroupIndex(tableForCompare()))
-	if _, err := c.Groups(maleKey(), femaleKey(), ByLocation, Scope{Locations: []core.Location{"Atlantis"}}); err == nil {
-		t.Fatal("unindexed location should error")
+// mapCells is a CellSource over a map of a table's defined cells, the
+// shape of the cells a scatter-gather coordinator gathers.
+type mapCells struct {
+	gks   []string
+	qs    []core.Query
+	ls    []core.Location
+	cells map[core.Triple]float64
+}
+
+func newMapCells(tbl *core.Table) *mapCells {
+	m := &mapCells{qs: tbl.Queries(), ls: tbl.Locations(), cells: map[core.Triple]float64{}}
+	for _, g := range tbl.Groups() {
+		m.gks = append(m.gks, g.Key())
 	}
-	if _, err := c.Queries("nope", "handyman", ByLocation, Scope{}); err == nil {
-		t.Fatal("comparing an unindexed query should error")
+	tbl.Range(func(tr core.Triple, v float64) { m.cells[tr] = v })
+	return m
+}
+
+func (m *mapCells) Dims() ([]string, []core.Query, []core.Location) { return m.gks, m.qs, m.ls }
+
+func (m *mapCells) Cell(g string, q core.Query, l core.Location) (float64, bool) {
+	v, ok := m.cells[core.Triple{GroupKey: g, Query: q, Location: l}]
+	return v, ok
+}
+
+// constructors builds a Comparer over a table every way a caller can.
+var constructors = []struct {
+	name  string
+	build func(*core.Table) *Comparer
+}{
+	{"New", func(t *core.Table) *Comparer { return New(index.BuildGroupIndex(t)) }},
+	{"NewDefinedOnly", NewDefinedOnly},
+	{"NewDefinedOnlyWith", func(t *core.Table) *Comparer { return NewDefinedOnlyWith(index.BuildGroupIndex(t), t) }},
+	{"NewFromCells", func(t *core.Table) *Comparer { return NewFromCells(newMapCells(t)) }},
+	{"NewDefinedOnlyFromCells", func(t *core.Table) *Comparer { return NewDefinedOnlyFromCells(newMapCells(t)) }},
+}
+
+// TestUnindexedScopeErrors pins the operand rule: a query or location the
+// source does not hold fails with the same error, naming the first pair
+// the walk would visit, whatever the source and semantics.
+func TestUnindexedScopeErrors(t *testing.T) {
+	cases := []struct {
+		name string
+		run  func(c *Comparer) (*Comparison, error)
+		want string
+	}{
+		{"location in scope", func(c *Comparer) (*Comparison, error) {
+			return c.Groups(maleKey(), femaleKey(), ByLocation, Scope{Locations: []core.Location{"Atlantis"}})
+		}, "compare: pair (cleaning, Atlantis) not indexed"},
+		{"query operand", func(c *Comparer) (*Comparison, error) {
+			return c.Queries("nope", "handyman", ByLocation, Scope{})
+		}, "compare: pair (nope, Chicago) not indexed"},
+		{"location operand", func(c *Comparer) (*Comparison, error) {
+			return c.Locations("OKC", "Atlantis", ByQuery, Scope{})
+		}, "compare: pair (cleaning, Atlantis) not indexed"},
+		{"second query in scope", func(c *Comparer) (*Comparison, error) {
+			return c.Groups(maleKey(), femaleKey(), ByLocation, Scope{Queries: []core.Query{"cleaning", "nope"}})
+		}, "compare: pair (nope, Chicago) not indexed"},
+		{"query and location in scope", func(c *Comparer) (*Comparison, error) {
+			return c.Groups(maleKey(), femaleKey(), ByQuery, Scope{Queries: []core.Query{"cleaning", "nope"}, Locations: []core.Location{"NYC", "Atlantis"}})
+		}, "compare: pair (cleaning, Atlantis) not indexed"},
+	}
+	for _, k := range constructors {
+		c := k.build(tableForCompare())
+		for _, tc := range cases {
+			if _, err := tc.run(c); err == nil || err.Error() != tc.want {
+				t.Errorf("%s, unindexed %s: err = %v, want %q", k.name, tc.name, err, tc.want)
+			}
+		}
 	}
 }
 
 func TestUnknownGroupReadsAsZero(t *testing.T) {
-	// A group key absent from the index aggregates to 0 everywhere —
-	// the completion semantics — rather than erroring.
-	c := New(index.BuildGroupIndex(tableForCompare()))
-	cmp, err := c.Groups("gender=Nonbinary", femaleKey(), ByLocation, Scope{})
-	if err != nil {
-		t.Fatal(err)
+	// A group key absent from the source aggregates to 0 everywhere —
+	// undefined under either semantics — rather than erroring.
+	for _, k := range constructors {
+		cmp, err := k.build(tableForCompare()).Groups("gender=Nonbinary", femaleKey(), ByLocation, Scope{})
+		if err != nil {
+			t.Fatalf("%s: %v", k.name, err)
+		}
+		if cmp.Overall1 != 0 {
+			t.Errorf("%s: unknown group overall = %v", k.name, cmp.Overall1)
+		}
 	}
-	if cmp.Overall1 != 0 {
-		t.Fatalf("unknown group overall = %v", cmp.Overall1)
+}
+
+// TestComparisonAccesses pins Comparison.Accesses, one per cell read, to
+// its closed form 2·(|side1| + |side2|): each side is read once for its
+// overall aggregate and once more across the breakdown members that
+// partition it. |side| is the product of the side's scope axes, here
+// |G| = 3, |Q| = 4 and |L| = 5 with some cells undefined, which moves no
+// count.
+func TestComparisonAccesses(t *testing.T) {
+	tbl := core.NewTable()
+	rng := stats.NewRNG(5)
+	var gks []string
+	for g := 0; g < 3; g++ {
+		grp := core.NewGroup(core.Predicate{Attr: "cohort", Value: fmt.Sprintf("g%d", g)})
+		gks = append(gks, grp.Key())
+		for q := 0; q < 4; q++ {
+			for l := 0; l < 5; l++ {
+				if rng.Float64() < 0.8 {
+					tbl.Set(grp, core.Query(fmt.Sprintf("q%d", q)), core.Location(fmt.Sprintf("l%d", l)), rng.Float64())
+				}
+			}
+		}
+	}
+	const G, Q, L = 3, 4, 5
+	cases := []struct {
+		name string
+		run  func(c *Comparer) (*Comparison, error)
+		want int
+	}{
+		{"groups by query", func(c *Comparer) (*Comparison, error) { return c.Groups(gks[0], gks[1], ByQuery, Scope{}) }, 2 * (Q*L + Q*L)},
+		{"groups by location", func(c *Comparer) (*Comparison, error) { return c.Groups(gks[0], gks[1], ByLocation, Scope{}) }, 2 * (Q*L + Q*L)},
+		{"queries by group", func(c *Comparer) (*Comparison, error) { return c.Queries("q0", "q1", ByGroup, Scope{}) }, 2 * (G*L + G*L)},
+		{"queries by location", func(c *Comparer) (*Comparison, error) { return c.Queries("q0", "q1", ByLocation, Scope{}) }, 2 * (G*L + G*L)},
+		{"locations by group", func(c *Comparer) (*Comparison, error) { return c.Locations("l0", "l1", ByGroup, Scope{}) }, 2 * (G*Q + G*Q)},
+		{"locations by query", func(c *Comparer) (*Comparison, error) { return c.Locations("l0", "l1", ByQuery, Scope{}) }, 2 * (G*Q + G*Q)},
+		{"query sets by group", func(c *Comparer) (*Comparison, error) {
+			return c.QuerySets("a", "b", []core.Query{"q0", "q1"}, []core.Query{"q2"}, ByGroup, Scope{})
+		}, 2 * (G*2*L + G*1*L)},
+		{"query sets by location", func(c *Comparer) (*Comparison, error) {
+			return c.QuerySets("a", "b", []core.Query{"q0", "q1"}, []core.Query{"q2"}, ByLocation, Scope{})
+		}, 2 * (G*2*L + G*1*L)},
+		{"groups by location, scoped", func(c *Comparer) (*Comparison, error) {
+			return c.Groups(gks[0], gks[2], ByLocation, Scope{Queries: []core.Query{"q1", "q3"}, Locations: []core.Location{"l0", "l2", "l4"}})
+		}, 2 * (2*3 + 2*3)},
+	}
+	for _, k := range constructors {
+		c := k.build(tbl)
+		for _, tc := range cases {
+			cmp, err := tc.run(c)
+			if err != nil {
+				t.Fatalf("%s, %s: %v", k.name, tc.name, err)
+			}
+			if cmp.Accesses != tc.want {
+				t.Errorf("%s, %s: %d accesses, want %d", k.name, tc.name, cmp.Accesses, tc.want)
+			}
+		}
 	}
 }
 
@@ -267,15 +387,17 @@ func TestQuerySetsComparison(t *testing.T) {
 }
 
 func TestQuerySetsErrors(t *testing.T) {
-	c := New(index.BuildGroupIndex(tableForCompare()))
-	if _, err := c.QuerySets("a", "b", nil, []core.Query{"cleaning"}, ByGroup, Scope{}); err == nil {
-		t.Fatal("empty set should error")
-	}
-	if _, err := c.QuerySets("a", "b", []core.Query{"cleaning"}, []core.Query{"handyman"}, ByQuery, Scope{}); err == nil {
-		t.Fatal("breakdown by query should be rejected")
-	}
-	if _, err := c.QuerySets("a", "b", []core.Query{"nope"}, []core.Query{"handyman"}, ByGroup, Scope{}); err == nil {
-		t.Fatal("unindexed query should error")
+	for _, k := range constructors {
+		c := k.build(tableForCompare())
+		if _, err := c.QuerySets("a", "b", nil, []core.Query{"cleaning"}, ByGroup, Scope{}); err == nil {
+			t.Errorf("%s: empty set should error", k.name)
+		}
+		if _, err := c.QuerySets("a", "b", []core.Query{"cleaning"}, []core.Query{"handyman"}, ByQuery, Scope{}); err == nil {
+			t.Errorf("%s: breakdown by query should be rejected", k.name)
+		}
+		if _, err := c.QuerySets("a", "b", []core.Query{"nope"}, []core.Query{"handyman"}, ByGroup, Scope{}); err == nil {
+			t.Errorf("%s: unindexed query should error", k.name)
+		}
 	}
 }
 

@@ -23,10 +23,11 @@
 #                            the exact-equivalence contracts (TA ≡ FA ≡
 #                            NRA ≡ Naive, coordinator ≡ engine, the
 #                            Figure-5 goldens, deferred ≡ eager
-#                            snapshots) and the memory and allocation
-#                            pins. A renamed test fails the script here
-#                            instead of silently dropping out; step 8
-#                            runs them
+#                            snapshots), Problem 2's access-count pin
+#                            and operand rule, and the memory and
+#                            allocation pins. A renamed test fails the
+#                            script here instead of silently dropping
+#                            out; step 8 runs them
 #   6. chaos gate            go test -race -tags faultinject over the
 #                            serving stack, the failpoint registry, topk
 #                            and the partitioned cluster — ./... does not
@@ -139,7 +140,7 @@ gate 'FuzzMitigators' ./internal/mitigate/
 echo "== named gates: correctness contracts and memory pins"
 gate '^TestAlgorithmsEquivalentOnRandomTables$' ./internal/topk/
 gate '^TestCoordinatorEquivalence$|^TestCoordinatorEquivalenceAfterRefresh$|^FuzzClusterEquivalence$|^TestFragmentFootprint$|^TestSplitTableAllocations$|^TestNodeFootprint$|^TestScanReplyAllocatesOnce$' ./internal/cluster/
-gate '^TestGoldenCompletionSemantics$|^TestGoldenDefinedOnlySemantics$|^TestGoldenQueryAndLocationComparisons$' ./internal/compare/
+gate '^TestGoldenCompletionSemantics$|^TestGoldenDefinedOnlySemantics$|^TestGoldenQueryAndLocationComparisons$|^TestComparisonAccesses$|^TestUnindexedScopeErrors$|^TestUnknownGroupReadsAsZero$' ./internal/compare/
 gate '^TestExposureMatchesPaperFigure5$|^TestTableFootprint$' ./internal/core/
 gate '^TestBuildAllFootprint$' ./internal/index/
 gate '^TestTracingAllocatesNothing$|^TestDeferredSnapshotMatchesEager$|^TestDeferredSnapshotBuildsOnce$|^TestWithUpdatesKeepsDeferral$' ./internal/serve/
