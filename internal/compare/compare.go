@@ -253,7 +253,11 @@ func (c *Comparer) walk(r1, r2 string, s1, s2 Scope, by Dimension) (*Comparison,
 	}
 	cmp := &Comparison{R1: r1, R2: r2, By: by}
 	cmp.Overall1, cmp.Overall2 = c.d(s1, &cmp.Accesses), c.d(s2, &cmp.Accesses)
-	for i := range s1.axisLen(by) {
+	n := s1.axisLen(by)
+	if n > 0 {
+		cmp.All = make([]Breakdown, 0, n)
+	}
+	for i := range n {
 		b1, b := s1.pin(by, i)
 		b2, _ := s2.pin(by, i)
 		cmp.add(b, c.d(b1, &cmp.Accesses), c.d(b2, &cmp.Accesses))

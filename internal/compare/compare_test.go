@@ -327,6 +327,51 @@ func TestComparisonAccesses(t *testing.T) {
 	}
 }
 
+// TestComparisonAllocations pins a compare's allocations on a table
+// whose breakdown axes hold 52 queries and 56 locations: the result, its
+// All rows sized once to the breakdown axis, and six for the Reversed
+// rows appended one by one (22 to 26 of them). Growing All by append
+// took six more.
+func TestComparisonAllocations(t *testing.T) {
+	if testutil.RaceEnabled() {
+		t.Skip("allocation counts are only meaningful without the race detector")
+	}
+	tbl := core.NewTable()
+	rng := stats.NewRNG(3)
+	var gks []string
+	for g := 0; g < 3; g++ {
+		grp := core.NewGroup(core.Predicate{Attr: "cohort", Value: fmt.Sprintf("g%d", g)})
+		gks = append(gks, grp.Key())
+		for q := 0; q < 52; q++ {
+			for l := 0; l < 56; l++ {
+				if rng.Float64() < 0.95 {
+					tbl.Set(grp, core.Query(fmt.Sprintf("q%02d", q)), core.Location(fmt.Sprintf("l%02d", l)), rng.Float64())
+				}
+			}
+		}
+	}
+	const maxAllocs = 8
+	for _, k := range constructors {
+		c := k.build(tbl)
+		for _, tc := range []struct {
+			name string
+			run  func() (*Comparison, error)
+		}{
+			{"groups by location", func() (*Comparison, error) { return c.Groups(gks[0], gks[1], ByLocation, Scope{}) }},
+			{"locations by query", func() (*Comparison, error) { return c.Locations("l00", "l01", ByQuery, Scope{}) }},
+		} {
+			allocs := testing.AllocsPerRun(20, func() {
+				if _, err := tc.run(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > maxAllocs {
+				t.Errorf("%s, %s: %.0f allocations, want at most %d", k.name, tc.name, allocs, maxAllocs)
+			}
+		}
+	}
+}
+
 func TestReversedPredicate(t *testing.T) {
 	cases := []struct {
 		o1, o2, b1, b2 float64

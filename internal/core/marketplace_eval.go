@@ -113,10 +113,10 @@ func (e *MarketplaceEvaluator) Unfairness(r *MarketplaceRanking, g Group) (float
 	if len(r.Workers) == 0 {
 		return 0, false
 	}
-	part := partitionRanking(e.Schema, r)
+	plan := newEvalPlan(e.Schema, []Group{g})
 	sc := e.newScratch()
 	sc.preparePage(e, r)
-	return e.unfairnessCell(e.mustCellFunc(), r, part, g.Key(), e.Schema.Comparable(g), nil, sc)
+	return e.mustCellFunc()(newPartitioner(plan).ranking(r), plan.slot[0], plan.comp[0], sc)
 }
 
 // mktScratch is one worker goroutine's reusable evaluation state: the two
@@ -158,8 +158,9 @@ func (sc *mktScratch) preparePage(e *MarketplaceEvaluator, r *MarketplaceRanking
 }
 
 // mktCellFunc is a resolved marketplace measure: one of emdCell or
-// exposureCell, bound once per evaluation.
-type mktCellFunc func(part pagePartition, gKey string, compKeys []string, sc *mktScratch) (float64, bool)
+// exposureCell, bound once per evaluation. It reads the page partition
+// part at g's slot and at its comparable groups' slots comp.
+type mktCellFunc func(part [][]int, g int, comp []int, sc *mktScratch) (float64, bool)
 
 // cellFunc resolves the evaluator's measure once per evaluation. An
 // out-of-range Measure is reported here — before any worker goroutine
@@ -186,23 +187,6 @@ func (e *MarketplaceEvaluator) mustCellFunc() mktCellFunc {
 	return cell
 }
 
-// unfairnessCell computes one d<g,q,l> cell from a prebuilt page
-// partition and a resolved measure. gKey is g's canonical key, comp its
-// comparable groups, and compKeys their canonical keys (nil lets the
-// cell derive them, for the single-cell Unfairness path).
-func (e *MarketplaceEvaluator) unfairnessCell(cell mktCellFunc, r *MarketplaceRanking, part pagePartition, gKey string, comp []Group, compKeys []string, sc *mktScratch) (float64, bool) {
-	if len(r.Workers) == 0 {
-		return 0, false
-	}
-	if compKeys == nil {
-		compKeys = make([]string, len(comp))
-		for i, cg := range comp {
-			compKeys[i] = cg.Key()
-		}
-	}
-	return cell(part, gKey, compKeys, sc)
-}
-
 // fillHistogram resets h and adds the relevance of every page member in
 // idx, in page order.
 func fillHistogram(h *stats.Histogram, rel []float64, idx []int) {
@@ -214,16 +198,16 @@ func fillHistogram(h *stats.Histogram, rel []float64, idx []int) {
 
 // emdCell implements §3.3.1: average EMD between g's relevance histogram
 // and each non-empty comparable group's histogram.
-func (e *MarketplaceEvaluator) emdCell(part pagePartition, gKey string, compKeys []string, sc *mktScratch) (float64, bool) {
-	members := part[gKey]
+func (e *MarketplaceEvaluator) emdCell(part [][]int, g int, comp []int, sc *mktScratch) (float64, bool) {
+	members := part[g]
 	if len(members) == 0 {
 		return 0, false
 	}
 	fillHistogram(sc.hg, sc.rel, members)
 	var sum float64
 	var n int
-	for _, ck := range compKeys {
-		cMembers := part[ck]
+	for _, c := range comp {
+		cMembers := part[c]
 		if len(cMembers) == 0 {
 			continue
 		}
@@ -248,8 +232,8 @@ func (e *MarketplaceEvaluator) emdCell(part pagePartition, gKey string, compKeys
 // Females when one gender is absent from some result pages (the paper's
 // Table 12, where the two genders' overall values differ even though the
 // per-page deviations of two complementary groups are equal).
-func (e *MarketplaceEvaluator) exposureCell(part pagePartition, gKey string, compKeys []string, sc *mktScratch) (float64, bool) {
-	members := part[gKey]
+func (e *MarketplaceEvaluator) exposureCell(part [][]int, g int, comp []int, sc *mktScratch) (float64, bool) {
+	members := part[g]
 	if len(members) == 0 {
 		return 0, false
 	}
@@ -260,8 +244,8 @@ func (e *MarketplaceEvaluator) exposureCell(part pagePartition, gKey string, com
 	}
 	totExp, totRel := gExp, gRel
 	anyComparable := false
-	for _, ck := range compKeys {
-		for _, i := range part[ck] {
+	for _, c := range comp {
+		for _, i := range part[c] {
 			totExp += sc.exp[i]
 			totRel += sc.rel[i]
 			anyComparable = true
@@ -299,9 +283,10 @@ func (e *MarketplaceEvaluator) EvaluateAll(rankings []*MarketplaceRanking, group
 // its next page boundary and returns ctx.Err().
 //
 // The work is sharded across Workers goroutines (see the field doc): each
-// worker partitions its pages once, fills a private table with its
-// contiguous slice of rankings, and the shards are merged in shard order,
-// so the result is byte-identical to a single-threaded evaluation.
+// worker partitions its pages once by plan slot, fills a private table
+// with its contiguous slice of rankings by member id, and the shards are
+// merged in shard order, so the result is byte-identical to a
+// single-threaded evaluation.
 func (e *MarketplaceEvaluator) EvaluateAllCtx(ctx context.Context, rankings []*MarketplaceRanking, groups []Group) (*Table, error) {
 	cell, err := e.cellFunc()
 	if err != nil {
@@ -326,12 +311,10 @@ func (e *MarketplaceEvaluator) EvaluateAllCtx(ctx context.Context, rankings []*M
 		start := time.Now()
 		cells := 0
 		t := getShardTable()
+		fill := newShardFill(t, plan)
 		sc := getMktScratch(e.bins())
-		pt := getPartitioner(e.Schema)
-		defer func() {
-			putMktScratch(sc)
-			putPartitioner(pt)
-		}()
+		defer putMktScratch(sc)
+		pt := newPartitioner(plan)
 		for _, r := range rankings[lo:hi] {
 			if done != nil {
 				select {
@@ -343,9 +326,10 @@ func (e *MarketplaceEvaluator) EvaluateAllCtx(ctx context.Context, rankings []*M
 			}
 			part := pt.ranking(r)
 			sc.preparePage(e, r)
+			fill.page(r.Query, r.Location)
 			for i := range plan.groups {
-				if v, ok := e.unfairnessCell(cell, r, part, plan.keys[i], nil, plan.compKeys[i], sc); ok {
-					t.SetKey(plan.keys[i], plan.groups[i], r.Query, r.Location, v)
+				if v, ok := cell(part, plan.slot[i], plan.comp[i], sc); ok {
+					fill.set(i, v)
 					cells++
 				}
 			}

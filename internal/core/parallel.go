@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -11,34 +12,158 @@ import (
 // DESIGN.md §7 ("Concurrency model") for the invariants.
 
 // evalPlan precomputes everything about the group dimension that is
-// constant across result pages: the groups to evaluate, their canonical
-// keys, and each group's comparable set with its keys. Building it once
-// per EvaluateAll keeps Group.Key's string construction and
-// Schema.Comparable off the per-page hot path entirely. A plan is
-// read-only after construction and safe to share across worker
-// goroutines.
+// constant across result pages. It numbers every group a page must
+// bucket, the evaluated groups plus their comparable groups, once per
+// key: that number is the group's slot, and a page partition is indexed
+// by slot. Membership is resolved in id space: per schema attribute, the
+// values the plan's groups name are numbered from 1 and every other
+// value reads as 0; an individual's value ids combine into one combo
+// id, and each combo's slots are listed once here. A value's id is
+// found by scanning the attribute's named values, which beats hashing
+// for a short domain. A plan is read-only after construction and safe
+// to share across worker goroutines.
 type evalPlan struct {
-	groups   []Group
-	keys     []string   // keys[i] == groups[i].Key()
-	compKeys [][]string // compKeys[i][j] == schema.Comparable(groups[i])[j].Key()
+	groups []Group
+	slot   []int    // slot[i] is groups[i]'s slot
+	comp   [][]int  // comp[i] holds the slots of schema.Comparable(groups[i])
+	keys   []string // keys[s] is the group key of slot s
+
+	attrs  []Attribute // the schema's attributes, in order
+	vals   [][]string  // per attribute: named values; value id = position + 1
+	radix  []int       // per attribute: its stride in a combo id
+	combos [][]int     // combo id → the slots its individuals belong to
 }
 
 func newEvalPlan(s *Schema, groups []Group) *evalPlan {
 	p := &evalPlan{
-		groups:   groups,
-		keys:     make([]string, len(groups)),
-		compKeys: make([][]string, len(groups)),
+		groups: groups,
+		slot:   make([]int, len(groups)),
+		comp:   make([][]int, len(groups)),
+		attrs:  s.attrs,
+		vals:   make([][]string, len(s.attrs)),
+		radix:  make([]int, len(s.attrs)),
+	}
+	slots := make(map[string]int)
+	var wants [][]int // by slot, as want returns
+	slotOf := func(g Group) int {
+		key := g.Key()
+		sl, ok := slots[key]
+		if !ok {
+			sl = len(p.keys)
+			slots[key] = sl
+			p.keys = append(p.keys, key)
+			wants = append(wants, p.want(g.Label))
+		}
+		return sl
 	}
 	for i, g := range groups {
-		p.keys[i] = g.Key()
+		p.slot[i] = slotOf(g)
 		cgs := s.Comparable(g)
-		ck := make([]string, len(cgs))
+		p.comp[i] = make([]int, len(cgs))
 		for j, cg := range cgs {
-			ck[j] = cg.Key()
+			p.comp[i][j] = slotOf(cg)
 		}
-		p.compKeys[i] = ck
+	}
+	n := 1
+	for j := range p.attrs {
+		p.radix[j] = n
+		n *= len(p.vals[j]) + 1
+	}
+	p.combos = make([][]int, n)
+	for c := range p.combos {
+		for sl, w := range wants {
+			if w != nil && p.admits(c, w) {
+				p.combos[c] = append(p.combos[c], sl)
+			}
+		}
 	}
 	return p
+}
+
+// want returns the value id l requires per schema attribute (0 where l
+// does not constrain it), numbering the values l names on first sight.
+// It returns nil for a label no individual is bucketed under: an empty
+// one, or one whose predicates are not on strictly increasing schema
+// attributes (an attribute the schema does not track, or a label not in
+// canonical order). A value numbered before such a label is rejected
+// changes no membership: no slot requires it.
+func (p *evalPlan) want(l Label) []int {
+	w := make([]int, len(p.attrs))
+	prev := -1
+	for _, pr := range l {
+		j := slices.Index(p.attrs, pr.Attr)
+		if j <= prev {
+			return nil
+		}
+		prev = j
+		if w[j] = slices.Index(p.vals[j], pr.Value) + 1; w[j] == 0 {
+			p.vals[j] = append(p.vals[j], pr.Value)
+			w[j] = len(p.vals[j])
+		}
+	}
+	if prev < 0 {
+		return nil
+	}
+	return w
+}
+
+// admits reports whether an individual of combo c meets every value w
+// requires. An unnamed value has id 0, which no requirement takes.
+func (p *evalPlan) admits(c int, w []int) bool {
+	for j, id := range w {
+		if id != 0 && c/p.radix[j]%(len(p.vals[j])+1) != id {
+			return false
+		}
+	}
+	return true
+}
+
+// combo returns the combo id of an individual with assignment a.
+func (p *evalPlan) combo(a Assignment) int {
+	c := 0
+	for j, attr := range p.attrs {
+		c += (slices.Index(p.vals[j], a[attr]) + 1) * p.radix[j]
+	}
+	return c
+}
+
+// shardFill writes one evaluation shard's cells into its table by member
+// id. It interns a page's query and location on the page's first defined
+// cell, and a slot's group on the first cell defined for it, so the
+// table numbers its members in first-Set order as SetKey does; every
+// other cell is one packed-key write.
+type shardFill struct {
+	t        *Table
+	plan     *evalPlan
+	gids     []int32 // table id by slot; -1 until interned
+	q        Query
+	l        Location
+	qid, lid int32 // the page's ids; qid is -1 until interned
+}
+
+func newShardFill(t *Table, plan *evalPlan) *shardFill {
+	f := &shardFill{t: t, plan: plan, gids: make([]int32, len(plan.keys))}
+	for s := range f.gids {
+		f.gids[s] = -1
+	}
+	return f
+}
+
+// page starts the cells of the page at (q, l).
+func (f *shardFill) page(q Query, l Location) {
+	f.q, f.l, f.qid = q, l, -1
+}
+
+// set records v for plan group i on the current page.
+func (f *shardFill) set(i int, v float64) {
+	if f.qid < 0 {
+		f.qid, f.lid = f.t.qs.intern(f.q, "queries"), f.t.ls.intern(f.l, "locations")
+	}
+	s := f.plan.slot[i]
+	if f.gids[s] < 0 {
+		f.gids[s] = f.t.groupID(f.plan.keys[s], f.plan.groups[i])
+	}
+	f.t.cells[pack(f.gids[s], f.qid, f.lid)] = v
 }
 
 // BoundedWorkers resolves a Workers setting against the number of

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"fairjob/internal/stats"
@@ -103,24 +104,66 @@ func requireTablesIdentical(t *testing.T, want, got *Table) {
 	}
 }
 
+// sweepCase is one group set of groupSweep: arg is what EvaluateAll
+// receives, and groups the groups it evaluates.
+type sweepCase struct {
+	name        string
+	arg, groups []Group
+}
+
+// groupSweep is the group sets the determinism and partition tests
+// evaluate: the whole universe (a nil argument), a subset whose
+// comparable groups lie outside it, a set naming the out-of-domain
+// ethnicity genRankings draws, and the universe with one group listed
+// twice.
+func groupSweep(s *Schema) []sweepCase {
+	u := s.Universe()
+	female := NewGroup(Predicate{"gender", "Female"})
+	subset := []Group{female, NewGroup(Predicate{"gender", "Male"}, Predicate{"ethnicity", "Asian"})}
+	other := []Group{
+		NewGroup(Predicate{"ethnicity", "Other"}),
+		NewGroup(Predicate{"gender", "Female"}, Predicate{"ethnicity", "Other"}),
+		female,
+	}
+	dup := append(append([]Group{u[3]}, u...), u[3])
+	return []sweepCase{
+		{"universe", nil, u},
+		{"subset", subset, subset},
+		{"out-of-domain", other, other},
+		{"duplicate", dup, dup},
+	}
+}
+
+// serialTable is the serial reference: the naive nested loop over
+// Unfairness for every page and every group of groups.
+func serialTable[P any](pages []P, groups []Group, at func(P) (Query, Location), unfairness func(P, Group) (float64, bool)) *Table {
+	tbl := NewTable()
+	for _, p := range pages {
+		q, l := at(p)
+		for _, g := range groups {
+			if v, ok := unfairness(p, g); ok {
+				tbl.Set(g, q, l, v)
+			}
+		}
+	}
+	return tbl
+}
+
 func TestMarketplaceEvaluateAllDeterministicAcrossWorkers(t *testing.T) {
 	rankings := genRankings(60)
 	schema := DefaultSchema()
+	at := func(r *MarketplaceRanking) (Query, Location) { return r.Query, r.Location }
 	for _, measure := range []MarketplaceMeasure{MeasureEMD, MeasureExposure} {
 		t.Run(measure.String(), func(t *testing.T) {
-			// Serial reference: the naive nested loop over Unfairness.
-			serial := NewTable()
-			ref := &MarketplaceEvaluator{Schema: schema, Measure: measure}
-			for _, r := range rankings {
-				for _, g := range schema.Universe() {
-					if v, ok := ref.Unfairness(r, g); ok {
-						serial.Set(g, r.Query, r.Location, v)
+			for _, sw := range groupSweep(schema) {
+				t.Run(sw.name, func(t *testing.T) {
+					ref := &MarketplaceEvaluator{Schema: schema, Measure: measure}
+					serial := serialTable(rankings, sw.groups, at, ref.Unfairness)
+					for _, workers := range []int{1, 2, 8} {
+						ev := &MarketplaceEvaluator{Schema: schema, Measure: measure, Workers: workers}
+						requireTablesIdentical(t, serial, ev.EvaluateAll(rankings, sw.arg))
 					}
-				}
-			}
-			for _, workers := range []int{1, 2, 8} {
-				ev := &MarketplaceEvaluator{Schema: schema, Measure: measure, Workers: workers}
-				requireTablesIdentical(t, serial, ev.EvaluateAll(rankings, nil))
+				})
 			}
 		})
 	}
@@ -129,49 +172,84 @@ func TestMarketplaceEvaluateAllDeterministicAcrossWorkers(t *testing.T) {
 func TestSearchEvaluateAllDeterministicAcrossWorkers(t *testing.T) {
 	results := genSearchResults(40)
 	schema := DefaultSchema()
+	at := func(sr *SearchResults) (Query, Location) { return sr.Query, sr.Location }
 	for _, measure := range []SearchMeasure{MeasureKendallTau, MeasureJaccard} {
 		t.Run(measure.String(), func(t *testing.T) {
-			serial := NewTable()
-			ref := &SearchEvaluator{Schema: schema, Measure: measure}
-			for _, sr := range results {
-				for _, g := range schema.Universe() {
-					if v, ok := ref.Unfairness(sr, g); ok {
-						serial.Set(g, sr.Query, sr.Location, v)
+			for _, sw := range groupSweep(schema) {
+				t.Run(sw.name, func(t *testing.T) {
+					ref := &SearchEvaluator{Schema: schema, Measure: measure}
+					serial := serialTable(results, sw.groups, at, ref.Unfairness)
+					for _, workers := range []int{1, 2, 8} {
+						ev := &SearchEvaluator{Schema: schema, Measure: measure, Workers: workers}
+						requireTablesIdentical(t, serial, ev.EvaluateAll(results, sw.arg))
 					}
-				}
-			}
-			for _, workers := range []int{1, 2, 8} {
-				ev := &SearchEvaluator{Schema: schema, Measure: measure, Workers: workers}
-				requireTablesIdentical(t, serial, ev.EvaluateAll(results, nil))
+				})
 			}
 		})
 	}
 }
 
-// TestPartitionMatchesNaiveMembership cross-checks the partition against
-// Assignment.Matches for every universe group, including workers whose
-// ethnicity falls outside the schema domain.
+// TestPartitionMatchesNaiveMembership cross-checks every slot of every
+// plan in the group sweep against Assignment.Matches, including workers
+// whose ethnicity falls outside the schema domain. Groups no individual
+// is bucketed under, the empty label and a label on an attribute the
+// schema does not track, get no members even where Matches holds.
 func TestPartitionMatchesNaiveMembership(t *testing.T) {
 	schema := DefaultSchema()
-	for _, r := range genRankings(20) {
-		part := partitionRanking(schema, r)
-		for _, g := range schema.Universe() {
-			var naive []int
-			for i, w := range r.Workers {
-				if w.Attrs.Matches(g.Label) {
-					naive = append(naive, i)
+	rankings := genRankings(20)
+	for _, sw := range groupSweep(schema) {
+		plan := newEvalPlan(schema, sw.groups)
+		pt := newPartitioner(plan)
+		for _, r := range rankings {
+			part := pt.ranking(r)
+			for s, key := range plan.keys {
+				g, err := ParseGroupKey(key)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			got := part[g.Key()]
-			if len(got) != len(naive) {
-				t.Fatalf("group %s: partition %v vs naive %v", g.Name(), got, naive)
-			}
-			for i := range got {
-				if got[i] != naive[i] {
-					t.Fatalf("group %s: partition order %v vs naive %v", g.Name(), got, naive)
+				var naive []int
+				for i, w := range r.Workers {
+					if w.Attrs.Matches(g.Label) {
+						naive = append(naive, i)
+					}
+				}
+				if !slices.Equal(part[s], naive) {
+					t.Fatalf("%s: group %s: partition %v vs naive %v", sw.name, g.Name(), part[s], naive)
 				}
 			}
 		}
+	}
+	untracked := NewGroup(Predicate{"age", ""})
+	plan := newEvalPlan(schema, []Group{{}, untracked})
+	pt := newPartitioner(plan)
+	for _, r := range rankings {
+		part := pt.ranking(r)
+		for i, g := range plan.groups {
+			if !r.Workers[0].Attrs.Matches(g.Label) {
+				t.Fatalf("group %q should match every worker", g.Key())
+			}
+			if got := part[plan.slot[i]]; len(got) != 0 {
+				t.Fatalf("group %q: partition %v, want no members", g.Key(), got)
+			}
+		}
+	}
+}
+
+// TestWarmPartitionerAllocatesNothing pins that a partitioner reuses its
+// buckets: once it has seen the pages, partitioning them again
+// allocates nothing.
+func TestWarmPartitionerAllocatesNothing(t *testing.T) {
+	schema := DefaultSchema()
+	rankings := genRankings(40)
+	pt := newPartitioner(newEvalPlan(schema, schema.Universe()))
+	pages := func() {
+		for _, r := range rankings {
+			pt.ranking(r)
+		}
+	}
+	pages()
+	if allocs := testing.AllocsPerRun(10, pages); allocs != 0 {
+		t.Fatalf("a warm partitioner allocates %.0f objects per %d pages, want 0", allocs, len(rankings))
 	}
 }
 

@@ -4,137 +4,49 @@ package core
 // their hot path. The naive membership test scans the whole result page
 // once per group and again per comparable group, so a page is scanned
 // O(|universe| × (1 + |comparable|)) times; the partition scans it once,
-// bucketing every individual under every group key it belongs to, and all
-// subsequent lookups are map hits.
+// appending every individual to the bucket of each plan slot its combo
+// lists, and every later lookup indexes a slice.
 
-// pagePartition maps a group key (Label.Key form) to the page positions of
-// the individuals belonging to that group, in page order. Lookups for
-// groups with no members on the page yield an empty slice. A partition is
-// valid until its partitioner builds the next page.
-type pagePartition map[string][]int
-
-// partitioner buckets one result page at a time, interning every string it
-// builds so that after warm-up a page costs no key allocations: attribute
-// fragments ("gender=Male"), full-assignment keys, and the 2^a − 1 bucket
-// keys per distinct assignment are all computed once and reused. The
-// partition map itself is also reused between pages, truncating member
-// slices in place. A partitioner belongs to one goroutine; each evaluation
-// worker creates its own.
+// partitioner buckets one result page at a time by the slots of one
+// evaluation plan. Its buckets are reused between pages, truncated in
+// place, so a warm page allocates nothing. A partitioner belongs to one
+// goroutine; each evaluation worker creates its own.
 type partitioner struct {
-	s       *Schema
-	frags   []map[string]string // per attribute: value → "attr=value"
-	buckets map[string][]string // full-assignment key → its 2^a − 1 group keys
-	scratch []string            // per-attribute fragments of the current individual
-	buf     []byte              // reusable full-assignment key buffer
-	part    pagePartition       // reused output map
+	plan *evalPlan
+	part [][]int // slot → page positions of its members, in page order
 }
 
-func newPartitioner(s *Schema) *partitioner {
-	p := &partitioner{
-		s:       s,
-		frags:   make([]map[string]string, len(s.attrs)),
-		buckets: make(map[string][]string),
-		scratch: make([]string, len(s.attrs)),
-		part:    make(pagePartition),
-	}
-	for i := range p.frags {
-		p.frags[i] = make(map[string]string)
-	}
-	return p
+func newPartitioner(plan *evalPlan) *partitioner {
+	return &partitioner{plan: plan, part: make([][]int, len(plan.keys))}
 }
 
-// page buckets n individuals under every group expressible over the
-// schema. For individual i, attrsOf(i) is its attribute assignment; i is
-// appended to the bucket of every non-empty attribute subset restricted
-// to its own values. s.attrs is sorted and masks append fragments in
-// attribute order, so each bucket key equals Label.Key() of the
-// corresponding group.
+// page buckets n individuals, where attrsOf(i) is individual i's
+// attribute assignment. The result maps a slot to the page positions of
+// its members, in page order; a slot with no member on the page has an
+// empty bucket. It is owned by the partitioner and overwritten by the
+// next page call.
 //
-// An individual whose value for some attribute falls outside the schema's
-// domain lands under a key no universe group carries, which reproduces
-// the naive scan's behaviour: it simply never matches a group
-// constraining that attribute.
-//
-// The returned partition is owned by the partitioner and overwritten by
-// the next page call.
-func (p *partitioner) page(n int, attrsOf func(int) Assignment) pagePartition {
-	// Truncate in place rather than reallocate: stale keys keep their
-	// (empty) slices and read as "no members", and warm slices keep
-	// their capacity.
-	for k, v := range p.part {
-		p.part[k] = v[:0]
+// An individual whose value for some attribute no plan group names
+// matches no group constraining that attribute, as Assignment.Matches
+// gives.
+func (p *partitioner) page(n int, attrsOf func(int) Assignment) [][]int {
+	for s, b := range p.part {
+		p.part[s] = b[:0]
 	}
 	for i := 0; i < n; i++ {
-		a := attrsOf(i)
-		p.buf = p.buf[:0]
-		for j, attr := range p.s.attrs {
-			v := a[attr]
-			f, ok := p.frags[j][v]
-			if !ok {
-				f = string(attr) + "=" + v
-				p.frags[j][v] = f
-			}
-			p.scratch[j] = f
-			if j > 0 {
-				p.buf = append(p.buf, '&')
-			}
-			p.buf = append(p.buf, f...)
-		}
-		// The full-assignment key is the all-attributes bucket key, so
-		// it doubles as the interning key. The string(p.buf) lookup
-		// does not allocate; the conversion is only materialized on a
-		// miss.
-		keys, ok := p.buckets[string(p.buf)]
-		if !ok {
-			keys = maskKeys(p.scratch)
-			p.buckets[string(p.buf)] = keys
-		}
-		for _, key := range keys {
-			p.part[key] = append(p.part[key], i)
+		for _, s := range p.plan.combos[p.plan.combo(attrsOf(i))] {
+			p.part[s] = append(p.part[s], i)
 		}
 	}
 	return p.part
 }
 
-// maskKeys enumerates the group keys of every non-empty subset of the
-// given (attribute-ordered) fragments.
-func maskKeys(frags []string) []string {
-	n := len(frags)
-	out := make([]string, 0, 1<<n-1)
-	for mask := 1; mask < 1<<n; mask++ {
-		key := ""
-		for j := 0; j < n; j++ {
-			if mask&(1<<j) == 0 {
-				continue
-			}
-			if key == "" {
-				key = frags[j]
-			} else {
-				key += "&" + frags[j]
-			}
-		}
-		out = append(out, key)
-	}
-	return out
-}
-
 // ranking partitions a marketplace result page by worker demographics.
-func (p *partitioner) ranking(r *MarketplaceRanking) pagePartition {
+func (p *partitioner) ranking(r *MarketplaceRanking) [][]int {
 	return p.page(len(r.Workers), func(i int) Assignment { return r.Workers[i].Attrs })
 }
 
 // users partitions a search study's participants by user demographics.
-func (p *partitioner) users(sr *SearchResults) pagePartition {
+func (p *partitioner) users(sr *SearchResults) [][]int {
 	return p.page(len(sr.Users), func(i int) Assignment { return sr.Users[i].Attrs })
-}
-
-// partitionRanking is the single-page convenience form of
-// partitioner.ranking, for callers without a reusable partitioner.
-func partitionRanking(s *Schema, r *MarketplaceRanking) pagePartition {
-	return newPartitioner(s).ranking(r)
-}
-
-// partitionUsers is the single-page convenience form of partitioner.users.
-func partitionUsers(s *Schema, sr *SearchResults) pagePartition {
-	return newPartitioner(s).users(sr)
 }

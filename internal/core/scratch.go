@@ -8,44 +8,23 @@ import (
 
 // This file holds the evaluators' worker-scratch recycling. The sharded
 // EvaluateAll pipelines used to pay a fixed per-shard allocation tax —
-// a fresh partitioner (whose string-interning caches then re-warmed from
-// scratch), a fresh measure scratch, and a fresh private table per shard
-// per run — which on hosts where the shards cannot actually run in
-// parallel made workers>1 strictly slower than workers=1 (the BENCH_PR7
-// regression: EMD 100ms→107ms and 661→1908 allocs/op from w=1 to w=8).
-// Pooling turns that tax into a one-time warm-up: repeated evaluations
+// a fresh measure scratch and a fresh private table per shard per run —
+// which on hosts where the shards cannot actually run in parallel made
+// workers>1 strictly slower than workers=1 (the BENCH_PR7 regression:
+// EMD 100ms→107ms and 661→1908 allocs/op from w=1 to w=8). Pooling
+// turns that tax into a one-time warm-up: repeated evaluations
 // (benchmark loops, snapshot refreshes, live-churn rebuilds) reuse warm
-// partitioners, scratch buffers and shard tables, and the merge step
-// fills one presized table (MergeTables) instead of growing shard 0
-// incrementally.
+// scratch buffers and shard tables, and the merge step fills one
+// presized table (MergeTables) instead of growing shard 0 incrementally.
+// A shard's partitioner is not pooled: it is bound to one evaluation's
+// plan, and its state is one bucket slice per plan slot.
 //
 // Pool safety: every pooled object is owned by exactly one goroutine
 // between Get and Put, and nothing retained by a caller is ever pooled —
 // shard tables are recycled only when MergeTables copied them into a
 // fresh result (w > 1), never when the single shard IS the result.
-// Determinism is untouched: partitioners and scratch buffers are pure
-// caches, and pooled tables are fully cleared before reuse.
-
-// partitionerPool recycles partitioners across evaluations. A
-// partitioner is schema-specific, so Get validates the schema by
-// identity and discards mismatches (in practice a process runs one
-// schema; the check keeps multi-schema tests correct).
-var partitionerPool sync.Pool
-
-func getPartitioner(s *Schema) *partitioner {
-	if v := partitionerPool.Get(); v != nil {
-		if p := v.(*partitioner); p.s == s {
-			return p
-		}
-	}
-	return newPartitioner(s)
-}
-
-func putPartitioner(p *partitioner) {
-	if p != nil {
-		partitionerPool.Put(p)
-	}
-}
+// Determinism is untouched: scratch buffers are pure caches, and pooled
+// tables are fully cleared before reuse.
 
 // shardTablePool recycles the evaluators' per-shard private tables. A
 // recycled table keeps its map capacity, so after warm-up a shard's fill

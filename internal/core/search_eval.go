@@ -175,26 +175,23 @@ func (c *distCache) dist(sr *SearchResults, i, j int) float64 {
 // use EvaluateAll, which amortizes both across all groups of a result
 // set.
 func (e *SearchEvaluator) Unfairness(sr *SearchResults, g Group) (float64, bool) {
-	part := partitionUsers(e.Schema, sr)
-	comp := e.Schema.Comparable(g)
-	compKeys := make([]string, len(comp))
-	for i, cg := range comp {
-		compKeys[i] = cg.Key()
-	}
-	return e.unfairnessCell(sr, part, newDistCache(e.mustDistFunc(), len(sr.Users)), g.Key(), compKeys)
+	plan := newEvalPlan(e.Schema, []Group{g})
+	part := newPartitioner(plan).users(sr)
+	return searchCell(sr, part, newDistCache(e.mustDistFunc(), len(sr.Users)), plan.slot[0], plan.comp[0])
 }
 
-// unfairnessCell computes one d<g,q,l> cell from a prebuilt user
-// partition and per-result-set distance cache.
-func (e *SearchEvaluator) unfairnessCell(sr *SearchResults, part pagePartition, dc *distCache, gKey string, compKeys []string) (float64, bool) {
-	gUsers := part[gKey]
+// searchCell computes one d<g,q,l> cell from a user partition, read at g's
+// slot and at its comparable groups' slots comp, and the result set's
+// distance cache.
+func searchCell(sr *SearchResults, part [][]int, dc *distCache, g int, comp []int) (float64, bool) {
+	gUsers := part[g]
 	if len(gUsers) == 0 {
 		return 0, false
 	}
 	var sum float64
 	var n int
-	for _, ck := range compKeys {
-		cUsers := part[ck]
+	for _, c := range comp {
+		cUsers := part[c]
 		if len(cUsers) == 0 {
 			continue
 		}
@@ -253,10 +250,10 @@ func (e *SearchEvaluator) EvaluateAll(results []*SearchResults, groups []Group) 
 // its next result-set boundary and returns ctx.Err().
 //
 // The work is sharded across Workers goroutines (see the field doc): each
-// worker partitions its result sets once, memoizes pairwise distances per
-// result set, fills a private table with its contiguous slice of result
-// sets, and the shards are merged in shard order, so the result is
-// byte-identical to a single-threaded evaluation.
+// worker partitions its result sets once by plan slot, memoizes pairwise
+// distances per result set, fills a private table with its contiguous
+// slice of result sets by member id, and the shards are merged in shard
+// order, so the result is byte-identical to a single-threaded evaluation.
 func (e *SearchEvaluator) EvaluateAllCtx(ctx context.Context, results []*SearchResults, groups []Group) (*Table, error) {
 	dist, err := e.distFunc()
 	if err != nil {
@@ -281,8 +278,8 @@ func (e *SearchEvaluator) EvaluateAllCtx(ctx context.Context, results []*SearchR
 		start := time.Now()
 		cells, dcHits, dcMisses := 0, 0, 0
 		t := getShardTable()
-		pt := getPartitioner(e.Schema)
-		defer putPartitioner(pt)
+		fill := newShardFill(t, plan)
+		pt := newPartitioner(plan)
 		dc := &distCache{}
 		for _, sr := range results[lo:hi] {
 			if done != nil {
@@ -295,9 +292,10 @@ func (e *SearchEvaluator) EvaluateAllCtx(ctx context.Context, results []*SearchR
 			}
 			part := pt.users(sr)
 			dc.reset(dist, len(sr.Users))
+			fill.page(sr.Query, sr.Location)
 			for i := range plan.groups {
-				if v, ok := e.unfairnessCell(sr, part, dc, plan.keys[i], plan.compKeys[i]); ok {
-					t.SetKey(plan.keys[i], plan.groups[i], sr.Query, sr.Location, v)
+				if v, ok := searchCell(sr, part, dc, plan.slot[i], plan.comp[i]); ok {
+					fill.set(i, v)
 					cells++
 				}
 			}

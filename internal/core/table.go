@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"slices"
@@ -98,6 +99,20 @@ func (d *dict[K]) sorted() []K {
 	copy(out, d.keys)
 	slices.Sort(out)
 	return out
+}
+
+// ranks returns, by member id, each member's position in sorted().
+func (d *dict[K]) ranks() []int {
+	byRank := make([]int, len(d.keys))
+	for id := range byRank {
+		byRank[id] = id
+	}
+	slices.SortFunc(byRank, func(a, b int) int { return cmp.Compare(d.keys[a], d.keys[b]) })
+	rank := make([]int, len(byRank))
+	for r, id := range byRank {
+		rank[id] = r
+	}
+	return rank
 }
 
 func (d *dict[K]) clone() dict[K] {
@@ -297,6 +312,18 @@ func (t *Table) Range(fn func(tr Triple, v float64)) {
 	for k, v := range t.cells {
 		g, q, l := unpack(k)
 		fn(Triple{t.gs.keys[g], t.qs.keys[q], t.ls.keys[l]}, v)
+	}
+}
+
+// RangeSorted calls fn for every recorded cell, in an unspecified order,
+// with the cell's positions in Groups(), Queries() and Locations(). It
+// maps member ids to sorted positions once per call, so a reader that
+// lays cells out by sorted position probes no string per cell.
+func (t *Table) RangeSorted(fn func(g, q, l int, v float64)) {
+	gr, qr, lr := t.gs.ranks(), t.qs.ranks(), t.ls.ranks()
+	for k, v := range t.cells {
+		g, q, l := unpack(k)
+		fn(gr[g], qr[q], lr[l], v)
 	}
 }
 

@@ -275,6 +275,21 @@ func checkTable(t *testing.T, step string, tbl *Table, m *tableModel, p members)
 	if len(seen) != len(m.cells) {
 		t.Fatalf("%s: Range yields %d cells, want %d", step, len(seen), len(m.cells))
 	}
+	gs, qs, ls := tbl.Groups(), tbl.Queries(), tbl.Locations()
+	clear(seen)
+	tbl.RangeSorted(func(g, q, l int, v float64) {
+		if g < 0 || g >= len(gs) || q < 0 || q >= len(qs) || l < 0 || l >= len(ls) {
+			t.Fatalf("%s: RangeSorted yields positions (%d, %d, %d) outside %d×%d×%d", step, g, q, l, len(gs), len(qs), len(ls))
+		}
+		tr := Triple{gs[g].Key(), qs[q], ls[l]}
+		if want, ok := m.cells[tr]; !ok || seen[tr] || v != want {
+			t.Fatalf("%s: RangeSorted yields %+v = %v (defined %v, repeated %v, want %v)", step, tr, v, ok, seen[tr], want)
+		}
+		seen[tr] = true
+	})
+	if len(seen) != len(m.cells) {
+		t.Fatalf("%s: RangeSorted yields %d cells, want %d", step, len(seen), len(m.cells))
+	}
 	for _, g := range p.gs {
 		for _, q := range p.qs {
 			for _, l := range p.ls {
@@ -330,7 +345,8 @@ func checkTable(t *testing.T, step string, tbl *Table, m *tableModel, p members)
 
 // TestTableMatchesReferenceModel runs seeded random sequences of writes,
 // merges, clones and resets against a Table and the plain-map model,
-// comparing every read after every step. The member pool is small, so
+// comparing every read after every step, RangeSorted's positions among
+// them. The member pool is small, so
 // Set overwrites and merged shards overlap; clone independence is
 // checked by writing to one side and reading both. It then checks two
 // sharded evaluations, the second over recycled shard tables, against

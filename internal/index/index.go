@@ -307,11 +307,12 @@ type filling struct {
 }
 
 // build builds the families of t that group, query and location select.
-// One Range pass over the table fills every selected family's values,
-// and a member whose cell is undefined keeps 0, the completion
-// invariant. Then each family's lists are sorted on a goroutine of its
-// own. The families share the sorted dimensions and, per dimension, the
-// member dictionary that numbers the members of the family over it.
+// One RangeSorted pass over the table fills every selected family's
+// values at the cell's positions in the sorted dimensions, and a member
+// whose cell is undefined keeps 0, the completion invariant. Then each
+// family's lists are sorted on a goroutine of its own. The families
+// share the sorted dimensions and, per dimension, the member dictionary
+// that numbers the members of the family over it.
 func build(t *core.Table, group, query, location bool) (gi *GroupIndex, qi *QueryIndex, li *LocationIndex) {
 	groups, qs, ls := t.Groups(), t.Queries(), t.Locations()
 	gks := make([]string, len(groups))
@@ -320,30 +321,27 @@ func build(t *core.Table, group, query, location bool) (gi *GroupIndex, qi *Quer
 		gks[i] = g.Key()
 		gmap[gks[i]] = g
 	}
-	qks, lks := strs(qs), strs(ls)
-	gid, qid, lid := number(gks, nil), number(qks, nil), number(lks, nil)
 	ng, nq, nl := len(gks), len(qs), len(ls)
 
 	var fs []filling
-	add := func(keys []string, ids map[string]int32, nLists int, dst *[]Inverted, slot func(g, q, l int) int) {
+	add := func(keys []string, nLists int, dst *[]Inverted, slot func(g, q, l int) int) {
 		n := nLists * len(keys)
-		f := &family{keys: keys, ids: ids, order: make([]int32, 0, n), vals: make([]float64, n)}
+		f := &family{keys: keys, ids: number(keys, nil), order: make([]int32, 0, n), vals: make([]float64, n)}
 		fs = append(fs, filling{f, nLists, slot, dst})
 	}
 	if group {
 		gi = &GroupIndex{GroupKeys: gks, Queries: qs, Locations: ls, groups: gmap}
-		add(gks, gid, nq*nl, &gi.lists, func(g, q, l int) int { return (q*nl+l)*ng + g })
+		add(gks, nq*nl, &gi.lists, func(g, q, l int) int { return (q*nl+l)*ng + g })
 	}
 	if query {
 		qi = &QueryIndex{GroupKeys: gks, Queries: qs, Locations: ls}
-		add(qks, qid, ng*nl, &qi.lists, func(g, q, l int) int { return (g*nl+l)*nq + q })
+		add(strs(qs), ng*nl, &qi.lists, func(g, q, l int) int { return (g*nl+l)*nq + q })
 	}
 	if location {
 		li = &LocationIndex{GroupKeys: gks, Queries: qs, Locations: ls}
-		add(lks, lid, ng*nq, &li.lists, func(g, q, l int) int { return (g*nq+q)*nl + l })
+		add(strs(ls), ng*nq, &li.lists, func(g, q, l int) int { return (g*nq+q)*nl + l })
 	}
-	t.Range(func(tr core.Triple, v float64) {
-		g, q, l := int(gid[tr.GroupKey]), int(qid[string(tr.Query)]), int(lid[string(tr.Location)])
+	t.RangeSorted(func(g, q, l int, v float64) {
 		for _, x := range fs {
 			x.f.vals[x.slot(g, q, l)] = v
 		}

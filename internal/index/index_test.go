@@ -3,6 +3,7 @@ package index_test
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -218,6 +219,62 @@ func TestIndexInvariantsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBuildAllIgnoresFillOrder builds the index families over two tables
+// holding the same cells, one filled in key order and one in reverse key
+// order, so their member ids run in opposite directions. Every list must
+// come out equal: a list is laid out by sorted position, never by the
+// table's ids.
+func TestBuildAllIgnoresFillOrder(t *testing.T) {
+	type cell struct {
+		g core.Group
+		q core.Query
+		l core.Location
+		v float64
+	}
+	rng := stats.NewRNG(9)
+	var cells []cell // in key order
+	for g := 0; g < 4; g++ {
+		grp := core.NewGroup(core.Predicate{Attr: "cohort", Value: fmt.Sprintf("g%d", g)})
+		for q := 0; q < 6; q++ {
+			for l := 0; l < 5; l++ {
+				if rng.Bernoulli(0.8) {
+					cells = append(cells, cell{grp, core.Query(fmt.Sprintf("q%d", q)), core.Location(fmt.Sprintf("l%d", l)), rng.Float64()})
+				}
+			}
+		}
+	}
+	fwd, rev := core.NewTable(), core.NewTable()
+	for i := range cells {
+		c, r := cells[i], cells[len(cells)-1-i]
+		fwd.Set(c.g, c.q, c.l, c.v)
+		rev.Set(r.g, r.q, r.l, r.v)
+	}
+	g1, q1, l1 := index.BuildAll(fwd)
+	g2, q2, l2 := index.BuildAll(rev)
+	if !slices.Equal(g1.GroupKeys, g2.GroupKeys) || !slices.Equal(g1.Queries, g2.Queries) || !slices.Equal(g1.Locations, g2.Locations) {
+		t.Fatalf("dimensions differ: %v %v %v vs %v %v %v", g1.GroupKeys, g1.Queries, g1.Locations, g2.GroupKeys, g2.Queries, g2.Locations)
+	}
+	same := func(family string, a, b *index.Inverted) {
+		t.Helper()
+		if ea, eb := a.Entries(), b.Entries(); !slices.Equal(ea, eb) {
+			t.Fatalf("%s list: key order gives %v, reverse key order %v", family, ea, eb)
+		}
+	}
+	for _, q := range g1.Queries {
+		for _, l := range g1.Locations {
+			same(fmt.Sprintf("group (%s, %s)", q, l), g1.Get(q, l), g2.Get(q, l))
+		}
+	}
+	for _, g := range g1.GroupKeys {
+		for _, l := range g1.Locations {
+			same(fmt.Sprintf("query (%s, %s)", g, l), q1.Get(g, l), q2.Get(g, l))
+		}
+		for _, q := range g1.Queries {
+			same(fmt.Sprintf("location (%s, %s)", g, q), l1.Get(g, q), l2.Get(g, q))
+		}
 	}
 }
 

@@ -23,9 +23,15 @@
 #                            the exact-equivalence contracts (TA ≡ FA ≡
 #                            NRA ≡ Naive, coordinator ≡ engine, the
 #                            Figure-5 goldens, deferred ≡ eager
-#                            snapshots), Problem 2's access-count pin
-#                            and operand rule, and the memory and
-#                            allocation pins. A renamed test fails the
+#                            snapshots), the byte-identity contracts of
+#                            the table build (evaluators at any worker
+#                            count and group set ≡ the serial loop, the
+#                            page partition ≡ naive membership, the
+#                            table ≡ its reference model, the index
+#                            families ≡ their invariants whatever the
+#                            table's fill order), Problem 2's
+#                            access-count pin and operand rule, and the
+#                            memory and allocation pins. A renamed test fails the
 #                            script here instead of silently dropping
 #                            out; step 8 runs them
 #   6. chaos gate            go test -race -tags faultinject over the
@@ -140,9 +146,9 @@ gate 'FuzzMitigators' ./internal/mitigate/
 echo "== named gates: correctness contracts and memory pins"
 gate '^TestAlgorithmsEquivalentOnRandomTables$' ./internal/topk/
 gate '^TestCoordinatorEquivalence$|^TestCoordinatorEquivalenceAfterRefresh$|^FuzzClusterEquivalence$|^TestFragmentFootprint$|^TestSplitTableAllocations$|^TestNodeFootprint$|^TestScanReplyAllocatesOnce$' ./internal/cluster/
-gate '^TestGoldenCompletionSemantics$|^TestGoldenDefinedOnlySemantics$|^TestGoldenQueryAndLocationComparisons$|^TestComparisonAccesses$|^TestUnindexedScopeErrors$|^TestUnknownGroupReadsAsZero$' ./internal/compare/
-gate '^TestExposureMatchesPaperFigure5$|^TestTableFootprint$' ./internal/core/
-gate '^TestBuildAllFootprint$' ./internal/index/
+gate '^TestGoldenCompletionSemantics$|^TestGoldenDefinedOnlySemantics$|^TestGoldenQueryAndLocationComparisons$|^TestComparisonAccesses$|^TestUnindexedScopeErrors$|^TestUnknownGroupReadsAsZero$|^TestComparisonAllocations$' ./internal/compare/
+gate '^TestExposureMatchesPaperFigure5$|^TestTableFootprint$|^TestMarketplaceEvaluateAllDeterministicAcrossWorkers$|^TestSearchEvaluateAllDeterministicAcrossWorkers$|^TestPartitionMatchesNaiveMembership$|^TestMarketplaceEvaluatorMatchesReference$|^TestTableMatchesReferenceModel$|^TestWarmPartitionerAllocatesNothing$' ./internal/core/
+gate '^TestBuildAllFootprint$|^TestIndexInvariantsProperty$|^TestBuildAllIgnoresFillOrder$' ./internal/index/
 gate '^TestTracingAllocatesNothing$|^TestDeferredSnapshotMatchesEager$|^TestDeferredSnapshotBuildsOnce$|^TestWithUpdatesKeepsDeferral$' ./internal/serve/
 gate '^TestMitigateGolden$' ./internal/mitigate/
 
