@@ -257,10 +257,24 @@ func (c *Comparer) walk(r1, r2 string, s1, s2 Scope, by Dimension) (*Comparison,
 	if n > 0 {
 		cmp.All = make([]Breakdown, 0, n)
 	}
+	reversals := 0
 	for i := range n {
 		b1, b := s1.pin(by, i)
 		b2, _ := s2.pin(by, i)
-		cmp.add(b, c.d(b1, &cmp.Accesses), c.d(b2, &cmp.Accesses))
+		row := Breakdown{B: b, V1: c.d(b1, &cmp.Accesses), V2: c.d(b2, &cmp.Accesses)}
+		row.Reversed = reversed(cmp.Overall1, cmp.Overall2, row.V1, row.V2, epsilon)
+		if row.Reversed {
+			reversals++
+		}
+		cmp.All = append(cmp.All, row)
+	}
+	if reversals > 0 {
+		cmp.Reversed = make([]Breakdown, 0, reversals)
+		for _, row := range cmp.All {
+			if row.Reversed {
+				cmp.Reversed = append(cmp.Reversed, row)
+			}
+		}
 	}
 	return cmp, nil
 }
@@ -351,14 +365,6 @@ func reversed(o1, o2, b1, b2, eps float64) bool {
 		return true
 	default:
 		return (o1 > o2 && b1 < b2) || (o1 < o2 && b1 > b2)
-	}
-}
-
-func (cmp *Comparison) add(b string, v1, v2 float64) {
-	row := Breakdown{B: b, V1: v1, V2: v2, Reversed: reversed(cmp.Overall1, cmp.Overall2, v1, v2, epsilon)}
-	cmp.All = append(cmp.All, row)
-	if row.Reversed {
-		cmp.Reversed = append(cmp.Reversed, row)
 	}
 }
 

@@ -86,7 +86,7 @@ func (r *evalRun) finish(workers int) {
 	}
 }
 
-// distCacheDone adds one shard's distance-cache tallies (search
+// distCacheDone adds one result set's distance-cache tallies (search
 // pipeline).
 func (r *evalRun) distCacheDone(hits, misses int) {
 	if r == nil || r.m.distHits == nil {

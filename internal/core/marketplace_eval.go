@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime/pprof"
-	"time"
 
 	"fairjob/internal/metrics"
 	"fairjob/internal/obs"
@@ -124,11 +122,12 @@ func (e *MarketplaceEvaluator) Unfairness(r *MarketplaceRanking, g Group) (float
 // the current page's relevance and exposure vectors, computed once per
 // page and shared by every (group, comparable) cell on it. Reusing the
 // histograms removes the dominant allocation of the EMD hot path;
-// caching exposure keeps ExposureAtRank's logarithm out of the inner
-// loops.
+// caching exposure, once per rank, keeps ExposureAtRank's logarithm out
+// of the per-page loops.
 type mktScratch struct {
 	hg, hc   *stats.Histogram
 	rel, exp []float64 // indexed by page position
+	byRank   []float64 // ExposureAtRank by rank; 0 until computed
 }
 
 func (e *MarketplaceEvaluator) newScratch() *mktScratch {
@@ -151,10 +150,27 @@ func (sc *mktScratch) preparePage(e *MarketplaceEvaluator, r *MarketplaceRanking
 		sc.rel = sc.rel[:n]
 		sc.exp = sc.exp[:n]
 	}
+	if len(sc.byRank) <= n {
+		sc.byRank = append(sc.byRank, make([]float64, n+1-len(sc.byRank))...)
+	}
 	for i, w := range r.Workers {
 		sc.rel[i] = r.Relevance(w, e.UseScores)
-		sc.exp[i] = metrics.ExposureAtRank(w.Rank)
+		sc.exp[i] = sc.exposure(w.Rank)
 	}
+}
+
+// exposure returns metrics.ExposureAtRank(rank), computing it once per
+// rank the scratch has room for; exposure is positive, so 0 marks a rank
+// not yet computed. A rank outside the table goes to ExposureAtRank
+// directly, which panics on a rank below 1.
+func (sc *mktScratch) exposure(rank int) float64 {
+	if rank < 1 || rank >= len(sc.byRank) {
+		return metrics.ExposureAtRank(rank)
+	}
+	if sc.byRank[rank] == 0 {
+		sc.byRank[rank] = metrics.ExposureAtRank(rank)
+	}
+	return sc.byRank[rank]
 }
 
 // mktCellFunc is a resolved marketplace measure: one of emdCell or
@@ -282,69 +298,27 @@ func (e *MarketplaceEvaluator) EvaluateAll(rankings []*MarketplaceRanking, group
 // work starts; a context that ends mid-evaluation stops every shard at
 // its next page boundary and returns ctx.Err().
 //
-// The work is sharded across Workers goroutines (see the field doc): each
-// worker partitions its pages once by plan slot, fills a private table
-// with its contiguous slice of rankings by member id, and the shards are
-// merged in shard order, so the result is byte-identical to a
-// single-threaded evaluation.
+// The work is sharded across Workers goroutines (see the field doc):
+// each worker partitions its pages by plan slot and computes their
+// cells, and one serial pass fills the table in page order, so the
+// result is byte-identical to a single-threaded evaluation.
 func (e *MarketplaceEvaluator) EvaluateAllCtx(ctx context.Context, rankings []*MarketplaceRanking, groups []Group) (*Table, error) {
 	cell, err := e.cellFunc()
 	if err != nil {
 		return nil, err
 	}
-	if groups == nil {
-		groups = e.Schema.Universe()
-	}
-	plan := newEvalPlan(e.Schema, groups)
-	run := newEvalMetrics(e.Obs, "market").begin()
-	w := BoundedWorkers(e.Workers, len(rankings))
-	shards := make([]*Table, w)
-	errs := make([]error, w)
-	done := ctx.Done()
-	// Run the fan-out under pprof labels: the shard goroutines inherit
-	// them, so CPU profiles attribute evaluation samples to the evaluator
-	// family and measure (and keep any request labels already on ctx).
-	defer pprof.SetGoroutineLabels(ctx)
-	ctx = pprof.WithLabels(ctx, pprof.Labels("eval", "market", "measure", e.Measure.String()))
-	pprof.SetGoroutineLabels(ctx)
-	RunSharded(len(rankings), w, func(shard, lo, hi int) {
-		start := time.Now()
-		cells := 0
-		t := getShardTable()
-		fill := newShardFill(t, plan)
-		sc := getMktScratch(e.bins())
-		defer putMktScratch(sc)
-		pt := newPartitioner(plan)
-		for _, r := range rankings[lo:hi] {
-			if done != nil {
-				select {
-				case <-done:
-					errs[shard] = ctx.Err()
-					return
-				default:
+	return evaluate(ctx, evalJob[*MarketplaceRanking]{
+		schema: e.Schema, family: "market", measure: e.Measure.String(), workers: e.Workers, obs: e.Obs,
+		at: func(r *MarketplaceRanking) (Query, Location) { return r.Query, r.Location },
+		shard: func(plan *evalPlan, _ *evalRun) func(*MarketplaceRanking, []cellValue) {
+			pt, sc := newPartitioner(plan), e.newScratch()
+			return func(r *MarketplaceRanking, row []cellValue) {
+				part := pt.ranking(r)
+				sc.preparePage(e, r)
+				for i := range row {
+					row[i].v, row[i].ok = cell(part, plan.slot[i], plan.comp[i], sc)
 				}
 			}
-			part := pt.ranking(r)
-			sc.preparePage(e, r)
-			fill.page(r.Query, r.Location)
-			for i := range plan.groups {
-				if v, ok := cell(part, plan.slot[i], plan.comp[i], sc); ok {
-					fill.set(i, v)
-					cells++
-				}
-			}
-		}
-		shards[shard] = t
-		run.shardDone(start, hi-lo, cells)
-	})
-	for _, err := range errs {
-		if err != nil {
-			putShardTables(shards, nil)
-			return nil, err
-		}
-	}
-	out := MergeTables(shards)
-	putShardTables(shards, out)
-	run.finish(w)
-	return out, nil
+		},
+	}, rankings, groups)
 }

@@ -2,7 +2,10 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
+
+	"fairjob/internal/metrics"
 )
 
 // paperRanking reconstructs Tables 2–3 of the paper: ten workers looking
@@ -188,4 +191,31 @@ func TestRelevanceHonorsScores(t *testing.T) {
 	if got := r.Relevance(r.Workers[1], true); got != 0 {
 		t.Fatalf("NaN-score relevance = %v", got)
 	}
+}
+
+// TestScratchExposureMatchesExposureAtRank checks the scratch's
+// by-rank exposure against metrics.ExposureAtRank bit for bit, over
+// pages that grow, repeat ranks, and (with UseScores) rank past their
+// length, and that a rank below 1 still panics.
+func TestScratchExposureMatchesExposureAtRank(t *testing.T) {
+	e := &MarketplaceEvaluator{Schema: DefaultSchema(), UseScores: true}
+	sc := e.newScratch()
+	for _, ranks := range [][]int{{1, 2, 3}, {3, 1, 2, 5, 4, 6, 7}, {2, 2, 40, 1}, {1, 2, 3, 4, 5, 6, 7, 8}} {
+		r := &MarketplaceRanking{}
+		for _, rank := range ranks {
+			r.Workers = append(r.Workers, RankedWorker{Rank: rank, Score: 0.5})
+		}
+		sc.preparePage(e, r)
+		for i, rank := range ranks {
+			if got, want := sc.exp[i], metrics.ExposureAtRank(rank); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("ranks %v: exposure at rank %d = %v, want %v", ranks, rank, got, want)
+			}
+		}
+	}
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "exposure of invalid rank 0") {
+			t.Fatalf("panic = %q, want ExposureAtRank's on rank 0", msg)
+		}
+	}()
+	sc.preparePage(e, &MarketplaceRanking{Workers: []RankedWorker{{Rank: 1, Score: 0.5}, {Rank: 0, Score: 0.5}}})
 }

@@ -1,14 +1,20 @@
 package core
 
 import (
+	"context"
 	"runtime"
+	"runtime/pprof"
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
+
+	"fairjob/internal/obs"
 )
 
 // This file holds the shared machinery of the parallel evaluation
-// pipeline: the precomputed evaluation plan and the sharding helpers. See
+// pipeline: the precomputed evaluation plan, the evaluate function both
+// evaluators run, and the sharding helpers. See
 // DESIGN.md §7 ("Concurrency model") for the invariants.
 
 // evalPlan precomputes everything about the group dimension that is
@@ -127,43 +133,120 @@ func (p *evalPlan) combo(a Assignment) int {
 	return c
 }
 
-// shardFill writes one evaluation shard's cells into its table by member
-// id. It interns a page's query and location on the page's first defined
-// cell, and a slot's group on the first cell defined for it, so the
-// table numbers its members in first-Set order as SetKey does; every
-// other cell is one packed-key write.
-type shardFill struct {
-	t        *Table
-	plan     *evalPlan
-	gids     []int32 // table id by slot; -1 until interned
-	q        Query
-	l        Location
-	qid, lid int32 // the page's ids; qid is -1 until interned
+// cellValue is one (page, plan group) cell of an evaluation: its value,
+// and whether it is defined.
+type cellValue struct {
+	v  float64
+	ok bool
 }
 
-func newShardFill(t *Table, plan *evalPlan) *shardFill {
-	f := &shardFill{t: t, plan: plan, gids: make([]int32, len(plan.keys))}
-	for s := range f.gids {
-		f.gids[s] = -1
-	}
-	return f
+// evalJob is one EvaluateAllCtx call as evaluate runs it: the
+// evaluator's settings and its per-shard part. P is its page type.
+type evalJob[P any] struct {
+	schema  *Schema
+	family  string // "market" or "search": the eval label of profiles and telemetry
+	measure string // the measure label of profiles
+	workers int
+	obs     *obs.Registry
+	at      func(P) (Query, Location) // a page's query and location
+	// shard returns what one shard runs per page: compute the page's
+	// cells into row, one per plan group in plan order. It is called on
+	// the shard's goroutine, so the closure may own that shard's scratch.
+	shard func(plan *evalPlan, run *evalRun) func(p P, row []cellValue)
 }
 
-// page starts the cells of the page at (q, l).
-func (f *shardFill) page(q Query, l Location) {
-	f.q, f.l, f.qid = q, l, -1
+// evaluate is both evaluators' EvaluateAllCtx pipeline. A nil groups
+// slice evaluates the schema universe. It shards the pages across
+// j.workers goroutines (BoundedWorkers); a shard computes its pages'
+// cells into their rows of one buffer, sized once for every (page, plan
+// group). Then one serial pass fills a single table from the buffer in
+// page order, so the table is byte-identical to a serial Set loop at any
+// worker count. A context that ends mid-evaluation stops every shard at
+// its next page boundary and returns ctx.Err().
+func evaluate[P any](ctx context.Context, j evalJob[P], pages []P, groups []Group) (*Table, error) {
+	if groups == nil {
+		groups = j.schema.Universe()
+	}
+	plan := newEvalPlan(j.schema, groups)
+	run := newEvalMetrics(j.obs, j.family).begin()
+	w := BoundedWorkers(j.workers, len(pages))
+	ng := len(plan.groups)
+	cells := make([]cellValue, len(pages)*ng)
+	var defined atomic.Int64
+	errs := make([]error, w)
+	done := ctx.Done()
+	// Run the fan-out under pprof labels: the shard goroutines inherit
+	// them, so CPU profiles attribute evaluation samples to the evaluator
+	// family and measure (and keep any request labels already on ctx).
+	defer pprof.SetGoroutineLabels(ctx)
+	ctx = pprof.WithLabels(ctx, pprof.Labels("eval", j.family, "measure", j.measure))
+	pprof.SetGoroutineLabels(ctx)
+	RunSharded(len(pages), w, func(shard, lo, hi int) {
+		start := time.Now()
+		page := j.shard(plan, run)
+		n := 0
+		for k := lo; k < hi; k++ {
+			if done != nil {
+				select {
+				case <-done:
+					errs[shard] = ctx.Err()
+					return
+				default:
+				}
+			}
+			row := cells[k*ng : (k+1)*ng]
+			page(pages[k], row)
+			for _, c := range row {
+				if c.ok {
+					n++
+				}
+			}
+		}
+		defined.Add(int64(n))
+		run.shardDone(start, hi-lo, n)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	t := fill(plan, pages, j.at, cells, int(defined.Load()))
+	run.finish(w)
+	return t, nil
 }
 
-// set records v for plan group i on the current page.
-func (f *shardFill) set(i int, v float64) {
-	if f.qid < 0 {
-		f.qid, f.lid = f.t.qs.intern(f.q, "queries"), f.t.ls.intern(f.l, "locations")
+// fill writes an evaluation's defined cells into one table presized for
+// them, page by page in order, by member id. It interns a page's query
+// and location on the page's first defined cell, and a slot's group on
+// the first cell defined for it, so the table numbers its members in
+// first-Set order as SetKey does, and a repeated (query, location) page
+// overwrites the earlier one's cells; every other cell is one packed-key
+// write.
+func fill[P any](plan *evalPlan, pages []P, at func(P) (Query, Location), cells []cellValue, defined int) *Table {
+	t := NewTableSized(defined, len(plan.keys), 0, 0)
+	gids := make([]int32, len(plan.keys)) // table id by slot; -1 until interned
+	for s := range gids {
+		gids[s] = -1
 	}
-	s := f.plan.slot[i]
-	if f.gids[s] < 0 {
-		f.gids[s] = f.t.groupID(f.plan.keys[s], f.plan.groups[i])
+	ng := len(plan.groups)
+	for k, p := range pages {
+		var qid, lid int32 = -1, -1
+		for i, c := range cells[k*ng : (k+1)*ng] {
+			if !c.ok {
+				continue
+			}
+			if qid < 0 {
+				q, l := at(p)
+				qid, lid = t.qs.intern(q, "queries"), t.ls.intern(l, "locations")
+			}
+			s := plan.slot[i]
+			if gids[s] < 0 {
+				gids[s] = t.groupID(plan.keys[s], plan.groups[i])
+			}
+			t.cells[pack(gids[s], qid, lid)] = c.v
+		}
 	}
-	f.t.cells[pack(f.gids[s], f.qid, f.lid)] = v
+	return t
 }
 
 // BoundedWorkers resolves a Workers setting against the number of
@@ -185,21 +268,12 @@ func BoundedWorkers(workers, items int) int {
 	return workers
 }
 
-// shardBounds returns the half-open range [lo, hi) of items assigned to
-// shard i of w over n items. Shards are contiguous, in order, and differ
-// in size by at most one, so concatenating shard outputs in shard order
-// replays the serial iteration order exactly — the invariant the
-// deterministic merge relies on.
-func shardBounds(n, w, i int) (lo, hi int) {
-	return i * n / w, (i + 1) * n / w
-}
-
 // RunSharded splits n items across w worker goroutines and calls run with
-// each shard's index and item range. It returns once every shard is done.
-// With w == 1 it runs inline on the caller's goroutine. Static contiguous
-// shards are the right shape for the evaluators, whose per-item cost is
-// uniform and whose merge step needs shard order; use RunIndexed when item
-// costs vary.
+// each shard's index and half-open item range [lo, hi). Shards are
+// contiguous, in order, and differ in size by at most one. It returns
+// once every shard is done. With w == 1 it runs inline on the caller's
+// goroutine. Static shards are the right shape for the evaluators, whose
+// per-item cost is uniform; use RunIndexed when item costs vary.
 func RunSharded(n, w int, run func(shard, lo, hi int)) {
 	if w <= 1 {
 		run(0, 0, n)
@@ -208,7 +282,7 @@ func RunSharded(n, w int, run func(shard, lo, hi int)) {
 	var wg sync.WaitGroup
 	wg.Add(w)
 	for i := 0; i < w; i++ {
-		lo, hi := shardBounds(n, w, i)
+		lo, hi := i*n/w, (i+1)*n/w
 		go func(shard, lo, hi int) {
 			defer wg.Done()
 			run(shard, lo, hi)

@@ -16,7 +16,7 @@ import (
 
 // genRankings synthesizes a crawl with deliberately uneven pages: some
 // pages miss entire groups (exercising the undefined-cell paths), some
-// queries repeat a (query, location) pair (exercising the shard-order
+// queries repeat a (query, location) pair (exercising the serial-order
 // overwrite invariant), and attribute values occasionally fall outside
 // the schema domain (exercising partition behaviour for unknown values).
 func genRankings(n int) []*MarketplaceRanking {
@@ -78,7 +78,9 @@ func genSearchResults(n int) []*SearchResults {
 }
 
 // requireTablesIdentical fails unless the two tables hold exactly the
-// same triples with exactly equal values.
+// same triples with exactly equal values, and number the members of
+// every dimension in the same order: DESIGN.md §7's first-Set order,
+// when want is the serial Set loop.
 func requireTablesIdentical(t *testing.T, want, got *Table) {
 	t.Helper()
 	if want.Len() != got.Len() {
@@ -93,14 +95,14 @@ func requireTablesIdentical(t *testing.T, want, got *Table) {
 			t.Fatalf("triple %v: want %v, got %v (not byte-identical)", tr, v, gv)
 		}
 	})
-	if lw, lg := len(want.Groups()), len(got.Groups()); lw != lg {
-		t.Fatalf("group dimension: want %d, got %d", lw, lg)
+	if !slices.Equal(want.gs.keys, got.gs.keys) {
+		t.Fatalf("group ids: want %q, got %q", want.gs.keys, got.gs.keys)
 	}
-	if lw, lg := len(want.Queries()), len(got.Queries()); lw != lg {
-		t.Fatalf("query dimension: want %d, got %d", lw, lg)
+	if !slices.Equal(want.qs.keys, got.qs.keys) {
+		t.Fatalf("query ids: want %q, got %q", want.qs.keys, got.qs.keys)
 	}
-	if lw, lg := len(want.Locations()), len(got.Locations()); lw != lg {
-		t.Fatalf("location dimension: want %d, got %d", lw, lg)
+	if !slices.Equal(want.ls.keys, got.ls.keys) {
+		t.Fatalf("location ids: want %q, got %q", want.ls.keys, got.ls.keys)
 	}
 }
 
@@ -250,59 +252,5 @@ func TestWarmPartitionerAllocatesNothing(t *testing.T) {
 	pages()
 	if allocs := testing.AllocsPerRun(10, pages); allocs != 0 {
 		t.Fatalf("a warm partitioner allocates %.0f objects per %d pages, want 0", allocs, len(rankings))
-	}
-}
-
-func TestTableMergeDisjointShards(t *testing.T) {
-	g1 := NewGroup(Predicate{"gender", "Male"})
-	g2 := NewGroup(Predicate{"gender", "Female"})
-	a, b := NewTable(), NewTable()
-	a.Set(g1, "q1", "l1", 0.1)
-	b.Set(g2, "q2", "l2", 0.2)
-	a.Merge(b)
-	if a.Len() != 2 {
-		t.Fatalf("merged len = %d, want 2", a.Len())
-	}
-	if v, ok := a.Get(g1, "q1", "l1"); !ok || v != 0.1 {
-		t.Fatalf("g1 = %v,%v", v, ok)
-	}
-	if v, ok := a.Get(g2, "q2", "l2"); !ok || v != 0.2 {
-		t.Fatalf("g2 = %v,%v", v, ok)
-	}
-	if len(a.Groups()) != 2 || len(a.Queries()) != 2 || len(a.Locations()) != 2 {
-		t.Fatalf("merged dimensions = %d groups × %d queries × %d locations, want 2×2×2",
-			len(a.Groups()), len(a.Queries()), len(a.Locations()))
-	}
-	// b must be untouched by the merge.
-	if b.Len() != 1 {
-		t.Fatalf("merge mutated its argument: len = %d", b.Len())
-	}
-}
-
-func TestTableMergeOverlappingShardsLaterWins(t *testing.T) {
-	g := NewGroup(Predicate{"gender", "Male"})
-	a, b := NewTable(), NewTable()
-	a.Set(g, "q", "l", 0.1)
-	a.Set(g, "q", "l2", 0.3)
-	b.Set(g, "q", "l", 0.9) // overlaps a's triple
-	a.Merge(b)
-	if a.Len() != 2 {
-		t.Fatalf("merged len = %d, want 2", a.Len())
-	}
-	if v, _ := a.Get(g, "q", "l"); v != 0.9 {
-		t.Fatalf("overlap = %v, want the merged-in 0.9 (later shard wins)", v)
-	}
-	if v, _ := a.Get(g, "q", "l2"); v != 0.3 {
-		t.Fatalf("untouched triple = %v, want 0.3", v)
-	}
-}
-
-func TestTableMergeNilIsNoOp(t *testing.T) {
-	g := NewGroup(Predicate{"gender", "Male"})
-	a := NewTable()
-	a.Set(g, "q", "l", 0.5)
-	a.Merge(nil)
-	if a.Len() != 1 {
-		t.Fatalf("len = %d after nil merge, want 1", a.Len())
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime/pprof"
-	"time"
 
 	"fairjob/internal/metrics"
 	"fairjob/internal/obs"
@@ -249,71 +247,29 @@ func (e *SearchEvaluator) EvaluateAll(results []*SearchResults, groups []Group) 
 // work starts; a context that ends mid-evaluation stops every shard at
 // its next result-set boundary and returns ctx.Err().
 //
-// The work is sharded across Workers goroutines (see the field doc): each
-// worker partitions its result sets once by plan slot, memoizes pairwise
-// distances per result set, fills a private table with its contiguous
-// slice of result sets by member id, and the shards are merged in shard
-// order, so the result is byte-identical to a single-threaded evaluation.
+// The work is sharded across Workers goroutines (see the field doc):
+// each worker partitions its result sets by plan slot, memoizes pairwise
+// distances per result set and computes their cells, and one serial pass
+// fills the table in result-set order, so the result is byte-identical
+// to a single-threaded evaluation.
 func (e *SearchEvaluator) EvaluateAllCtx(ctx context.Context, results []*SearchResults, groups []Group) (*Table, error) {
 	dist, err := e.distFunc()
 	if err != nil {
 		return nil, err
 	}
-	if groups == nil {
-		groups = e.Schema.Universe()
-	}
-	plan := newEvalPlan(e.Schema, groups)
-	run := newEvalMetrics(e.Obs, "search").begin()
-	w := BoundedWorkers(e.Workers, len(results))
-	shards := make([]*Table, w)
-	errs := make([]error, w)
-	done := ctx.Done()
-	// Run the fan-out under pprof labels: the shard goroutines inherit
-	// them, so CPU profiles attribute evaluation samples to the evaluator
-	// family and measure (and keep any request labels already on ctx).
-	defer pprof.SetGoroutineLabels(ctx)
-	ctx = pprof.WithLabels(ctx, pprof.Labels("eval", "search", "measure", e.Measure.String()))
-	pprof.SetGoroutineLabels(ctx)
-	RunSharded(len(results), w, func(shard, lo, hi int) {
-		start := time.Now()
-		cells, dcHits, dcMisses := 0, 0, 0
-		t := getShardTable()
-		fill := newShardFill(t, plan)
-		pt := newPartitioner(plan)
-		dc := &distCache{}
-		for _, sr := range results[lo:hi] {
-			if done != nil {
-				select {
-				case <-done:
-					errs[shard] = ctx.Err()
-					return
-				default:
+	return evaluate(ctx, evalJob[*SearchResults]{
+		schema: e.Schema, family: "search", measure: e.Measure.String(), workers: e.Workers, obs: e.Obs,
+		at: func(sr *SearchResults) (Query, Location) { return sr.Query, sr.Location },
+		shard: func(plan *evalPlan, run *evalRun) func(*SearchResults, []cellValue) {
+			pt, dc := newPartitioner(plan), &distCache{}
+			return func(sr *SearchResults, row []cellValue) {
+				part := pt.users(sr)
+				dc.reset(dist, len(sr.Users))
+				for i := range row {
+					row[i].v, row[i].ok = searchCell(sr, part, dc, plan.slot[i], plan.comp[i])
 				}
+				run.distCacheDone(dc.hits, dc.misses)
 			}
-			part := pt.users(sr)
-			dc.reset(dist, len(sr.Users))
-			fill.page(sr.Query, sr.Location)
-			for i := range plan.groups {
-				if v, ok := searchCell(sr, part, dc, plan.slot[i], plan.comp[i]); ok {
-					fill.set(i, v)
-					cells++
-				}
-			}
-			dcHits += dc.hits
-			dcMisses += dc.misses
-		}
-		shards[shard] = t
-		run.shardDone(start, hi-lo, cells)
-		run.distCacheDone(dcHits, dcMisses)
-	})
-	for _, err := range errs {
-		if err != nil {
-			putShardTables(shards, nil)
-			return nil, err
-		}
-	}
-	out := MergeTables(shards)
-	putShardTables(shards, out)
-	run.finish(w)
-	return out, nil
+		},
+	}, results, groups)
 }

@@ -33,9 +33,8 @@ const (
 // Table stores unfairness values d<g,q,l> for every evaluated triple. It
 // is the substrate the three index families and both problem solvers read
 // from. A Table is cheap to copy by reference; it is not safe for
-// concurrent mutation. Concurrent writers must each fill a private table
-// and combine them with Merge, which is how the evaluators' sharded
-// EvaluateAll pipelines work.
+// concurrent mutation. The evaluators' sharded EvaluateAll pipelines
+// compute cells concurrently but fill their table on one goroutine.
 //
 // Storage is interned: each dimension keeps an append-only dictionary
 // that numbers its members in order of first Set, and a cell is keyed by
@@ -84,15 +83,6 @@ func memberID(n int, dim string) int32 {
 	return int32(n)
 }
 
-// remap interns keys and returns their ids in d, position for position.
-func (d *dict[K]) remap(keys []K, dim string) []int32 {
-	ids := make([]int32, len(keys))
-	for i, k := range keys {
-		ids[i] = d.intern(k, dim)
-	}
-	return ids
-}
-
 // sorted returns the members in ascending order.
 func (d *dict[K]) sorted() []K {
 	out := make([]K, len(d.keys))
@@ -119,11 +109,6 @@ func (d *dict[K]) clone() dict[K] {
 	return dict[K]{ids: maps.Clone(d.ids), keys: slices.Clone(d.keys)}
 }
 
-func (d *dict[K]) reset() {
-	clear(d.ids)
-	d.keys = d.keys[:0]
-}
-
 // pack builds a cell key from its member ids; unpack splits it.
 func pack(g, q, l int32) uint64 {
 	return uint64(g)<<(2*idBits) | uint64(q)<<idBits | uint64(l)
@@ -141,8 +126,8 @@ func NewTable() *Table {
 // NewTableSized returns an empty table whose maps are presized for the
 // given entry counts. Sizing is a capacity hint, not a bound — the table
 // still grows past it — but a writer that knows its cardinalities up
-// front (the sharded evaluators' merge step, a bulk loader) avoids every
-// incremental rehash of the fill.
+// front (the evaluators' fill, a bulk loader) avoids every incremental
+// rehash of the fill.
 func NewTableSized(values, groups, qs, ls int) *Table {
 	return &Table{
 		cells:  make(map[uint64]float64, values),
@@ -172,79 +157,6 @@ func (t *Table) groupID(key string, g Group) int32 {
 		t.groups = append(t.groups, g)
 	}
 	return id
-}
-
-// Merge copies every triple of other into t, overwriting values t already
-// holds for the same triple. It is the combination step of the sharded
-// evaluation pipeline: each worker fills a private table and the shards
-// are merged in shard order, so later shards win overlaps exactly as
-// later iterations win in a serial fill. Merge mutates t only; other is
-// read but never modified, and a nil or empty other is a no-op.
-//
-// Each member of other is interned once, in other's id order, so
-// merging contiguous shards in shard order numbers the members exactly
-// as the serial fill does.
-func (t *Table) Merge(other *Table) {
-	if other == nil {
-		return
-	}
-	gids := make([]int32, len(other.groups))
-	for id, g := range other.groups {
-		gids[id] = t.groupID(other.gs.keys[id], g)
-	}
-	qids := t.qs.remap(other.qs.keys, "queries")
-	lids := t.ls.remap(other.ls.keys, "locations")
-	for k, v := range other.cells {
-		g, q, l := unpack(k)
-		t.cells[pack(gids[g], qids[q], lids[l])] = v
-	}
-}
-
-// MergeTables combines shard tables in shard order into one table. With
-// one shard it returns that shard directly (no copy); with more it
-// allocates the result presized to the combined entry counts and merges
-// every shard into it, so the combination performs exactly one map fill
-// with zero incremental rehashes — the cost that made the sharded
-// evaluators' workers>1 merge path pay pure overhead (BENCH_PR7). Nil
-// shards are skipped; shard order is preserved, so later shards win
-// overlapping triples exactly as Table.Merge documents.
-func MergeTables(shards []*Table) *Table {
-	first := -1
-	var nv, ng, nq, nl int
-	for i, s := range shards {
-		if s == nil {
-			continue
-		}
-		if first < 0 {
-			first = i
-		}
-		nv += len(s.cells)
-		ng += len(s.groups)
-		nq += len(s.qs.keys)
-		nl += len(s.ls.keys)
-	}
-	if first < 0 {
-		return NewTable()
-	}
-	if nv == len(shards[first].cells) {
-		// Every other shard is nil or empty: reuse the one filled table.
-		return shards[first]
-	}
-	out := NewTableSized(nv, ng, nq, nl)
-	for _, s := range shards {
-		out.Merge(s)
-	}
-	return out
-}
-
-// reset empties the table in place, keeping its capacity — the
-// recycling step of the shard-table pool.
-func (t *Table) reset() {
-	clear(t.cells)
-	t.gs.reset()
-	t.groups = t.groups[:0]
-	t.qs.reset()
-	t.ls.reset()
 }
 
 // Clone returns a deep copy of the table: the copy and the original share

@@ -126,31 +126,25 @@ func TestTableString(t *testing.T) {
 }
 
 // crawlTable builds a table of the benchmark crawl's shape, 11 groups ×
-// 96 queries × 56 locations with 95% of the cells defined, the way the
-// sharded evaluators do: four shards fill private tables over contiguous
-// runs of queries and MergeTables combines them.
+// 96 queries × 56 locations with 95% of the cells defined.
 func crawlTable() *Table {
-	const ng, nq, nl, shards = 11, 96, 56, 4
+	const ng, nq, nl = 11, 96, 56
 	rng := stats.NewRNG(7)
 	groups := make([]Group, ng)
 	for i := range groups {
 		groups[i] = NewGroup(Predicate{"cohort", fmt.Sprintf("g%02d", i)})
 	}
-	parts := make([]*Table, shards)
-	for s := range parts {
-		parts[s] = NewTable()
-		lo, hi := shardBounds(nq, shards, s)
-		for q := lo; q < hi; q++ {
-			for l := 0; l < nl; l++ {
-				for _, g := range groups {
-					if rng.Bernoulli(0.95) {
-						parts[s].Set(g, Query(fmt.Sprintf("q%02d", q)), Location(fmt.Sprintf("l%02d", l)), rng.Float64())
-					}
+	tbl := NewTable()
+	for q := 0; q < nq; q++ {
+		for l := 0; l < nl; l++ {
+			for _, g := range groups {
+				if rng.Bernoulli(0.95) {
+					tbl.Set(g, Query(fmt.Sprintf("q%02d", q)), Location(fmt.Sprintf("l%02d", l)), rng.Float64())
 				}
 			}
 		}
 	}
-	return MergeTables(parts)
+	return tbl
 }
 
 // TestTableFootprint bounds what one copy of a crawl-sized table costs:
@@ -207,16 +201,11 @@ func (m *tableModel) set(g Group, q Query, l Location, v float64) {
 	m.ls[l] = true
 }
 
-// merge copies o's cells into m; o's values win.
-func (m *tableModel) merge(o *tableModel) {
-	for tr, v := range o.cells {
-		m.set(o.groups[tr.GroupKey], tr.Query, tr.Location, v)
-	}
-}
-
 func (m *tableModel) clone() *tableModel {
 	c := newTableModel()
-	c.merge(m)
+	for tr, v := range m.cells {
+		c.set(m.groups[tr.GroupKey], tr.Query, tr.Location, v)
+	}
 	return c
 }
 
@@ -343,14 +332,12 @@ func checkTable(t *testing.T, step string, tbl *Table, m *tableModel, p members)
 	}
 }
 
-// TestTableMatchesReferenceModel runs seeded random sequences of writes,
-// merges, clones and resets against a Table and the plain-map model,
-// comparing every read after every step, RangeSorted's positions among
-// them. The member pool is small, so
-// Set overwrites and merged shards overlap; clone independence is
-// checked by writing to one side and reading both. It then checks two
-// sharded evaluations, the second over recycled shard tables, against
-// the single-worker one.
+// TestTableMatchesReferenceModel runs seeded random sequences of writes
+// and clones against a Table and the plain-map model, comparing every
+// read after every step, RangeSorted's positions among them. The member
+// pool is small, so Set overwrites; clone independence is checked by
+// writing to one side and reading both. It then checks the sharded
+// evaluation at four workers against the single-worker one.
 func TestTableMatchesReferenceModel(t *testing.T) {
 	pool := members{
 		gs: []Group{
@@ -382,54 +369,13 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 				m.set(g, q, l, v)
 			}
 		}
-		// shard returns nil, an empty table or a random one, with its model.
-		shard := func() (*Table, *tableModel) {
-			m := newTableModel()
-			switch rng.Intn(4) {
-			case 0:
-				return nil, m
-			case 1:
-				return NewTable(), m
-			}
-			tbl := NewTable()
-			set(tbl, m, 1+rng.Intn(12))
-			return tbl, m
-		}
 		tbl, m := NewTable(), newTableModel()
 		for step := 0; step < steps; step++ {
 			name := fmt.Sprintf("seed %d step %d", seed, step)
-			switch op := rng.Intn(10); {
-			case op < 4:
+			if rng.Intn(5) < 4 {
 				name += " set"
 				set(tbl, m, 1+rng.Intn(6))
-			case op < 6:
-				name += " Merge"
-				o, om := shard()
-				tbl.Merge(o)
-				m.merge(om)
-				if o != nil {
-					checkTable(t, name+" (argument)", o, om, pool)
-				}
-			case op < 8:
-				name += " MergeTables"
-				shards, models := []*Table{tbl}, []*tableModel{m}
-				for i := rng.Intn(4); i > 0; i-- {
-					o, om := shard()
-					shards, models = append(shards, o), append(models, om)
-				}
-				rng.Shuffle(len(shards), func(i, j int) {
-					shards[i], shards[j] = shards[j], shards[i]
-					models[i], models[j] = models[j], models[i]
-				})
-				merged, mm := MergeTables(shards), newTableModel()
-				for i, om := range models {
-					mm.merge(om)
-					if shards[i] != nil && shards[i] != merged {
-						checkTable(t, name+" (shard)", shards[i], om, pool)
-					}
-				}
-				tbl, m = merged, mm
-			case op < 9:
+			} else {
 				name += " Clone"
 				c, cm := tbl.Clone(), m.clone()
 				checkTable(t, name+" (copy)", c, cm, pool)
@@ -442,17 +388,11 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 				if rng.Bernoulli(0.5) {
 					tbl, m = c, cm
 				}
-			default:
-				name += " reset"
-				tbl.reset()
-				m = newTableModel()
 			}
 			checkTable(t, name, tbl, m, pool)
 		}
 	}
 
-	// The sharded evaluation at four workers merges four pooled shard
-	// tables, so the second run can reuse the ones the first one reset.
 	rankings := genRankings(60)
 	serial := (&MarketplaceEvaluator{Schema: DefaultSchema(), Measure: MeasureExposure, Workers: 1}).EvaluateAll(rankings, nil)
 	m := newTableModel()
@@ -466,7 +406,5 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 		ls: append(serial.Locations(), "absent"),
 	}
 	ev := &MarketplaceEvaluator{Schema: DefaultSchema(), Measure: MeasureExposure, Workers: 4}
-	for run := 1; run <= 2; run++ {
-		checkTable(t, fmt.Sprintf("EvaluateAll at 4 workers, run %d", run), ev.EvaluateAll(rankings, nil), m, evaluated)
-	}
+	checkTable(t, "EvaluateAll at 4 workers", ev.EvaluateAll(rankings, nil), m, evaluated)
 }

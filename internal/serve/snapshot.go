@@ -228,7 +228,7 @@ func newOwnedSnapshot(tbl *core.Table, deferred bool) *Snapshot {
 
 // WithUpdates returns a new snapshot whose table is a copy of this one
 // with apply's edits: the sealed table is cloned, apply mutates the clone
-// freely (Set / Merge / anything on core.Table), and the clone is frozen
+// freely (Set, SetKey, anything on core.Table), and the clone is frozen
 // under a fresh generation, its query structures built now or deferred
 // as the receiver's were. The receiver is untouched — queries running
 // against it concurrently keep seeing the old generation, and cache

@@ -25,8 +25,10 @@
 #                            Figure-5 goldens, deferred ≡ eager
 #                            snapshots), the byte-identity contracts of
 #                            the table build (evaluators at any worker
-#                            count and group set ≡ the serial loop, the
+#                            count and group set ≡ the serial loop, in
+#                            values and member numbering, the
 #                            page partition ≡ naive membership, the
+#                            by-rank exposure ≡ ExposureAtRank, the
 #                            table ≡ its reference model, the index
 #                            families ≡ their invariants whatever the
 #                            table's fill order), Problem 2's
@@ -147,7 +149,7 @@ echo "== named gates: correctness contracts and memory pins"
 gate '^TestAlgorithmsEquivalentOnRandomTables$' ./internal/topk/
 gate '^TestCoordinatorEquivalence$|^TestCoordinatorEquivalenceAfterRefresh$|^FuzzClusterEquivalence$|^TestFragmentFootprint$|^TestSplitTableAllocations$|^TestNodeFootprint$|^TestScanReplyAllocatesOnce$' ./internal/cluster/
 gate '^TestGoldenCompletionSemantics$|^TestGoldenDefinedOnlySemantics$|^TestGoldenQueryAndLocationComparisons$|^TestComparisonAccesses$|^TestUnindexedScopeErrors$|^TestUnknownGroupReadsAsZero$|^TestComparisonAllocations$' ./internal/compare/
-gate '^TestExposureMatchesPaperFigure5$|^TestTableFootprint$|^TestMarketplaceEvaluateAllDeterministicAcrossWorkers$|^TestSearchEvaluateAllDeterministicAcrossWorkers$|^TestPartitionMatchesNaiveMembership$|^TestMarketplaceEvaluatorMatchesReference$|^TestTableMatchesReferenceModel$|^TestWarmPartitionerAllocatesNothing$' ./internal/core/
+gate '^TestExposureMatchesPaperFigure5$|^TestTableFootprint$|^TestMarketplaceEvaluateAllDeterministicAcrossWorkers$|^TestSearchEvaluateAllDeterministicAcrossWorkers$|^TestPartitionMatchesNaiveMembership$|^TestMarketplaceEvaluatorMatchesReference$|^TestTableMatchesReferenceModel$|^TestWarmPartitionerAllocatesNothing$|^TestScratchExposureMatchesExposureAtRank$' ./internal/core/
 gate '^TestBuildAllFootprint$|^TestIndexInvariantsProperty$|^TestBuildAllIgnoresFillOrder$' ./internal/index/
 gate '^TestTracingAllocatesNothing$|^TestDeferredSnapshotMatchesEager$|^TestDeferredSnapshotBuildsOnce$|^TestWithUpdatesKeepsDeferral$' ./internal/serve/
 gate '^TestMitigateGolden$' ./internal/mitigate/
