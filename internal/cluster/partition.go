@@ -119,11 +119,13 @@ func (u *Universe) counts() (g, q, l int) {
 // Route(q, l, n) — so the union of the sub-tables is the original
 // table, the invariant behind coordinator≡single-engine equivalence.
 // Each page is routed once, and each cell is set by the group key tbl
-// already holds.
+// already holds. Every sub-table is presized with tbl's member counts,
+// so its rows are as wide as tbl's groups from the start.
 func SplitTable(tbl *core.Table, n int) []*core.Table {
 	subs := make([]*core.Table, n)
+	gs, qs, ls := len(tbl.Groups()), len(tbl.Queries()), len(tbl.Locations())
 	for p := range subs {
-		subs[p] = core.NewTableSized(tbl.Len()/n, 0, 0, 0)
+		subs[p] = core.NewTableSized(tbl.Len()/n, gs, qs, ls)
 	}
 	owner := make(map[page]int)
 	tbl.Range(func(tr core.Triple, v float64) {

@@ -310,13 +310,14 @@ func (e *MarketplaceEvaluator) EvaluateAllCtx(ctx context.Context, rankings []*M
 	return evaluate(ctx, evalJob[*MarketplaceRanking]{
 		schema: e.Schema, family: "market", measure: e.Measure.String(), workers: e.Workers, obs: e.Obs,
 		at: func(r *MarketplaceRanking) (Query, Location) { return r.Query, r.Location },
-		shard: func(plan *evalPlan, _ *evalRun) func(*MarketplaceRanking, []cellValue) {
+		shard: func(plan *evalPlan, _ *evalRun) func(*MarketplaceRanking, cellRow) {
 			pt, sc := newPartitioner(plan), e.newScratch()
-			return func(r *MarketplaceRanking, row []cellValue) {
+			return func(r *MarketplaceRanking, row cellRow) {
 				part := pt.ranking(r)
 				sc.preparePage(e, r)
-				for i := range row {
-					row[i].v, row[i].ok = cell(part, plan.slot[i], plan.comp[i], sc)
+				for i := range row.v {
+					v, ok := cell(part, plan.slot[i], plan.comp[i], sc)
+					row.set(i, v, ok)
 				}
 			}
 		},

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math/bits"
 	"runtime"
 	"runtime/pprof"
 	"slices"
@@ -133,11 +134,34 @@ func (p *evalPlan) combo(a Assignment) int {
 	return c
 }
 
-// cellValue is one (page, plan group) cell of an evaluation: its value,
-// and whether it is defined.
-type cellValue struct {
-	v  float64
-	ok bool
+// cellRow is one page's cells in an evaluation buffer: a value per plan
+// group, and a defined bit per plan group in words of 64.
+type cellRow struct {
+	v   []float64
+	def []uint64
+}
+
+// set records plan group i's cell; an undefined cell stays unset.
+func (r cellRow) set(i int, v float64, ok bool) {
+	if ok {
+		r.v[i] = v
+		r.def[i/64] |= 1 << (i % 64)
+	}
+}
+
+// page returns page k's row of a buffer of ng-group rows.
+func (r cellRow) page(k, ng int) cellRow {
+	nw := words(ng)
+	return cellRow{r.v[k*ng : (k+1)*ng], r.def[k*nw : (k+1)*nw]}
+}
+
+// defined returns the number of defined cells in r.
+func (r cellRow) defined() int {
+	n := 0
+	for _, w := range r.def {
+		n += bits.OnesCount64(w)
+	}
+	return n
 }
 
 // evalJob is one EvaluateAllCtx call as evaluate runs it: the
@@ -152,17 +176,18 @@ type evalJob[P any] struct {
 	// shard returns what one shard runs per page: compute the page's
 	// cells into row, one per plan group in plan order. It is called on
 	// the shard's goroutine, so the closure may own that shard's scratch.
-	shard func(plan *evalPlan, run *evalRun) func(p P, row []cellValue)
+	shard func(plan *evalPlan, run *evalRun) func(p P, row cellRow)
 }
 
 // evaluate is both evaluators' EvaluateAllCtx pipeline. A nil groups
 // slice evaluates the schema universe. It shards the pages across
 // j.workers goroutines (BoundedWorkers); a shard computes its pages'
 // cells into their rows of one buffer, sized once for every (page, plan
-// group). Then one serial pass fills a single table from the buffer in
-// page order, so the table is byte-identical to a serial Set loop at any
-// worker count. A context that ends mid-evaluation stops every shard at
-// its next page boundary and returns ctx.Err().
+// group): a value and a defined bit each. Then one serial pass fills a
+// single table from the buffer in page order, so the table is
+// byte-identical to a serial Set loop at any worker count. A context
+// that ends mid-evaluation stops every shard at its next page boundary
+// and returns ctx.Err().
 func evaluate[P any](ctx context.Context, j evalJob[P], pages []P, groups []Group) (*Table, error) {
 	if groups == nil {
 		groups = j.schema.Universe()
@@ -171,8 +196,7 @@ func evaluate[P any](ctx context.Context, j evalJob[P], pages []P, groups []Grou
 	run := newEvalMetrics(j.obs, j.family).begin()
 	w := BoundedWorkers(j.workers, len(pages))
 	ng := len(plan.groups)
-	cells := make([]cellValue, len(pages)*ng)
-	var defined atomic.Int64
+	buf := cellRow{make([]float64, len(pages)*ng), make([]uint64, len(pages)*words(ng))}
 	errs := make([]error, w)
 	done := ctx.Done()
 	// Run the fan-out under pprof labels: the shard goroutines inherit
@@ -194,15 +218,10 @@ func evaluate[P any](ctx context.Context, j evalJob[P], pages []P, groups []Grou
 				default:
 				}
 			}
-			row := cells[k*ng : (k+1)*ng]
+			row := buf.page(k, ng)
 			page(pages[k], row)
-			for _, c := range row {
-				if c.ok {
-					n++
-				}
-			}
+			n += row.defined()
 		}
-		defined.Add(int64(n))
 		run.shardDone(start, hi-lo, n)
 	})
 	for _, err := range errs {
@@ -210,40 +229,52 @@ func evaluate[P any](ctx context.Context, j evalJob[P], pages []P, groups []Grou
 			return nil, err
 		}
 	}
-	t := fill(plan, pages, j.at, cells, int(defined.Load()))
+	t := fill(plan, pages, j.at, buf)
 	run.finish(w)
 	return t, nil
 }
 
-// fill writes an evaluation's defined cells into one table presized for
-// them, page by page in order, by member id. It interns a page's query
-// and location on the page's first defined cell, and a slot's group on
-// the first cell defined for it, so the table numbers its members in
-// first-Set order as SetKey does, and a repeated (query, location) page
-// overwrites the earlier one's cells; every other cell is one packed-key
-// write.
-func fill[P any](plan *evalPlan, pages []P, at func(P) (Query, Location), cells []cellValue, defined int) *Table {
-	t := NewTableSized(defined, len(plan.keys), 0, 0)
+// fill writes an evaluation's defined cells into one table, page by page
+// in order, by member id. The table is presized for one row per page
+// with a defined cell, each a slot wide per evaluated group. fill interns
+// a page's query and location on the page's first defined cell, and a
+// slot's group on the first cell defined for it, so the table numbers its
+// members in first-Set order as SetKey does, and a repeated (query,
+// location) page overwrites the earlier one's cells in its row.
+func fill[P any](plan *evalPlan, pages []P, at func(P) (Query, Location), buf cellRow) *Table {
+	ng := len(plan.groups)
+	rows, width := 0, 0 // pages with a defined cell; the evaluated groups' distinct slots
+	for k := range pages {
+		if buf.page(k, ng).defined() > 0 {
+			rows++
+		}
+	}
+	for i, s := range plan.slot {
+		if !slices.Contains(plan.slot[:i], s) {
+			width++
+		}
+	}
+	t := NewTableSized(rows*width, width, 0, 0)
 	gids := make([]int32, len(plan.keys)) // table id by slot; -1 until interned
 	for s := range gids {
 		gids[s] = -1
 	}
-	ng := len(plan.groups)
 	for k, p := range pages {
+		row := buf.page(k, ng)
 		var qid, lid int32 = -1, -1
-		for i, c := range cells[k*ng : (k+1)*ng] {
-			if !c.ok {
-				continue
+		for wi, w := range row.def {
+			for ; w != 0; w &= w - 1 {
+				i := wi*64 + bits.TrailingZeros64(w)
+				if qid < 0 {
+					q, l := at(p)
+					qid, lid = t.qs.intern(q, "queries"), t.ls.intern(l, "locations")
+				}
+				s := plan.slot[i]
+				if gids[s] < 0 {
+					gids[s] = t.groupID(plan.keys[s], plan.groups[i])
+				}
+				t.set(gids[s], qid, lid, row.v[i])
 			}
-			if qid < 0 {
-				q, l := at(p)
-				qid, lid = t.qs.intern(q, "queries"), t.ls.intern(l, "locations")
-			}
-			s := plan.slot[i]
-			if gids[s] < 0 {
-				gids[s] = t.groupID(plan.keys[s], plan.groups[i])
-			}
-			t.cells[pack(gids[s], qid, lid)] = c.v
 		}
 	}
 	return t

@@ -260,13 +260,14 @@ func (e *SearchEvaluator) EvaluateAllCtx(ctx context.Context, results []*SearchR
 	return evaluate(ctx, evalJob[*SearchResults]{
 		schema: e.Schema, family: "search", measure: e.Measure.String(), workers: e.Workers, obs: e.Obs,
 		at: func(sr *SearchResults) (Query, Location) { return sr.Query, sr.Location },
-		shard: func(plan *evalPlan, run *evalRun) func(*SearchResults, []cellValue) {
+		shard: func(plan *evalPlan, run *evalRun) func(*SearchResults, cellRow) {
 			pt, dc := newPartitioner(plan), &distCache{}
-			return func(sr *SearchResults, row []cellValue) {
+			return func(sr *SearchResults, row cellRow) {
 				part := pt.users(sr)
 				dc.reset(dist, len(sr.Users))
-				for i := range row {
-					row[i].v, row[i].ok = searchCell(sr, part, dc, plan.slot[i], plan.comp[i])
+				for i := range row.v {
+					v, ok := searchCell(sr, part, dc, plan.slot[i], plan.comp[i])
+					row.set(i, v, ok)
 				}
 				run.distCacheDone(dc.hits, dc.misses)
 			}

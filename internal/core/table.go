@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"maps"
+	"math/bits"
 	"slices"
 )
 
@@ -22,13 +23,8 @@ type Triple struct {
 	Location Location
 }
 
-// idBits is the width of a member id in a packed cell key, so a
-// dimension holds at most maxMembers members.
-const (
-	idBits     = 21
-	maxMembers = 1 << idBits
-	idMask     = maxMembers - 1
-)
+// maxMembers bounds each dimension's member count.
+const maxMembers = 1 << 21
 
 // Table stores unfairness values d<g,q,l> for every evaluated triple. It
 // is the substrate the three index families and both problem solvers read
@@ -36,19 +32,29 @@ const (
 // concurrent mutation. The evaluators' sharded EvaluateAll pipelines
 // compute cells concurrently but fill their table on one goroutine.
 //
-// Storage is interned: each dimension keeps an append-only dictionary
-// that numbers its members in order of first Set, and a cell is keyed by
-// its three member ids packed at 21 bits each into one uint64. A table
-// therefore holds at most 2^21 (2,097,152) groups, queries and locations
-// each. Interning one more panics, naming the dimension: an id that did
-// not fit would alias another cell's key and Get would return the wrong
-// value.
+// Storage is interned and page-major, the F-Box's own unit: each
+// dimension keeps an append-only dictionary that numbers its members in
+// order of first Set, and the values of one (query, location) page form
+// one row, a slot per group id with a defined bit per slot. A dense page
+// index maps a page's query and location ids to its row; rows are
+// numbered in order of their page's first Set. A group first Set when a
+// row has no free slot widens every row, at least doubling the width,
+// so the widening is amortised; Clone trims the copy's rows to the
+// groups the table holds. A table holds at most 2^21 (2,097,152) groups,
+// queries and locations each, which keeps a row at most 16 MB wide;
+// interning one more panics, naming the dimension.
 type Table struct {
-	cells  map[uint64]float64
 	gs     dict[string] // group keys
 	groups []Group      // by group id
 	qs     dict[Query]
 	ls     dict[Location]
+
+	rowOf  []int32   // page index: rowOf[q*stride+l] is page (q, l)'s row + 1, or 0
+	stride int       // location ids per query in rowOf; at least len(ls.keys)
+	width  int       // slots per row; at least len(groups)
+	vals   []float64 // vals[r*width+g]: row r's slot g
+	def    []uint64  // words(width) words per row; bit g: slot g is defined
+	n      int       // defined slots
 }
 
 // dict is an append-only member dictionary: a member's id is its
@@ -75,7 +81,7 @@ func (d *dict[K]) intern(k K, dim string) int32 {
 }
 
 // memberID returns the id of a dimension's n-th member, counting from 0,
-// and panics when it does not fit in a packed key.
+// and panics past the dimension's bound.
 func memberID(n int, dim string) int32 {
 	if n >= maxMembers {
 		panic(fmt.Sprintf("core: table holds more than %d %s", maxMembers, dim))
@@ -109,13 +115,16 @@ func (d *dict[K]) clone() dict[K] {
 	return dict[K]{ids: maps.Clone(d.ids), keys: slices.Clone(d.keys)}
 }
 
-// pack builds a cell key from its member ids; unpack splits it.
-func pack(g, q, l int32) uint64 {
-	return uint64(g)<<(2*idBits) | uint64(q)<<idBits | uint64(l)
-}
+// words returns the number of 64-bit words that hold n defined bits.
+func words(n int) int { return (n + 63) / 64 }
 
-func unpack(k uint64) (g, q, l int32) {
-	return int32(k >> (2 * idBits)), int32(k >> idBits & idMask), int32(k & idMask)
+// grow extends s by n zeros, reallocating as append does. It allocates
+// nothing while s has room, even in an instrumented (-race) build, which
+// makes append(s, make([]E, n)...) allocate its temporary.
+func grow[E any](s []E, n int) []E {
+	s = slices.Grow(s, n)[:len(s)+n]
+	clear(s[len(s)-n:])
+	return s
 }
 
 // NewTable returns an empty unfairness table.
@@ -123,18 +132,29 @@ func NewTable() *Table {
 	return NewTableSized(0, 0, 0, 0)
 }
 
-// NewTableSized returns an empty table whose maps are presized for the
-// given entry counts. Sizing is a capacity hint, not a bound — the table
-// still grows past it — but a writer that knows its cardinalities up
-// front (the evaluators' fill, a bulk loader) avoids every incremental
-// rehash of the fill.
+// NewTableSized returns an empty table presized for the given counts of
+// values, groups, queries and locations. Sizing is a capacity hint, not a
+// bound — the table still grows past it. groups sets the row width, so
+// rows widen only past that many groups; values then reserves
+// ⌈values/groups⌉ rows (none when groups is 0, since a row's width is
+// not known yet), and queries × locations size the page index. A writer
+// that knows its cardinalities up front (the evaluators' fill, a bulk
+// loader) avoids every regrowth of the fill.
 func NewTableSized(values, groups, qs, ls int) *Table {
+	rows := 0
+	if groups > 0 {
+		rows = (values + groups - 1) / groups
+	}
 	return &Table{
-		cells:  make(map[uint64]float64, values),
 		gs:     newDict[string](groups),
 		groups: make([]Group, 0, groups),
 		qs:     newDict[Query](qs),
 		ls:     newDict[Location](ls),
+		rowOf:  make([]int32, 0, qs*ls),
+		stride: ls,
+		width:  groups,
+		vals:   make([]float64, 0, rows*groups),
+		def:    make([]uint64, 0, rows*words(groups)),
 	}
 }
 
@@ -147,30 +167,118 @@ func (t *Table) Set(g Group, q Query, l Location, v float64) {
 // as the GroupKey of a Triple that Range yields; it skips building the
 // key string. key must equal g.Key().
 func (t *Table) SetKey(key string, g Group, q Query, l Location, v float64) {
-	t.cells[pack(t.groupID(key, g), t.qs.intern(q, "queries"), t.ls.intern(l, "locations"))] = v
+	t.set(t.groupID(key, g), t.qs.intern(q, "queries"), t.ls.intern(l, "locations"), v)
 }
 
-// groupID interns a group key, recording g beside a new one.
+// groupID interns a group key, recording g beside a new one and widening
+// the rows when it does not fit them.
 func (t *Table) groupID(key string, g Group) int32 {
 	id := t.gs.intern(key, "groups")
 	if int(id) == len(t.groups) {
 		t.groups = append(t.groups, g)
+		if len(t.groups) > t.width {
+			w := max(len(t.groups), 2*t.width)
+			t.vals, t.def = t.relaid(w)
+			t.width = w
+		}
 	}
 	return id
+}
+
+// set records v in slot g of page (q, l)'s row, adding the row when the
+// page has none.
+func (t *Table) set(g, q, l int32, v float64) {
+	r := t.rowAt(q, l)
+	w := &t.def[r*words(t.width)+int(g)/64]
+	if bit := uint64(1) << (g % 64); *w&bit == 0 {
+		*w |= bit
+		t.n++
+	}
+	t.vals[r*t.width+int(g)] = v
+}
+
+// row returns page (q, l)'s row, or -1 when the page has none.
+func (t *Table) row(q, l int32) int {
+	if i := int(q)*t.stride + int(l); int(l) < t.stride && i < len(t.rowOf) {
+		return int(t.rowOf[i]) - 1
+	}
+	return -1
+}
+
+// rowAt returns page (q, l)'s row, appending an empty one when the page
+// has none. A location id past the index's stride regrids the index, at
+// least doubling the stride.
+func (t *Table) rowAt(q, l int32) int {
+	if int(l) >= t.stride {
+		s := max(int(l)+1, 2*t.stride)
+		t.rowOf, t.stride = t.regrid(s), s
+	}
+	i := int(q)*t.stride + int(l)
+	if i >= len(t.rowOf) {
+		t.rowOf = grow(t.rowOf, (int(q)+1)*t.stride-len(t.rowOf))
+	}
+	if r := t.rowOf[i]; r > 0 {
+		return int(r) - 1
+	}
+	r := t.rows()
+	t.rowOf[i] = int32(r + 1)
+	t.vals = grow(t.vals, t.width)
+	t.def = grow(t.def, words(t.width))
+	return r
+}
+
+// rows returns the number of rows.
+func (t *Table) rows() int {
+	if t.width == 0 {
+		return 0
+	}
+	return len(t.vals) / t.width
+}
+
+// regrid returns a copy of the page index laid out stride location ids
+// per query, covering every interned query.
+func (t *Table) regrid(stride int) []int32 {
+	idx := make([]int32, len(t.qs.keys)*stride)
+	for q := 0; q < len(t.rowOf)/max(t.stride, 1); q++ {
+		copy(idx[q*stride:(q+1)*stride], t.rowOf[q*t.stride:(q+1)*t.stride])
+	}
+	return idx
+}
+
+// relaid returns a copy of the rows laid out width slots wide. A slot
+// keeps its bit position within its row's words, so a row's words copy
+// whole; width must hold every group.
+func (t *Table) relaid(width int) ([]float64, []uint64) {
+	if width == t.width {
+		return slices.Clone(t.vals), slices.Clone(t.def) // no zeroing before the copy
+	}
+	rows, ow, nw := t.rows(), words(t.width), words(width)
+	vals, def := make([]float64, rows*width), make([]uint64, rows*nw)
+	for r := 0; r < rows; r++ {
+		copy(vals[r*width:(r+1)*width], t.vals[r*t.width:(r+1)*t.width])
+		copy(def[r*nw:(r+1)*nw], t.def[r*ow:(r+1)*ow])
+	}
+	return vals, def
 }
 
 // Clone returns a deep copy of the table: the copy and the original share
 // no mutable state, so one side may keep writing while the other is frozen
 // behind an immutable snapshot. Group values and member strings are
-// immutable and shared.
+// immutable and shared. The copy's rows are as wide as its groups and its
+// page index as wide as its locations, so it holds no slack.
 func (t *Table) Clone() *Table {
-	return &Table{
-		cells:  maps.Clone(t.cells),
+	c := &Table{
 		gs:     t.gs.clone(),
 		groups: slices.Clone(t.groups),
 		qs:     t.qs.clone(),
 		ls:     t.ls.clone(),
+		stride: len(t.ls.keys),
+		width:  len(t.groups),
+		n:      t.n,
 	}
+	c.rowOf = t.regrid(c.stride)
+	c.vals, c.def = t.relaid(c.width)
+	return c
 }
 
 // Get returns d<g,q,l> and whether it was recorded.
@@ -186,12 +294,15 @@ func (t *Table) GetKey(groupKey string, q Query, l Location) (float64, bool) {
 	if !okG || !okQ || !okL {
 		return 0, false
 	}
-	v, ok := t.cells[pack(g, qi, li)]
-	return v, ok
+	r := t.row(qi, li)
+	if r < 0 || t.def[r*words(t.width)+int(g)/64]&(1<<(g%64)) == 0 {
+		return 0, false
+	}
+	return t.vals[r*t.width+int(g)], true
 }
 
 // Len returns the number of recorded triples.
-func (t *Table) Len() int { return len(t.cells) }
+func (t *Table) Len() int { return t.n }
 
 // Groups returns the distinct groups appearing in the table, sorted by
 // key.
@@ -221,10 +332,9 @@ func (t *Table) Locations() []Location { return t.ls.sorted() }
 
 // Range calls fn for every recorded triple in an unspecified order.
 func (t *Table) Range(fn func(tr Triple, v float64)) {
-	for k, v := range t.cells {
-		g, q, l := unpack(k)
+	t.walk(func(g, q, l int32, v float64) {
 		fn(Triple{t.gs.keys[g], t.qs.keys[q], t.ls.keys[l]}, v)
-	}
+	})
 }
 
 // RangeSorted calls fn for every recorded cell, in an unspecified order,
@@ -233,9 +343,24 @@ func (t *Table) Range(fn func(tr Triple, v float64)) {
 // lays cells out by sorted position probes no string per cell.
 func (t *Table) RangeSorted(fn func(g, q, l int, v float64)) {
 	gr, qr, lr := t.gs.ranks(), t.qs.ranks(), t.ls.ranks()
-	for k, v := range t.cells {
-		g, q, l := unpack(k)
-		fn(gr[g], qr[q], lr[l], v)
+	t.walk(func(g, q, l int32, v float64) { fn(gr[g], qr[q], lr[l], v) })
+}
+
+// walk calls fn with the member ids and value of every defined slot,
+// page by page in page-index order.
+func (t *Table) walk(fn func(g, q, l int32, v float64)) {
+	nw := words(t.width)
+	for i, r := range t.rowOf {
+		if r == 0 {
+			continue
+		}
+		q, l, r := int32(i/t.stride), int32(i%t.stride), int(r)-1
+		for k, w := range t.def[r*nw : (r+1)*nw] {
+			for ; w != 0; w &= w - 1 {
+				g := k*64 + bits.TrailingZeros64(w)
+				fn(int32(g), q, l, t.vals[r*t.width+g])
+			}
+		}
 	}
 }
 
@@ -290,5 +415,5 @@ func keysOf(gs []Group) []string {
 // String summarizes the table's dimensions.
 func (t *Table) String() string {
 	return fmt.Sprintf("Table{%d groups × %d queries × %d locations, %d triples}",
-		len(t.groups), len(t.qs.keys), len(t.ls.keys), len(t.cells))
+		len(t.groups), len(t.qs.keys), len(t.ls.keys), t.n)
 }

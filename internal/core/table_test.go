@@ -149,20 +149,21 @@ func crawlTable() *Table {
 
 // TestTableFootprint bounds what one copy of a crawl-sized table costs:
 // a serving snapshot seals the evaluator's table by Clone, and every
-// cluster node clones its partition. Keyed by three member strings, a
-// cell costs about 113 bytes.
+// cluster node clones its partition. In page-major rows a cell costs its
+// 8-byte slot plus shares of its row's defined bits, the page index and
+// the dictionaries, about 10 bytes at 95% fill; a hash map of cells cost
+// about 32.
 func TestTableFootprint(t *testing.T) {
 	tbl := crawlTable()
 	per := testutil.BytesPerRun(5, func() { tbl.Clone() }) / float64(tbl.Len())
 	t.Logf("Clone of %v: %.1f bytes per cell", tbl, per)
-	if per > 40 {
-		t.Errorf("Clone allocates %.1f bytes per cell, want at most 40", per)
+	if per > 16 {
+		t.Errorf("Clone allocates %.1f bytes per cell, want at most 16", per)
 	}
 }
 
-// TestTableMemberBound pins the packed key's limit: a dimension holds
-// ids below 2^21, and the next member panics naming its dimension
-// instead of aliasing another member's cells.
+// TestTableMemberBound pins the member bound: a dimension holds ids
+// below 2^21, and the next member panics naming its dimension.
 func TestTableMemberBound(t *testing.T) {
 	if id := memberID(maxMembers-1, "queries"); id != maxMembers-1 {
 		t.Fatalf("last id = %d, want %d", id, maxMembers-1)
@@ -336,8 +337,12 @@ func checkTable(t *testing.T, step string, tbl *Table, m *tableModel, p members)
 // and clones against a Table and the plain-map model, comparing every
 // read after every step, RangeSorted's positions among them. The member
 // pool is small, so Set overwrites; clone independence is checked by
-// writing to one side and reading both. It then checks the sharded
-// evaluation at four workers against the single-worker one.
+// writing to one side and reading both. Growth sequences then first-Set
+// groups, queries and locations after every page of a smaller pool holds
+// a row, so rows widen (past 64 groups, into a second word of defined
+// bits) and the page index regrids, on either side of a clone taken
+// before the growth. Last, it checks the sharded evaluation at four
+// workers against the single-worker one.
 func TestTableMatchesReferenceModel(t *testing.T) {
 	pool := members{
 		gs: []Group{
@@ -353,36 +358,38 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 	if testing.Short() {
 		seeds = 5
 	}
-	for seed := 1; seed <= seeds; seed++ {
-		rng := stats.NewRNG(uint64(seed))
-		set := func(tbl *Table, m *tableModel, n int) {
-			for i := 0; i < n; i++ {
-				g := pool.gs[rng.Intn(len(pool.gs))]
-				q := pool.qs[rng.Intn(len(pool.qs))]
-				l := pool.ls[rng.Intn(len(pool.ls))]
-				v := float64(rng.Intn(8)) / 8
-				if rng.Bernoulli(0.5) {
-					tbl.Set(g, q, l, v)
-				} else {
-					tbl.SetKey(g.Key(), g, q, l, v)
-				}
-				m.set(g, q, l, v)
+	var rng *stats.RNG
+	// set writes n random cells of p's members to tbl and m.
+	set := func(tbl *Table, m *tableModel, p members, n int) {
+		for i := 0; i < n; i++ {
+			g := p.gs[rng.Intn(len(p.gs))]
+			q := p.qs[rng.Intn(len(p.qs))]
+			l := p.ls[rng.Intn(len(p.ls))]
+			v := float64(rng.Intn(8)) / 8
+			if rng.Bernoulli(0.5) {
+				tbl.Set(g, q, l, v)
+			} else {
+				tbl.SetKey(g.Key(), g, q, l, v)
 			}
+			m.set(g, q, l, v)
 		}
+	}
+	for seed := 1; seed <= seeds; seed++ {
+		rng = stats.NewRNG(uint64(seed))
 		tbl, m := NewTable(), newTableModel()
 		for step := 0; step < steps; step++ {
 			name := fmt.Sprintf("seed %d step %d", seed, step)
 			if rng.Intn(5) < 4 {
 				name += " set"
-				set(tbl, m, 1+rng.Intn(6))
+				set(tbl, m, pool, 1+rng.Intn(6))
 			} else {
 				name += " Clone"
 				c, cm := tbl.Clone(), m.clone()
 				checkTable(t, name+" (copy)", c, cm, pool)
 				if rng.Bernoulli(0.5) {
-					set(c, cm, 1+rng.Intn(6))
+					set(c, cm, pool, 1+rng.Intn(6))
 				} else {
-					set(tbl, m, 1+rng.Intn(6))
+					set(tbl, m, pool, 1+rng.Intn(6))
 				}
 				checkTable(t, name+" (copy after writes)", c, cm, pool)
 				if rng.Bernoulli(0.5) {
@@ -391,6 +398,70 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 			}
 			checkTable(t, name, tbl, m, pool)
 		}
+	}
+
+	var big members
+	for i := 0; i < 70; i++ {
+		big.gs = append(big.gs, NewGroup(Predicate{"cohort", fmt.Sprintf("g%02d", i)}))
+	}
+	for i := 0; i < 12; i++ {
+		big.qs = append(big.qs, Query(fmt.Sprintf("q%02d", i)))
+		big.ls = append(big.ls, Location(fmt.Sprintf("l%02d", i)))
+	}
+	prefix := func(g, q, l int) members { return members{big.gs[:g], big.qs[:q], big.ls[:l]} }
+	wide := 0 // growth steps whose grown table holds more than 64 groups
+	for seed := 1; seed <= seeds/2; seed++ {
+		rng = stats.NewRNG(uint64(1000 + seed))
+		tbl, m := NewTable(), newTableModel()
+		g, q, l := 1+rng.Intn(3), 2+rng.Intn(3), 2+rng.Intn(3)
+		for _, pq := range big.qs[:q] {
+			for _, pl := range big.ls[:l] {
+				set(tbl, m, members{big.gs[:g], []Query{pq}, []Location{pl}}, 1)
+			}
+		}
+		for step := 0; step < 12; step++ {
+			name := fmt.Sprintf("growth seed %d step %d", seed, step)
+			c, cm := tbl.Clone(), m.clone()
+			before := prefix(g, q, l)
+			switch rng.Intn(3) {
+			case 0:
+				g = min(len(big.gs), g+1+rng.Intn(40))
+			case 1:
+				q = min(len(big.qs), q+1+rng.Intn(3))
+			default:
+				l = min(len(big.ls), l+1+rng.Intn(3))
+			}
+			after := prefix(g, q, l)
+			grower, gm, writer, wm := tbl, m, c, cm
+			if rng.Bernoulli(0.5) {
+				grower, gm, writer, wm = c, cm, tbl, m
+			}
+			for i := len(before.gs); i < g; i++ {
+				set(grower, gm, members{after.gs[i : i+1], after.qs, after.ls}, 1)
+			}
+			for i := len(before.qs); i < q; i++ {
+				set(grower, gm, members{after.gs, after.qs[i : i+1], after.ls}, 1)
+			}
+			for i := len(before.ls); i < l; i++ {
+				set(grower, gm, members{after.gs, after.qs, after.ls[i : i+1]}, 1)
+			}
+			set(grower, gm, after, 1+rng.Intn(20))
+			set(writer, wm, before, 1+rng.Intn(20))
+			checkTable(t, name+" (grown)", grower, gm, big)
+			checkTable(t, name+" (written)", writer, wm, big)
+			if len(grower.Groups()) > 64 {
+				wide++
+			}
+			if rng.Bernoulli(0.5) {
+				tbl, m = grower, gm
+			} else {
+				tbl, m = writer, wm
+				g, q, l = len(before.gs), len(before.qs), len(before.ls)
+			}
+		}
+	}
+	if wide == 0 {
+		t.Fatal("no growth sequence widened its rows past 64 groups")
 	}
 
 	rankings := genRankings(60)

@@ -1,6 +1,7 @@
 package serve_test
 
 import (
+	"syscall"
 	"testing"
 	"time"
 
@@ -67,8 +68,9 @@ func BenchmarkServeConcurrent(b *testing.B) {
 // TestClusterTracingAllocations), where the counts repeat exactly.
 
 // runBatches serves reqs through a fresh engine per iteration and
-// reports queries/s.
+// reports queries/s and the process's CPU time per op.
 func runBatches(b *testing.B, snap *serve.Snapshot, reqs []serve.Request, opts serve.Options) {
+	cpu := processCPU()
 	for i := 0; i < b.N; i++ {
 		eng := serve.NewEngine(snap, opts)
 		for _, resp := range eng.DoBatch(reqs) {
@@ -77,11 +79,13 @@ func runBatches(b *testing.B, snap *serve.Snapshot, reqs []serve.Request, opts s
 			}
 		}
 	}
-	b.ReportMetric(float64(len(reqs))*float64(b.N)/b.Elapsed().Seconds(), "queries/s")
+	reportRate(b, len(reqs), cpu)
 }
 
-// runEach serves reqs one at a time through do and reports queries/s.
+// runEach serves reqs one at a time through do and reports queries/s and
+// the process's CPU time per op.
 func runEach(b *testing.B, reqs []serve.Request, do func(serve.Request) serve.Response) {
+	cpu := processCPU()
 	for i := 0; i < b.N; i++ {
 		for _, r := range reqs {
 			if resp := do(r); resp.Err != nil {
@@ -89,7 +93,26 @@ func runEach(b *testing.B, reqs []serve.Request, do func(serve.Request) serve.Re
 			}
 		}
 	}
-	b.ReportMetric(float64(len(reqs))*float64(b.N)/b.Elapsed().Seconds(), "queries/s")
+	reportRate(b, len(reqs), cpu)
+}
+
+// reportRate reports queries/s for reqs requests per op, and cpu-ns/op:
+// the CPU time every goroutine of the process used since cpu, per op.
+// Beside the wall-clock ns/op, it tells a round that waited for the host's
+// processors from one that did more work.
+func reportRate(b *testing.B, reqs int, cpu time.Duration) {
+	b.ReportMetric(float64(processCPU()-cpu)/float64(b.N), "cpu-ns/op")
+	b.ReportMetric(float64(reqs)*float64(b.N)/b.Elapsed().Seconds(), "queries/s")
+}
+
+// processCPU returns the user plus system CPU time this process has used
+// (getrusage with RUSAGE_SELF).
+func processCPU() time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
 // observability is the process-lifetime telemetry cmd/fairjob wires: a

@@ -279,6 +279,46 @@ func TestQuantifyAgreesWithDirectTopK(t *testing.T) {
 	}
 }
 
+// TestTAServedCost pins the served cost of the paper's Algorithm 1 on a
+// fixed table of the benchmark crawl's shape (11 groups × 96 queries ×
+// 56 locations, 5% of cells undefined): on a full-scope quantify, TA's
+// random accesses are exactly n × (m − 1) for n members and m lists. The
+// lists are complete and the scores flat, so TA sees every member before
+// its threshold stops it and resolves each one it sees in every other
+// list. With members this few against lists this many, Naive's one
+// sorted pass over every posting reads less than TA's sorted plus random
+// accesses; README's "Where Algorithm 1 pays off" explains when TA wins.
+func TestTAServedCost(t *testing.T) {
+	const ng, nq, nl = 11, 96, 56
+	eng := serve.NewEngine(serve.NewSnapshot(randomTable(stats.NewRNG(21), ng, nq, nl, 0.05)), serve.Options{CacheSize: -1})
+	for _, tc := range []struct {
+		dim      compare.Dimension
+		members  int
+		lists    int
+		postings int
+	}{
+		{compare.ByGroup, ng, nq * nl, ng * nq * nl},
+		{compare.ByQuery, nq, ng * nl, ng * nq * nl},
+		{compare.ByLocation, nl, ng * nq, ng * nq * nl},
+	} {
+		req := serve.Request{Problem: serve.Quantify, Dim: tc.dim, K: 3, Algorithm: topk.TA}
+		ta := eng.Do(req)
+		req.Algorithm = topk.Naive
+		naive := eng.Do(req)
+		if ta.Err != nil || naive.Err != nil {
+			t.Fatalf("%v: TA err %v, Naive err %v", tc.dim, ta.Err, naive.Err)
+		}
+		t.Logf("%v quantify: m = %d lists, n = %d members; TA %d sorted + %d random in %d rounds; Naive %d sorted",
+			tc.dim, tc.lists, tc.members, ta.Stats.SortedAccesses, ta.Stats.RandomAccesses, ta.Stats.Rounds, naive.Stats.SortedAccesses)
+		if want := tc.members * (tc.lists - 1); ta.Stats.RandomAccesses != want {
+			t.Errorf("%v quantify: TA made %d random accesses, want n × (m − 1) = %d", tc.dim, ta.Stats.RandomAccesses, want)
+		}
+		if naive.Stats.SortedAccesses != tc.postings {
+			t.Errorf("%v quantify: Naive made %d sorted accesses, want every posting, %d", tc.dim, naive.Stats.SortedAccesses, tc.postings)
+		}
+	}
+}
+
 func TestRequestValidation(t *testing.T) {
 	rng := stats.NewRNG(9)
 	snap := serve.NewSnapshot(randomTable(rng, 3, 2, 2, 0))

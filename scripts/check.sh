@@ -205,18 +205,28 @@ measure_abba() {
 }
 # Prints one line per ABBA round of benchmark $1 with its delta (%), then
 # the median of those deltas on the last line; exits nonzero when the
-# raw file holds no complete round for it.
+# raw file holds no complete round for it. Each round line also carries
+# the process CPU time per op (the benchmarks' cpu-ns/op, from getrusage)
+# beside the wall clock, so a round that waited for the host's processors
+# reads apart from one that did more work; the gate reads the wall clock
+# alone.
 round_deltas() {
     awk -v b="$1" '
-        $1 ~ "^" b "/off" { off[++no] = $3 }
-        $1 ~ "^" b "/on"  { on[++nn] = $3 }
+        function cpu(   i) {
+            for (i = 4; i < NF; i++) if ($(i + 1) == "cpu-ns/op") return $i
+            return 0
+        }
+        $1 ~ "^" b "/off" { off[++no] = $3; offc[no] = cpu() }
+        $1 ~ "^" b "/on"  { on[++nn] = $3; onc[nn] = cpu() }
         END {
             rounds = int((no < nn ? no : nn) / 2)
             if (rounds == 0) exit 1
             for (r = 1; r <= rounds; r++) {
                 o = off[2*r-1] + off[2*r]; n = on[2*r-1] + on[2*r]
+                oc = offc[2*r-1] + offc[2*r]; nc = onc[2*r-1] + onc[2*r]
                 d[r] = (n - o) / o * 100
-                printf "round %d: off %.0f ns/op, on %.0f ns/op, delta %+.2f%%\n", r, o / 2, n / 2, d[r]
+                c = oc > 0 ? sprintf("; CPU off %.0f ns/op, on %.0f ns/op, delta %+.2f%%", oc / 2, nc / 2, (nc - oc) / oc * 100) : ""
+                printf "round %d: off %.0f ns/op, on %.0f ns/op, delta %+.2f%%%s\n", r, o / 2, n / 2, d[r], c
             }
             for (i = 2; i <= rounds; i++)
                 for (j = i; j > 1 && d[j] < d[j-1]; j--) { t = d[j]; d[j] = d[j-1]; d[j-1] = t }
