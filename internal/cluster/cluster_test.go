@@ -337,7 +337,8 @@ func FuzzClusterEquivalence(f *testing.F) {
 }
 
 // TestFragmentFootprint bounds the fragment lists a node builds at 16
-// bytes per posting, the bound index.BuildAll meets: each node's three
+// bytes per posting (a fragment keeps its values beside its ids, where
+// index.BuildAll's families share one value cube): each node's three
 // families are read back through OpScan and rebuilt the way the node
 // builds them. The table has the benchmark crawl's shape (11 groups, 96
 // queries, 56 locations) and the cluster its four partitions, so each

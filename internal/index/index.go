@@ -14,13 +14,19 @@
 // Storage is columnar. A family keeps one member dictionary, its sorted
 // member keys, so a member's id is its position and id order is key
 // order: value ties, broken by ascending id, come out in ascending key
-// order. Every list of the family stores its member ids in posting order
-// as int32 and its values as float64, back to back in two arrays the
-// family shares, so a posting costs 12 bytes and a list 16 more. A list
-// that holds every member stores its values by member id, which makes
-// random access one indexed load after the dictionary lookup. A ragged
-// list (NewLists) stores them in posting order, and random access scans
-// its ids: ragged lists are a partition's share of a list, so short.
+// order. Every list of the family stores only its member ids, in posting
+// order as int32, back to back in one array the family shares: 4 bytes a
+// posting and 16 a list. The values are stored once per build, in one
+// value cube: a float64 per (query, location, group) cell, laid out in
+// that order by the cell's positions in the sorted dimensions, shared by
+// every family the build makes. A list reads member id's value at
+// cube[base + id·stride], where base is the list's own and stride is 1
+// for I(q,l), |G| for I(g,q) and |L|·|G| for I(g,l). So a random access
+// is one indexed load after the dictionary lookup, and a sorted access
+// is the id at the list's offset plus pos, then that load. A ragged list
+// (NewLists) keeps its values in posting order in its family's own
+// array, and random access scans its ids: ragged lists are a partition's
+// share of a list, so short.
 package index
 
 import (
@@ -42,15 +48,24 @@ type Entry struct {
 type family struct {
 	keys []string         // member dictionary, ascending; id = position
 	ids  map[string]int32 // key → member id
-	// order holds each list's member ids in posting order and vals its
-	// values, by member id in a complete list and in posting order in a
-	// ragged one. A list owns the same range of both.
+	// stride is positive in a family of complete lists, which hold every
+	// member and read member id's value at vals[base+id·stride], and 0 in
+	// a family of NewLists's ragged lists. (A built family's stride is 0
+	// only when the table is empty, and then it has no lists.)
+	stride int32
+	// order holds each list's member ids in posting order.
 	order []int32
-	vals  []float64
+	// vals holds the values. A built family's is the build's value cube,
+	// which every family built with it shares. NewLists's families share
+	// their own: a complete list keeps its values by member id (stride 1)
+	// and a ragged one in posting order, each at the range of vals its ids
+	// hold in order.
+	vals []float64
 }
 
-// newFamily sets up storage for postings postings over the sorted keys;
-// ids already holds every key and is renumbered in place.
+// newFamily sets up storage for postings postings over the sorted keys,
+// for NewLists's ragged lists; ids already holds every key and is
+// renumbered in place.
 func newFamily(keys []string, ids map[string]int32, postings int) *family {
 	return &family{
 		keys:  keys,
@@ -91,22 +106,22 @@ func canonical(a, b posting) int {
 }
 
 // add appends one list, given its postings in ascending id order, and
-// returns it. ps is reordered.
-func (f *family) add(ps []posting) Inverted {
-	off := len(f.vals)
-	complete := len(ps) == len(f.keys)
-	if complete {
+// returns it. A list holding every member reads its values by member id
+// through whole, the family of stride 1 over f's arrays. ps is reordered.
+func (f *family) add(ps []posting, whole *family) Inverted {
+	off := int32(len(f.vals))
+	if len(ps) == len(f.keys) {
 		for _, p := range ps {
 			f.vals = append(f.vals, p.v)
 		}
+		f.appendOrder(ps)
+		return Inverted{f: whole, off: off, aux: off}
 	}
 	f.appendOrder(ps)
-	if !complete {
-		for _, p := range ps {
-			f.vals = append(f.vals, p.v)
-		}
+	for _, p := range ps {
+		f.vals = append(f.vals, p.v)
 	}
-	return Inverted{f: f, off: int32(off), n: int32(len(ps))}
+	return Inverted{f: f, off: off, aux: int32(len(ps))}
 }
 
 // appendOrder sorts ps into posting order and appends their member ids
@@ -122,44 +137,50 @@ func (f *family) appendOrder(ps []posting) {
 // ascending Key so ordering is deterministic). It supports sorted access
 // via At and random access via Find.
 type Inverted struct {
-	f      *family
-	off, n int32
+	f   *family
+	off int32 // the list's first posting in f.order
+	// aux is what the family leaves open about the list, so a list costs
+	// 16 bytes: in a family of complete lists, the list's base in f.vals;
+	// in a family of ragged lists, whose values start at off, its length.
+	aux int32
 }
 
-// complete reports whether the list holds every member of its family's
-// dictionary, and so stores its values by member id.
-func (iv *Inverted) complete() bool { return int(iv.n) == len(iv.f.keys) }
-
 // Len returns the number of postings.
-func (iv *Inverted) Len() int { return int(iv.n) }
+func (iv *Inverted) Len() int {
+	if iv.f.stride > 0 {
+		return len(iv.f.keys)
+	}
+	return int(iv.aux)
+}
 
 // At performs a sorted access: the posting at position pos (0 = highest
 // unfairness). ok is false past the end of the list.
 func (iv *Inverted) At(pos int) (Entry, bool) {
-	if pos < 0 || pos >= int(iv.n) {
+	f := iv.f
+	if uint(pos) >= uint(iv.Len()) {
 		return Entry{}, false
 	}
-	f, off := iv.f, int(iv.off)
-	id := int(f.order[off+pos])
-	slot := pos
-	if iv.complete() {
-		slot = id
+	i := int(iv.off) + pos
+	id := f.order[i]
+	if f.stride > 0 {
+		i = int(iv.aux + id*f.stride)
 	}
-	return Entry{Key: f.keys[id], Value: f.vals[off+slot]}, true
+	return Entry{f.keys[id], f.vals[i]}, true
 }
 
 // Find performs a random access: the unfairness value recorded for key.
 // ok is false when the list holds no posting for key.
 func (iv *Inverted) Find(key string) (float64, bool) {
-	f, off := iv.f, int(iv.off)
+	f := iv.f
 	id, ok := f.ids[key]
 	if !ok {
 		return 0, false
 	}
-	if iv.complete() {
-		return f.vals[off+int(id)], true
+	if f.stride > 0 {
+		return f.vals[iv.aux+id*f.stride], true
 	}
-	for pos, x := range f.order[off : off+int(iv.n)] {
+	off := int(iv.off)
+	for pos, x := range f.order[off : off+int(iv.aux)] {
 		if x == id {
 			return f.vals[off+pos], true
 		}
@@ -169,7 +190,7 @@ func (iv *Inverted) Find(key string) (float64, bool) {
 
 // Entries returns a copy of the posting list in sorted order.
 func (iv *Inverted) Entries() []Entry {
-	out := make([]Entry, iv.n)
+	out := make([]Entry, iv.Len())
 	for pos := range out {
 		out[pos], _ = iv.At(pos)
 	}
@@ -201,6 +222,7 @@ func NewLists(lists [][]Entry) []*Inverted {
 	slices.Sort(keys)
 
 	f := newFamily(keys, ids, total)
+	whole := &family{stride: 1}
 	empty := &Inverted{f: f}
 	ivs := make([]Inverted, 0, nonEmpty)
 	out := make([]*Inverted, len(lists))
@@ -222,26 +244,31 @@ func NewLists(lists [][]Entry) []*Inverted {
 				panic(fmt.Sprintf("index: list %d holds key %q twice", i, keys[ps[j].id]))
 			}
 		}
-		ivs = append(ivs, f.add(ps))
+		ivs = append(ivs, f.add(ps, whole))
 		out[i] = &ivs[len(ivs)-1]
 	}
+	whole.keys, whole.ids, whole.order, whole.vals = f.keys, f.ids, f.order, f.vals
 	return out
 }
 
-// sortLists cuts the family's values, laid out list by list and by
-// member id within a list, into nLists lists that each hold every
-// member, and appends each list's member ids in posting order.
-func (f *family) sortLists(nLists int) []Inverted {
-	n := len(f.keys)
-	lists := make([]Inverted, nLists)
+// sortLists cuts the family's value cube into its lists, each holding
+// every member, and appends each list's member ids in posting order. The
+// lists run a-major over na × nb, and list (a, b) reads member m's value
+// at a·sa + b·sb + m·stride.
+func (f *family) sortLists(na, sa, nb, sb int) []Inverted {
+	n, stride := len(f.keys), int(f.stride)
+	lists := make([]Inverted, 0, na*nb)
 	ps := make([]posting, n)
-	for i := range lists {
-		off := i * n
-		for m := range ps {
-			ps[m] = posting{int32(m), f.vals[off+m]}
+	for a := 0; a < na; a++ {
+		for b := 0; b < nb; b++ {
+			base := a*sa + b*sb
+			for m := range ps {
+				ps[m] = posting{int32(m), f.vals[base+m*stride]}
+			}
+			off := len(f.order)
+			f.appendOrder(ps)
+			lists = append(lists, Inverted{f: f, off: int32(off), aux: int32(base)})
 		}
-		f.appendOrder(ps)
-		lists[i] = Inverted{f: f, off: int32(off), n: int32(n)}
 	}
 	return lists
 }
@@ -295,24 +322,14 @@ func strs[T ~string](xs []T) []string {
 	return out
 }
 
-// filling is one family of complete lists while build fills it. Its
-// values are laid out list by list and by member id within a list, so
-// the cell at positions (g, q, l) of the sorted dimensions has value
-// slot(g, q, l); the sorted lists go to *dst.
-type filling struct {
-	f      *family
-	nLists int
-	slot   func(g, q, l int) int
-	dst    *[]Inverted
-}
-
 // build builds the families of t that group, query and location select.
-// One RangeSorted pass over the table fills every selected family's
-// values at the cell's positions in the sorted dimensions, and a member
-// whose cell is undefined keeps 0, the completion invariant. Then each
-// family's lists are sorted on a goroutine of its own. The families
-// share the sorted dimensions and, per dimension, the member dictionary
-// that numbers the members of the family over it.
+// One RangeSorted pass over the table fills one value cube, laid out
+// (query, location, group) by the cell's positions in the sorted
+// dimensions, and a member whose cell is undefined keeps 0, the
+// completion invariant. Then each family's lists are sorted from the cube
+// on a goroutine of its own. The families share the cube, the sorted
+// dimensions and, per dimension, the member dictionary that numbers the
+// members of the family over it.
 func build(t *core.Table, group, query, location bool) (gi *GroupIndex, qi *QueryIndex, li *LocationIndex) {
 	groups, qs, ls := t.Groups(), t.Queries(), t.Locations()
 	gks := make([]string, len(groups))
@@ -322,33 +339,31 @@ func build(t *core.Table, group, query, location bool) (gi *GroupIndex, qi *Quer
 		gmap[gks[i]] = g
 	}
 	ng, nq, nl := len(gks), len(qs), len(ls)
+	// The cell at sorted positions (g, q, l) is cube[q·sq + l·sl + g].
+	sq, sl := nl*ng, ng
+	cube := make([]float64, nq*sq)
+	t.RangeSorted(func(g, q, l int, v float64) { cube[q*sq+l*sl+g] = v })
 
-	var fs []filling
-	add := func(keys []string, nLists int, dst *[]Inverted, slot func(g, q, l int) int) {
-		n := nLists * len(keys)
-		f := &family{keys: keys, ids: number(keys, nil), order: make([]int32, 0, n), vals: make([]float64, n)}
-		fs = append(fs, filling{f, nLists, slot, dst})
+	// Each selected family's lists run a-major over na × nb, list (a, b)
+	// starting at a·sa + b·sb in the cube; sort them into *dst.
+	var sorts []func()
+	add := func(keys []string, stride, na, sa, nb, sb int, dst *[]Inverted) {
+		f := &family{keys: keys, ids: number(keys, nil), order: make([]int32, 0, na*nb*len(keys)), vals: cube, stride: int32(stride)}
+		sorts = append(sorts, func() { *dst = f.sortLists(na, sa, nb, sb) })
 	}
 	if group {
 		gi = &GroupIndex{GroupKeys: gks, Queries: qs, Locations: ls, groups: gmap}
-		add(gks, nq*nl, &gi.lists, func(g, q, l int) int { return (q*nl+l)*ng + g })
+		add(gks, 1, nq, sq, nl, sl, &gi.lists)
 	}
 	if query {
 		qi = &QueryIndex{GroupKeys: gks, Queries: qs, Locations: ls}
-		add(strs(qs), ng*nl, &qi.lists, func(g, q, l int) int { return (g*nl+l)*nq + q })
+		add(strs(qs), sq, ng, 1, nl, sl, &qi.lists)
 	}
 	if location {
 		li = &LocationIndex{GroupKeys: gks, Queries: qs, Locations: ls}
-		add(strs(ls), ng*nq, &li.lists, func(g, q, l int) int { return (g*nq+q)*nl + l })
+		add(strs(ls), sl, ng, 1, nq, sq, &li.lists)
 	}
-	t.RangeSorted(func(g, q, l int, v float64) {
-		for _, x := range fs {
-			x.f.vals[x.slot(g, q, l)] = v
-		}
-	})
-	core.RunIndexed(len(fs), len(fs), func(i int) {
-		*fs[i].dst = fs[i].f.sortLists(fs[i].nLists)
-	})
+	core.RunIndexed(len(sorts), len(sorts), func(i int) { sorts[i]() })
 	return gi, qi, li
 }
 

@@ -1,7 +1,10 @@
 package serve_test
 
 import (
+	"cmp"
 	"fmt"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,6 +13,7 @@ import (
 	"fairjob/internal/core"
 	"fairjob/internal/serve"
 	"fairjob/internal/stats"
+	"fairjob/internal/testutil"
 	"fairjob/internal/topk"
 )
 
@@ -206,5 +210,130 @@ func TestWithUpdatesKeepsDeferral(t *testing.T) {
 	}
 	if n := builds.Load(); n != 1 {
 		t.Errorf("a deferred successor's first quantify built %d times, want 1", n)
+	}
+}
+
+// TestSnapshotPagesFootprint pins what a snapshot's marketplace pages
+// hold beyond the pages themselves: at most 16 bytes of live heap a page,
+// where a slice sorted by (query, location) holds 8. A map keyed by the
+// pair held about 73. The pages come location-major, as the crawl's do,
+// so the snapshot has to sort them.
+func TestSnapshotPagesFootprint(t *testing.T) {
+	if testutil.RaceEnabled() {
+		t.Skip("the race detector's shadow memory and pool drops blur the live heap")
+	}
+	const nq, nl = 96, 56
+	pages := make([]*core.MarketplaceRanking, 0, nq*nl)
+	for l := 0; l < nl; l++ {
+		for q := 0; q < nq; q++ {
+			pages = append(pages, &core.MarketplaceRanking{Query: core.Query(fmt.Sprintf("q%02d", q)), Location: core.Location(fmt.Sprintf("l%02d", l))})
+		}
+	}
+	tbl := randomTable(stats.NewRNG(3), 2, 2, 2, 0)
+	held := func(pages []*core.MarketplaceRanking) float64 {
+		snaps := make([]*serve.Snapshot, 8)
+		base := liveHeap()
+		for i := range snaps {
+			snaps[i] = serve.NewDeferredSnapshot(tbl, nil, pages)
+		}
+		h := float64(liveHeap()) - float64(base)
+		runtime.KeepAlive(snaps)
+		return h / float64(len(snaps))
+	}
+	per := (held(pages) - held(nil)) / float64(len(pages))
+	t.Logf("%d pages: %.1f bytes a page", len(pages), per)
+	if per > 16 {
+		t.Errorf("a snapshot's pages hold %.1f bytes a page, want at most 16", per)
+	}
+}
+
+// liveHeap returns the bytes of live heap after two full collections:
+// the second empties the pools the first only demoted.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestSnapshotPagesOrderAndRepeats pins the page semantics a snapshot
+// keeps whatever order its pages come in: nil pages are skipped, a
+// (query, location) given twice keeps the last page given, Pages lists
+// every pair once, sorted by query and then location, Ranking finds each
+// sealed page and nothing else, the caller's slice keeps its order, and
+// WithUpdates and a deferred snapshot see the same pages.
+func TestSnapshotPagesOrderAndRepeats(t *testing.T) {
+	page := func(q, l string) *core.MarketplaceRanking {
+		return &core.MarketplaceRanking{Query: core.Query(q), Location: core.Location(l)}
+	}
+	first, last := page("b", "x"), page("b", "x")
+	in := []*core.MarketplaceRanking{page("c", "x"), first, nil, page("a", "y"), page("b", "w"), last, page("a", "x"), nil}
+	given := append([]*core.MarketplaceRanking(nil), in...)
+	sealed := []*core.MarketplaceRanking{in[6], in[3], in[4], last, in[0]}
+	wantPages := [][2]string{{"a", "x"}, {"a", "y"}, {"b", "w"}, {"b", "x"}, {"c", "x"}}
+
+	tbl := randomTable(stats.NewRNG(4), 2, 2, 2, 0)
+	snap := serve.NewSnapshotWithRankings(tbl, nil, in)
+	for name, s := range map[string]*serve.Snapshot{
+		"eager":    snap,
+		"refresh":  snap.WithUpdates(nil),
+		"deferred": serve.NewDeferredSnapshot(tbl, nil, in),
+	} {
+		if !s.HasRankings() {
+			t.Fatalf("%s: HasRankings = false", name)
+		}
+		if got := s.Pages(); !slices.Equal(got, wantPages) {
+			t.Errorf("%s: Pages = %v, want %v", name, got, wantPages)
+		}
+		for _, r := range sealed {
+			if got, ok := s.Ranking(r.Query, r.Location); !ok || got != r {
+				t.Errorf("%s: Ranking(%s, %s) = %p, %v; want the page %p", name, r.Query, r.Location, got, ok, r)
+			}
+		}
+		for _, k := range [][2]string{{"a", "w"}, {"b", "y"}, {"d", "x"}, {"", ""}, {"x", "b"}} {
+			if got, ok := s.Ranking(core.Query(k[0]), core.Location(k[1])); ok || got != nil {
+				t.Errorf("%s: Ranking(%s, %s) = %p, true; want no page", name, k[0], k[1], got)
+			}
+		}
+	}
+	if !slices.Equal(in, given) {
+		t.Errorf("the snapshot reordered the caller's pages")
+	}
+	if none := serve.NewSnapshotWithRankings(tbl, nil, []*core.MarketplaceRanking{nil}); none.HasRankings() || len(none.Pages()) != 0 {
+		t.Errorf("a snapshot given only nil pages: HasRankings = %v, Pages = %v", none.HasRankings(), none.Pages())
+	}
+
+	// Random page lists over a 5 × 4 grid, so pairs repeat often, against
+	// a map that keeps the last page given per pair.
+	for seed := uint64(1); seed <= 30; seed++ {
+		rng := stats.NewRNG(seed)
+		in := make([]*core.MarketplaceRanking, rng.Intn(60))
+		last := make(map[[2]string]*core.MarketplaceRanking)
+		for i := range in {
+			if rng.Bernoulli(0.1) {
+				continue
+			}
+			k := [2]string{fmt.Sprintf("q%d", rng.Intn(5)), fmt.Sprintf("l%d", rng.Intn(4))}
+			in[i] = page(k[0], k[1])
+			last[k] = in[i]
+		}
+		want := make([][2]string, 0, len(last))
+		for k := range last {
+			want = append(want, k)
+		}
+		slices.SortFunc(want, func(a, b [2]string) int { return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1])) })
+		s := serve.NewDeferredSnapshot(tbl, nil, in)
+		if got := s.Pages(); !slices.Equal(got, want) {
+			t.Fatalf("seed %d: Pages = %v, want %v", seed, got, want)
+		}
+		for q := 0; q < 5; q++ {
+			for l := 0; l < 4; l++ {
+				k := [2]string{fmt.Sprintf("q%d", q), fmt.Sprintf("l%d", l)}
+				if got, ok := s.Ranking(core.Query(k[0]), core.Location(k[1])); got != last[k] || ok != (last[k] != nil) {
+					t.Fatalf("seed %d: Ranking(%s, %s) = %p, %v; want %p", seed, k[0], k[1], got, ok, last[k])
+				}
+			}
+		}
 	}
 }

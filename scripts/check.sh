@@ -151,7 +151,7 @@ gate '^TestCoordinatorEquivalence$|^TestCoordinatorEquivalenceAfterRefresh$|^Fuz
 gate '^TestGoldenCompletionSemantics$|^TestGoldenDefinedOnlySemantics$|^TestGoldenQueryAndLocationComparisons$|^TestComparisonAccesses$|^TestUnindexedScopeErrors$|^TestUnknownGroupReadsAsZero$|^TestComparisonAllocations$' ./internal/compare/
 gate '^TestExposureMatchesPaperFigure5$|^TestTableFootprint$|^TestMarketplaceEvaluateAllDeterministicAcrossWorkers$|^TestSearchEvaluateAllDeterministicAcrossWorkers$|^TestPartitionMatchesNaiveMembership$|^TestMarketplaceEvaluatorMatchesReference$|^TestTableMatchesReferenceModel$|^TestWarmPartitionerAllocatesNothing$|^TestScratchExposureMatchesExposureAtRank$' ./internal/core/
 gate '^TestBuildAllFootprint$|^TestIndexInvariantsProperty$|^TestBuildAllIgnoresFillOrder$' ./internal/index/
-gate '^TestTracingAllocatesNothing$|^TestDeferredSnapshotMatchesEager$|^TestDeferredSnapshotBuildsOnce$|^TestWithUpdatesKeepsDeferral$' ./internal/serve/
+gate '^TestTracingAllocatesNothing$|^TestDeferredSnapshotMatchesEager$|^TestDeferredSnapshotBuildsOnce$|^TestWithUpdatesKeepsDeferral$|^TestSnapshotPagesFootprint$|^TestSnapshotPagesOrderAndRepeats$' ./internal/serve/
 gate '^TestMitigateGolden$' ./internal/mitigate/
 
 echo "== go test -race -tags faultinject ./internal/serve/... ./internal/faultinject/... ./internal/topk/... ./internal/cluster/... (chaos gate)"
