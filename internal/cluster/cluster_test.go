@@ -3,6 +3,7 @@ package cluster_test
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"fairjob/internal/cluster"
@@ -231,6 +232,40 @@ func TestCoordinatorEquivalenceAfterRefresh(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCoordinatorPagesMatchEngine pins the coordinator's page inventory,
+// which it reads off its nodes, to a snapshot's: at every partition count
+// and over no pages, only nil pages, and pages whose (query, location)
+// pairs repeat, Pages and HasRankings equal those of
+// serve.NewSnapshotWithRankings over the same rankings.
+func TestCoordinatorPagesMatchEngine(t *testing.T) {
+	tbl := clusterTable(stats.NewRNG(31), 3, 4, 4, 0)
+	rng := stats.NewRNG(32)
+	repeated := []*core.MarketplaceRanking{nil, clusterRanking()}
+	for i := 0; i < 40; i++ {
+		repeated = append(repeated, &core.MarketplaceRanking{
+			Query:    core.Query(fmt.Sprintf("q%02d", rng.Intn(6))),
+			Location: core.Location(fmt.Sprintf("l%02d", rng.Intn(5))),
+		})
+	}
+	repeated = append(repeated, clusterRanking(), nil)
+	for name, rankings := range map[string][]*core.MarketplaceRanking{
+		"no pages":       nil,
+		"nil pages":      {nil, nil},
+		"repeated pairs": repeated,
+	} {
+		snap := serve.NewSnapshotWithRankings(tbl, nil, rankings)
+		for _, n := range partitionCounts {
+			c := cluster.NewWithRankings(tbl, nil, rankings, cluster.Options{Partitions: n, NodeCacheSize: -1})
+			if got, want := c.HasRankings(), snap.HasRankings(); got != want {
+				t.Errorf("%s, %d partitions: HasRankings = %v, want %v", name, n, got, want)
+			}
+			if got, want := c.Pages(), snap.Pages(); !slices.Equal(got, want) {
+				t.Errorf("%s, %d partitions: Pages = %v, want %v", name, n, got, want)
+			}
+		}
 	}
 }
 

@@ -1,11 +1,11 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -161,9 +161,6 @@ type Coordinator struct {
 	// generations), latest key only: an outage burst builds it once.
 	degMu sync.Mutex
 	deg   map[string]*serve.Engine
-
-	hasRankings bool
-	pages       [][2]string
 }
 
 // New builds a coordinator over tbl split into opts.Partitions
@@ -201,22 +198,21 @@ func NewWithRankings(tbl *core.Table, schema *core.Schema, rankings []*core.Mark
 		reg = obs.NewRegistry()
 	}
 	c := &Coordinator{
-		n:           n,
-		uni:         uni,
-		nodes:       nodes,
-		schema:      schema,
-		subRank:     subRank,
-		transport:   transport,
-		opts:        opts,
-		legRetry:    opts.Retry,
-		reg:         reg,
-		tracer:      opts.Tracer,
-		log:         opts.Log.Component("cluster"),
-		lat:         make([]latTracker, n),
-		rng:         stats.NewRNG(opts.Seed),
-		gens:        make([]atomic.Uint64, n),
-		deg:         make(map[string]*serve.Engine),
-		hasRankings: len(rankings) > 0,
+		n:         n,
+		uni:       uni,
+		nodes:     nodes,
+		schema:    schema,
+		subRank:   subRank,
+		transport: transport,
+		opts:      opts,
+		legRetry:  opts.Retry,
+		reg:       reg,
+		tracer:    opts.Tracer,
+		log:       opts.Log.Component("cluster"),
+		lat:       make([]latTracker, n),
+		rng:       stats.NewRNG(opts.Seed),
+		gens:      make([]atomic.Uint64, n),
+		deg:       make(map[string]*serve.Engine),
 	}
 	if n > 1 {
 		// Only runQuantify reads the geometry, and it never runs at one
@@ -249,25 +245,6 @@ func NewWithRankings(tbl *core.Table, schema *core.Schema, rankings []*core.Mark
 	for p := range nodes {
 		c.gens[p].Store(nodes[p].Gen())
 	}
-	if c.hasRankings {
-		seen := make(map[[2]string]bool)
-		for _, r := range rankings {
-			if r == nil {
-				continue
-			}
-			key := [2]string{string(r.Query), string(r.Location)}
-			if !seen[key] {
-				seen[key] = true
-				c.pages = append(c.pages, key)
-			}
-		}
-		sort.Slice(c.pages, func(i, j int) bool {
-			if c.pages[i][0] != c.pages[j][0] {
-				return c.pages[i][0] < c.pages[j][0]
-			}
-			return c.pages[i][1] < c.pages[j][1]
-		})
-	}
 	return c
 }
 
@@ -294,11 +271,28 @@ func (c *Coordinator) Queries() []core.Query { return c.uni.Queries }
 func (c *Coordinator) Locations() []core.Location { return c.uni.Locations }
 
 // HasRankings reports whether any partition carries marketplace pages.
-func (c *Coordinator) HasRankings() bool { return c.hasRankings }
+func (c *Coordinator) HasRankings() bool {
+	for _, nd := range c.nodes {
+		if nd.state.Load().snap.HasRankings() {
+			return true
+		}
+	}
+	return false
+}
 
 // Pages returns the distinct (query, location) pages across all
-// partitions, sorted.
-func (c *Coordinator) Pages() [][2]string { return c.pages }
+// partitions, sorted. It merges the nodes' page lists on each call: a
+// pair routes to one partition, so no pair is on two lists.
+func (c *Coordinator) Pages() [][2]string {
+	var pages [][2]string
+	for _, nd := range c.nodes {
+		pages = append(pages, nd.state.Load().snap.Pages()...)
+	}
+	slices.SortFunc(pages, func(a, b [2]string) int {
+		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
+	})
+	return pages
+}
 
 // Do answers one request without a caller context.
 func (c *Coordinator) Do(req serve.Request) serve.Response {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"maps"
 	"math/bits"
@@ -42,7 +41,10 @@ const maxMembers = 1 << 21
 // so the widening is amortised; Clone trims the copy's rows to the
 // groups the table holds. A table holds at most 2^21 (2,097,152) groups,
 // queries and locations each, which keeps a row at most 16 MB wide;
-// interning one more panics, naming the dimension.
+// interning one more panics, naming the dimension. Sealed numbers a
+// read-only copy in key order instead, with a row for every (query,
+// location) pair, so that its rows are the dense value cube Cube lends
+// the index families.
 type Table struct {
 	gs     dict[string] // group keys
 	groups []Group      // by group id
@@ -55,6 +57,7 @@ type Table struct {
 	vals   []float64 // vals[r*width+g]: row r's slot g
 	def    []uint64  // words(width) words per row; bit g: slot g is defined
 	n      int       // defined slots
+	sealed bool      // read-only, numbered in key order, a row per page
 }
 
 // dict is an append-only member dictionary: a member's id is its
@@ -97,18 +100,18 @@ func (d *dict[K]) sorted() []K {
 	return out
 }
 
-// ranks returns, by member id, each member's position in sorted().
-func (d *dict[K]) ranks() []int {
-	byRank := make([]int, len(d.keys))
-	for id := range byRank {
-		byRank[id] = id
+// sortedCopy returns a copy of d that numbers its members in key order,
+// and, by id in d, each member's id in the copy.
+func (d *dict[K]) sortedCopy() (dict[K], []int32) {
+	c := dict[K]{ids: make(map[K]int32, len(d.keys)), keys: d.sorted()}
+	for id, k := range c.keys {
+		c.ids[k] = int32(id)
 	}
-	slices.SortFunc(byRank, func(a, b int) int { return cmp.Compare(d.keys[a], d.keys[b]) })
-	rank := make([]int, len(byRank))
-	for r, id := range byRank {
-		rank[id] = r
+	to := make([]int32, len(d.keys))
+	for id, k := range d.keys {
+		to[id] = c.ids[k]
 	}
-	return rank
+	return c, to
 }
 
 func (d *dict[K]) clone() dict[K] {
@@ -165,8 +168,11 @@ func (t *Table) Set(g Group, q Query, l Location, v float64) {
 
 // SetKey is Set for callers that already hold g's canonical key, such
 // as the GroupKey of a Triple that Range yields; it skips building the
-// key string. key must equal g.Key().
+// key string. key must equal g.Key(). Both panic on a sealed table.
 func (t *Table) SetKey(key string, g Group, q Query, l Location, v float64) {
+	if t.sealed {
+		panic("core: Set on a sealed table; write to its Clone")
+	}
 	t.set(t.groupID(key, g), t.qs.intern(q, "queries"), t.ls.intern(l, "locations"), v)
 }
 
@@ -261,11 +267,12 @@ func (t *Table) relaid(width int) ([]float64, []uint64) {
 	return vals, def
 }
 
-// Clone returns a deep copy of the table: the copy and the original share
-// no mutable state, so one side may keep writing while the other is frozen
-// behind an immutable snapshot. Group values and member strings are
-// immutable and shared. The copy's rows are as wide as its groups and its
-// page index as wide as its locations, so it holds no slack.
+// Clone returns a writable deep copy of the table, sealed or not: the copy
+// and the original share no mutable state, so one side may keep writing
+// while the other is frozen behind an immutable snapshot. Group values and
+// member strings are immutable and shared. The copy's rows are as wide as
+// its groups and its page index as wide as its locations, so it holds no
+// slack beyond the empty rows a sealed table keeps for undefined pages.
 func (t *Table) Clone() *Table {
 	c := &Table{
 		gs:     t.gs.clone(),
@@ -279,6 +286,53 @@ func (t *Table) Clone() *Table {
 	c.rowOf = t.regrid(c.stride)
 	c.vals, c.def = t.relaid(c.width)
 	return c
+}
+
+// Sealed returns a read-only copy of the table numbered in key order: a
+// member's id is its position in Groups(), Queries() or Locations(), and
+// page (q, l) of those ids is row q·|L| + l, a row for every pair of the
+// sorted dimensions, its undefined slots holding 0. So the rows, back to
+// back, are the (query, location, group) value cube Cube returns. Set and
+// SetKey on the copy panic; its Clone is writable. The copy shares no
+// mutable state with t, and a table that is already sealed returns itself.
+func (t *Table) Sealed() *Table {
+	if t.sealed {
+		return t
+	}
+	gs, gid := t.gs.sortedCopy()
+	qs, qid := t.qs.sortedCopy()
+	ls, lid := t.ls.sortedCopy()
+	ng, pages := len(gs.keys), len(qs.keys)*len(ls.keys)
+	s := &Table{
+		gs: gs, groups: make([]Group, ng), qs: qs, ls: ls,
+		rowOf: make([]int32, pages), stride: len(ls.keys), width: ng,
+		vals: make([]float64, pages*ng), def: make([]uint64, pages*words(ng)),
+		n: t.n, sealed: true,
+	}
+	for id, g := range t.groups {
+		s.groups[gid[id]] = g
+	}
+	for r := range s.rowOf {
+		s.rowOf[r] = int32(r + 1)
+	}
+	nw := words(ng)
+	t.walk(func(g, q, l int32, v float64) {
+		g, r := gid[g], int(qid[q])*s.stride+int(lid[l])
+		s.def[r*nw+int(g)/64] |= 1 << (g % 64)
+		s.vals[r*ng+int(g)] = v
+	})
+	return s
+}
+
+// Cube returns a sealed table's values by sorted position: the value of
+// (Groups()[g], Queries()[q], Locations()[l]) is at (q·|L| + l)·|G| + g,
+// and an undefined cell's is 0. The slice is the table's own, so a reader
+// must not write it. Cube panics on a table that is not sealed.
+func (t *Table) Cube() []float64 {
+	if !t.sealed {
+		panic("core: Cube of a table that is not sealed")
+	}
+	return t.vals
 }
 
 // Get returns d<g,q,l> and whether it was recorded.
@@ -335,15 +389,6 @@ func (t *Table) Range(fn func(tr Triple, v float64)) {
 	t.walk(func(g, q, l int32, v float64) {
 		fn(Triple{t.gs.keys[g], t.qs.keys[q], t.ls.keys[l]}, v)
 	})
-}
-
-// RangeSorted calls fn for every recorded cell, in an unspecified order,
-// with the cell's positions in Groups(), Queries() and Locations(). It
-// maps member ids to sorted positions once per call, so a reader that
-// lays cells out by sorted position probes no string per cell.
-func (t *Table) RangeSorted(fn func(g, q, l int, v float64)) {
-	gr, qr, lr := t.gs.ranks(), t.qs.ranks(), t.ls.ranks()
-	t.walk(func(g, q, l int32, v float64) { fn(gr[g], qr[q], lr[l], v) })
 }
 
 // walk calls fn with the member ids and value of every defined slot,

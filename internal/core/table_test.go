@@ -148,8 +148,8 @@ func crawlTable() *Table {
 }
 
 // TestTableFootprint bounds what one copy of a crawl-sized table costs:
-// a serving snapshot seals the evaluator's table by Clone, and every
-// cluster node clones its partition. In page-major rows a cell costs its
+// every cluster node clones its partition, and every refresh clones its
+// snapshot's table before editing it. In page-major rows a cell costs its
 // 8-byte slot plus shares of its row's defined bits, the page index and
 // the dictionaries, about 10 bytes at 95% fill; a hash map of cells cost
 // about 32.
@@ -248,9 +248,8 @@ type members struct {
 	ls []Location
 }
 
-// checkTable fails unless tbl answers every read exactly as m does, at
-// every probe in p.
-func checkTable(t *testing.T, step string, tbl *Table, m *tableModel, p members) {
+// checkCells fails unless tbl's Len and Range yield exactly m's cells.
+func checkCells(t *testing.T, step string, tbl *Table, m *tableModel) {
 	t.Helper()
 	if tbl.Len() != len(m.cells) {
 		t.Fatalf("%s: Len = %d, want %d", step, tbl.Len(), len(m.cells))
@@ -265,21 +264,13 @@ func checkTable(t *testing.T, step string, tbl *Table, m *tableModel, p members)
 	if len(seen) != len(m.cells) {
 		t.Fatalf("%s: Range yields %d cells, want %d", step, len(seen), len(m.cells))
 	}
-	gs, qs, ls := tbl.Groups(), tbl.Queries(), tbl.Locations()
-	clear(seen)
-	tbl.RangeSorted(func(g, q, l int, v float64) {
-		if g < 0 || g >= len(gs) || q < 0 || q >= len(qs) || l < 0 || l >= len(ls) {
-			t.Fatalf("%s: RangeSorted yields positions (%d, %d, %d) outside %d×%d×%d", step, g, q, l, len(gs), len(qs), len(ls))
-		}
-		tr := Triple{gs[g].Key(), qs[q], ls[l]}
-		if want, ok := m.cells[tr]; !ok || seen[tr] || v != want {
-			t.Fatalf("%s: RangeSorted yields %+v = %v (defined %v, repeated %v, want %v)", step, tr, v, ok, seen[tr], want)
-		}
-		seen[tr] = true
-	})
-	if len(seen) != len(m.cells) {
-		t.Fatalf("%s: RangeSorted yields %d cells, want %d", step, len(seen), len(m.cells))
-	}
+}
+
+// checkTable fails unless tbl answers every read exactly as m does, at
+// every probe in p.
+func checkTable(t *testing.T, step string, tbl *Table, m *tableModel, p members) {
+	t.Helper()
+	checkCells(t, step, tbl, m)
 	for _, g := range p.gs {
 		for _, q := range p.qs {
 			for _, l := range p.ls {
@@ -333,16 +324,87 @@ func checkTable(t *testing.T, step string, tbl *Table, m *tableModel, p members)
 	}
 }
 
+// checkSealed fails unless tbl.Sealed() is the sealed copy m describes:
+// it answers every read as m does, numbers each dimension's members in key
+// order, lays its Cube out (query, location, group) by sorted position
+// with 0 for an undefined cell, panics naming its sealed state on Set and
+// SetKey, and seals to itself without allocating. It returns the copy.
+func checkSealed(t *testing.T, step string, tbl *Table, m *tableModel, p members) *Table {
+	t.Helper()
+	s := tbl.Sealed()
+	step += " (sealed)"
+	checkTable(t, step, s, m, p)
+	gs, qs, ls := s.Groups(), s.Queries(), s.Locations()
+	var gkeys []string
+	for _, g := range gs {
+		gkeys = append(gkeys, g.Key())
+	}
+	checkNumbering(t, step, "groups", s.gs, gkeys)
+	checkNumbering(t, step, "queries", s.qs, qs)
+	checkNumbering(t, step, "locations", s.ls, ls)
+	cube := s.Cube()
+	if len(cube) != len(gs)*len(qs)*len(ls) {
+		t.Fatalf("%s: Cube holds %d values, want %d×%d×%d", step, len(cube), len(gs), len(qs), len(ls))
+	}
+	for qi, q := range qs {
+		for li, l := range ls {
+			for gi, g := range gkeys {
+				if got, want := cube[(qi*len(ls)+li)*len(gs)+gi], m.cells[Triple{g, q, l}]; got != want {
+					t.Fatalf("%s: Cube at (%s, %s, %s) = %v, want %v", step, g, q, l, got, want)
+				}
+			}
+		}
+	}
+	if again := s.Sealed(); again != s {
+		t.Fatalf("%s: Sealed of a sealed table returned a copy", step)
+	}
+	if allocs := testing.AllocsPerRun(5, func() { s.Sealed() }); allocs != 0 {
+		t.Fatalf("%s: Sealed of a sealed table allocates %.0f times, want 0", step, allocs)
+	}
+	g, q, l := p.gs[0], p.qs[0], p.ls[0]
+	for name, write := range map[string]func(){
+		"Set":    func() { s.Set(g, q, l, 1) },
+		"SetKey": func() { s.SetKey(g.Key(), g, q, l, 1) },
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "sealed") {
+					t.Fatalf("%s: %s on a sealed table: panic %q, want one naming the sealed state", step, name, msg)
+				}
+			}()
+			write()
+		}()
+	}
+	checkCells(t, step+" after refused writes", s, m)
+	return s
+}
+
+// checkNumbering fails unless d numbers exactly the members want, in
+// their order.
+func checkNumbering[K ~string](t *testing.T, step, dim string, d dict[K], want []K) {
+	t.Helper()
+	if !slices.Equal(d.keys, want) || len(d.ids) != len(want) {
+		t.Fatalf("%s: %s numbered %v, want %v", step, dim, d.keys, want)
+	}
+	for id, k := range want {
+		if d.ids[k] != int32(id) {
+			t.Fatalf("%s: %s member %q has id %d, want %d", step, dim, k, d.ids[k], id)
+		}
+	}
+}
+
 // TestTableMatchesReferenceModel runs seeded random sequences of writes
 // and clones against a Table and the plain-map model, comparing every
-// read after every step, RangeSorted's positions among them. The member
-// pool is small, so Set overwrites; clone independence is checked by
-// writing to one side and reading both. Growth sequences then first-Set
-// groups, queries and locations after every page of a smaller pool holds
-// a row, so rows widen (past 64 groups, into a second word of defined
-// bits) and the page index regrids, on either side of a clone taken
-// before the growth. Last, it checks the sharded evaluation at four
-// workers against the single-worker one.
+// read after every step. After every step it also checks the table's
+// sealed copy (checkSealed), and that the copy's Clone is writable and
+// reads as the copy did until written. The member pool is small, so Set
+// overwrites; clone independence is checked by writing to one side and
+// reading both. Growth sequences then first-Set groups, queries and
+// locations after every page of a smaller pool holds a row, so rows widen
+// (past 64 groups, into a second word of defined bits) and the page index
+// regrids, on either side of a clone taken before the growth. Last, it
+// checks the sharded evaluation at four workers against the single-worker
+// one.
 func TestTableMatchesReferenceModel(t *testing.T) {
 	pool := members{
 		gs: []Group{
@@ -374,9 +436,30 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 			m.set(g, q, l, v)
 		}
 	}
+	// sealed checks tbl's sealed copy, then writes through the copy's
+	// Clone, overwriting a cell and adding a member of every dimension,
+	// which must leave the copy as it was. It draws nothing from rng, so
+	// the growth sequences below stay the ones their seeds give.
+	grown := NewGroup(Predicate{"cohort", "added"})
+	sealed := func(step string, tbl *Table, m *tableModel, p members) {
+		t.Helper()
+		s := checkSealed(t, step, tbl, m, p)
+		c, cm := s.Clone(), m.clone()
+		for _, w := range []struct {
+			g Group
+			q Query
+			l Location
+		}{{p.gs[0], p.qs[0], p.ls[0]}, {grown, "added", "added"}} {
+			c.Set(w.g, w.q, w.l, 0.3)
+			cm.set(w.g, w.q, w.l, 0.3)
+		}
+		checkTable(t, step+" (clone of sealed after writes)", c, cm, p)
+		checkCells(t, step+" (sealed after its clone's writes)", s, m)
+	}
 	for seed := 1; seed <= seeds; seed++ {
 		rng = stats.NewRNG(uint64(seed))
 		tbl, m := NewTable(), newTableModel()
+		sealed(fmt.Sprintf("seed %d empty", seed), tbl, m, pool)
 		for step := 0; step < steps; step++ {
 			name := fmt.Sprintf("seed %d step %d", seed, step)
 			if rng.Intn(5) < 4 {
@@ -397,6 +480,7 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 				}
 			}
 			checkTable(t, name, tbl, m, pool)
+			sealed(name, tbl, m, pool)
 		}
 	}
 
@@ -449,6 +533,7 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 			set(writer, wm, before, 1+rng.Intn(20))
 			checkTable(t, name+" (grown)", grower, gm, big)
 			checkTable(t, name+" (written)", writer, wm, big)
+			sealed(name+" (grown)", grower, gm, after)
 			if len(grower.Groups()) > 64 {
 				wide++
 			}
@@ -477,5 +562,7 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 		ls: append(serial.Locations(), "absent"),
 	}
 	ev := &MarketplaceEvaluator{Schema: DefaultSchema(), Measure: MeasureExposure, Workers: 4}
-	checkTable(t, "EvaluateAll at 4 workers", ev.EvaluateAll(rankings, nil), m, evaluated)
+	tbl := ev.EvaluateAll(rankings, nil)
+	checkTable(t, "EvaluateAll at 4 workers", tbl, m, evaluated)
+	checkSealed(t, "EvaluateAll at 4 workers", tbl, m, evaluated)
 }

@@ -16,10 +16,12 @@
 // order: value ties, broken by ascending id, come out in ascending key
 // order. Every list of the family stores only its member ids, in posting
 // order as int32, back to back in one array the family shares: 4 bytes a
-// posting and 16 a list. The values are stored once per build, in one
-// value cube: a float64 per (query, location, group) cell, laid out in
-// that order by the cell's positions in the sorted dimensions, shared by
-// every family the build makes. A list reads member id's value at
+// posting and 16 a list. The families store no values: they read the
+// sealed table's (core.Table.Sealed) rows in place, which are one value
+// cube, a float64 per (query, location, group) cell laid out in that
+// order by the cell's positions in the sorted dimensions. Every family a
+// build makes shares it, and a snapshot that indexes its sealed table
+// holds each value once. A list reads member id's value at
 // cube[base + id·stride], where base is the list's own and stride is 1
 // for I(q,l), |G| for I(g,q) and |L|·|G| for I(g,l). So a random access
 // is one indexed load after the dictionary lookup, and a sorted access
@@ -55,11 +57,11 @@ type family struct {
 	stride int32
 	// order holds each list's member ids in posting order.
 	order []int32
-	// vals holds the values. A built family's is the build's value cube,
-	// which every family built with it shares. NewLists's families share
-	// their own: a complete list keeps its values by member id (stride 1)
-	// and a ragged one in posting order, each at the range of vals its ids
-	// hold in order.
+	// vals holds the values. A built family's is the sealed table's value
+	// cube, which every family built with it shares. NewLists's families
+	// share their own: a complete list keeps its values by member id
+	// (stride 1) and a ragged one in posting order, each at the range of
+	// vals its ids hold in order.
 	vals []float64
 }
 
@@ -292,7 +294,7 @@ type GroupIndex struct {
 	GroupKeys []string
 	Queries   []core.Query
 	Locations []core.Location
-	groups    map[string]core.Group
+	tbl       *core.Table // sealed; resolves group keys
 }
 
 // QueryIndex holds one inverted list of queries per (group, location)
@@ -323,26 +325,23 @@ func strs[T ~string](xs []T) []string {
 }
 
 // build builds the families of t that group, query and location select.
-// One RangeSorted pass over the table fills one value cube, laid out
-// (query, location, group) by the cell's positions in the sorted
-// dimensions, and a member whose cell is undefined keeps 0, the
-// completion invariant. Then each family's lists are sorted from the cube
-// on a goroutine of its own. The families share the cube, the sorted
-// dimensions and, per dimension, the member dictionary that numbers the
-// members of the family over it.
+// They read t's sealed copy in place: its rows are the value cube, laid
+// out (query, location, group) by the cell's positions in the sorted
+// dimensions, where a member whose cell is undefined reads 0, the
+// completion invariant. A table that is not sealed is sealed once here.
+// Each family's lists are sorted from the cube on a goroutine of its own.
+// The families share the cube, the sorted dimensions and, per dimension,
+// the member dictionary that numbers the members of the family over it.
 func build(t *core.Table, group, query, location bool) (gi *GroupIndex, qi *QueryIndex, li *LocationIndex) {
+	t = t.Sealed()
 	groups, qs, ls := t.Groups(), t.Queries(), t.Locations()
 	gks := make([]string, len(groups))
-	gmap := make(map[string]core.Group, len(groups))
 	for i, g := range groups {
 		gks[i] = g.Key()
-		gmap[gks[i]] = g
 	}
 	ng, nq, nl := len(gks), len(qs), len(ls)
 	// The cell at sorted positions (g, q, l) is cube[q·sq + l·sl + g].
-	sq, sl := nl*ng, ng
-	cube := make([]float64, nq*sq)
-	t.RangeSorted(func(g, q, l int, v float64) { cube[q*sq+l*sl+g] = v })
+	sq, sl, cube := nl*ng, ng, t.Cube()
 
 	// Each selected family's lists run a-major over na × nb, list (a, b)
 	// starting at a·sa + b·sb in the cube; sort them into *dst.
@@ -352,7 +351,7 @@ func build(t *core.Table, group, query, location bool) (gi *GroupIndex, qi *Quer
 		sorts = append(sorts, func() { *dst = f.sortLists(na, sa, nb, sb) })
 	}
 	if group {
-		gi = &GroupIndex{GroupKeys: gks, Queries: qs, Locations: ls, groups: gmap}
+		gi = &GroupIndex{GroupKeys: gks, Queries: qs, Locations: ls, tbl: t}
 		add(gks, 1, nq, sq, nl, sl, &gi.lists)
 	}
 	if query {
@@ -382,8 +381,7 @@ func (gi *GroupIndex) Get(q core.Query, l core.Location) *Inverted {
 // Group resolves a group key to the core.Group recorded in the source
 // table.
 func (gi *GroupIndex) Group(key string) (core.Group, bool) {
-	g, ok := gi.groups[key]
-	return g, ok
+	return gi.tbl.GroupByKey(key)
 }
 
 // BuildQueryIndex builds the I(g,l) family from an unfairness table.

@@ -180,7 +180,10 @@ func TestIndexDimsSorted(t *testing.T) {
 // (query, location) page left out, every list must hold each member of
 // its dimension once, in descending value with ties by ascending key,
 // and both At and Find must read each member's cell: Table.GetKey's value
-// where defined and 0 where not (the completion invariant).
+// where defined and 0 where not (the completion invariant). The families
+// built from the table's sealed copy, which they read in place, must hold
+// every list identically: the same members in the same order, and the
+// same values through At and Find.
 func TestIndexInvariantsProperty(t *testing.T) {
 	f := func(seed uint64, ng, nq, nl uint8) bool {
 		rng := stats.NewRNG(seed)
@@ -250,6 +253,33 @@ func TestIndexInvariantsProperty(t *testing.T) {
 				}
 			}
 		}
+		sgi, sqi, sli := index.BuildAll(tbl.Sealed())
+		if !slices.Equal(sgi.GroupKeys, gi.GroupKeys) || !slices.Equal(sgi.Queries, gi.Queries) || !slices.Equal(sgi.Locations, gi.Locations) {
+			t.Errorf("seed %d: the sealed table's dimensions differ", seed)
+			return false
+		}
+		for _, qq := range gi.Queries {
+			for _, ll := range gi.Locations {
+				if err := sameList(sgi.Get(qq, ll), gi.Get(qq, ll), gi.GroupKeys); err != nil {
+					t.Errorf("seed %d: sealed group list (%s, %s): %v", seed, qq, ll, err)
+					return false
+				}
+			}
+		}
+		for _, gg := range gi.GroupKeys {
+			for _, ll := range gi.Locations {
+				if err := sameList(sqi.Get(gg, ll), qi.Get(gg, ll), strs(gi.Queries)); err != nil {
+					t.Errorf("seed %d: sealed query list (%s, %s): %v", seed, gg, ll, err)
+					return false
+				}
+			}
+			for _, qq := range gi.Queries {
+				if err := sameList(sli.Get(gg, qq), li.Get(gg, qq), strs(gi.Locations)); err != nil {
+					t.Errorf("seed %d: sealed location list (%s, %s): %v", seed, gg, qq, err)
+					return false
+				}
+			}
+		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -297,6 +327,26 @@ func checkList(iv *index.Inverted, keys []string, want func(string) float64) err
 	}
 	if _, ok := iv.At(iv.Len()); ok {
 		return fmt.Errorf("At past the end succeeded")
+	}
+	return nil
+}
+
+// sameList reports how got departs from want, a list over the members
+// keys: in its postings, their order and values, and in Find of every
+// member.
+func sameList(got, want *index.Inverted, keys []string) error {
+	if got == nil {
+		return fmt.Errorf("not indexed")
+	}
+	if g, w := got.Entries(), want.Entries(); !slices.Equal(g, w) {
+		return fmt.Errorf("postings %v, want %v", g, w)
+	}
+	for _, k := range keys {
+		g, gok := got.Find(k)
+		w, wok := want.Find(k)
+		if g != w || gok != wok {
+			return fmt.Errorf("Find(%s) = %v, %v; want %v, %v", k, g, gok, w, wok)
+		}
 	}
 	return nil
 }
@@ -366,16 +416,13 @@ func TestBuildAllIgnoresFillOrder(t *testing.T) {
 	}
 }
 
-// TestBuildAllFootprint pins the columnar layout's memory on a generated
-// table with the crawl's eleven groups: BuildAll allocates at most one
-// object per list beyond a constant per family, and at most 10 bytes per
-// posting: 4 of order, a third of the shared cube's 8 bytes per cell and
-// a list's 16 bytes over its members. Values kept per family cost about
-// 15, and a map and an entry slice per list about 70.
-func TestBuildAllFootprint(t *testing.T) {
+// footprintTable is a generated table with the crawl's eleven groups,
+// 24 queries and 14 locations, 80% of its cells defined, with the number
+// of lists and postings its three index families hold.
+func footprintTable() (tbl *core.Table, lists, postings int) {
 	const ng, nq, nl = 11, 24, 14
 	rng := stats.NewRNG(5)
-	tbl := core.NewTable()
+	tbl = core.NewTable()
 	for g := 0; g < ng; g++ {
 		grp := core.NewGroup(core.Predicate{Attr: "cohort", Value: fmt.Sprintf("g%02d", g)})
 		for q := 0; q < nq; q++ {
@@ -386,8 +433,18 @@ func TestBuildAllFootprint(t *testing.T) {
 			}
 		}
 	}
-	lists := nq*nl + ng*nl + ng*nq
-	postings := 3 * ng * nq * nl
+	return tbl, nq*nl + ng*nl + ng*nq, 3 * ng * nq * nl
+}
+
+// TestBuildAllFootprint pins the columnar layout's memory on a table that
+// is not sealed: BuildAll allocates at most one object per list beyond a
+// constant per family, and at most 10 bytes per posting: 4 of order, a
+// list's 16 bytes over its members, and the sealed copy the families read
+// in place, a third of its 8 bytes of value per cell plus its defined
+// bits, page index and dictionaries. Values kept per family cost about
+// 15, and a map and an entry slice per list about 70.
+func TestBuildAllFootprint(t *testing.T) {
+	tbl, lists, postings := footprintTable()
 	const perFamily = 40
 	build := func() { index.BuildAll(tbl) }
 	allocs := testing.AllocsPerRun(10, build)
@@ -398,5 +455,20 @@ func TestBuildAllFootprint(t *testing.T) {
 	}
 	if per > 10 {
 		t.Errorf("BuildAll allocates %.1f bytes per posting, want at most 10", per)
+	}
+}
+
+// TestBuildAllReadsSealedTableInPlace pins that the families read a
+// sealed table's values where they lie: BuildAll on a sealed table
+// allocates its orders, lists and dictionaries, about 6.2 bytes per
+// posting, and no value cube, which would add 8 bytes per cell, a third
+// of them per posting: about 9.
+func TestBuildAllReadsSealedTableInPlace(t *testing.T) {
+	tbl, _, postings := footprintTable()
+	sealed := tbl.Sealed()
+	per := testutil.BytesPerRun(10, func() { index.BuildAll(sealed) }) / float64(postings)
+	t.Logf("BuildAll of a sealed table: %.2f bytes per posting", per)
+	if per > 7 {
+		t.Errorf("BuildAll of a sealed table allocates %.2f bytes per posting, want at most 7: is it copying the values?", per)
 	}
 }

@@ -15,3 +15,6 @@ func CountQueryBuilds(n *atomic.Int64) (restore func()) {
 	}
 	return func() { buildQuery = newQueryState }
 }
+
+// SnapshotTable returns the table s keeps.
+func SnapshotTable(s *Snapshot) *core.Table { return s.tbl }

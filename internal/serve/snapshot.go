@@ -18,9 +18,9 @@
 //     query structures are built at most once: before NewSnapshot or
 //     NewSnapshotWithRankings returns, or, for NewDeferredSnapshot, on
 //     the first quantify or compare. Table refreshes are copy-on-write:
-//     WithUpdates clones the sealed table, applies the edits, and returns
-//     a brand-new snapshot; readers of the old generation are completely
-//     undisturbed.
+//     WithUpdates clones the snapshot's table, applies the edits, and
+//     returns a brand-new snapshot; readers of the old generation are
+//     completely undisturbed.
 //
 //   - Engine: a query executor holding the current snapshot behind an
 //     atomic pointer, a bounded worker pool for batches (the PR 1
@@ -59,13 +59,16 @@ var generation atomic.Uint64
 // table is sealed by copy (producers keep editing theirs), the
 // marketplace pages by ownership (nothing writes a page after the
 // crawl; see NewSnapshotWithRankings). The query structures are derived
-// from the sealed table at most once, before the constructor returns or,
-// for NewDeferredSnapshot, on first use. A snapshot may be shared by any
+// from the table at most once, before the constructor returns or, for
+// NewDeferredSnapshot, on first use. A snapshot may be shared by any
 // number of goroutines without synchronization.
 type Snapshot struct {
 	gen     uint64
-	created time.Time   // freeze time, for the snapshot-age gauge
-	tbl     *core.Table // private clone; never mutated after construction
+	created time.Time // freeze time, for the snapshot-age gauge
+	// tbl is the snapshot's table, never mutated after construction: a
+	// sealed copy (core.Table.Sealed), whose rows the index families read
+	// in place, or for a deferred snapshot a page-major private clone.
+	tbl *core.Table
 
 	// query returns the query structures, building them on its first
 	// call; concurrent first callers wait for that one build. deferred
@@ -101,12 +104,14 @@ type queryState struct {
 	definedOnly *compare.Comparer
 }
 
-// buildQuery derives a snapshot's query structures from its sealed
-// table. It is a variable so the package's tests can count builds.
+// buildQuery derives a snapshot's query structures from its table. It is
+// a variable so the package's tests can count builds.
 var buildQuery = newQueryState
 
 // newQueryState builds the three index families from tbl (one goroutine
-// per family), their full-scope list sources and both comparers.
+// per family), their full-scope list sources and both comparers. The
+// families read a sealed tbl in place; a deferred snapshot's page-major
+// table is sealed once for them.
 func newQueryState(tbl *core.Table) *queryState {
 	gi, qi, li := index.BuildAll(tbl)
 	q := &queryState{
@@ -129,25 +134,26 @@ func newQueryState(tbl *core.Table) *queryState {
 	return q
 }
 
-// NewSnapshot freezes tbl into a snapshot: the table is deep-cloned, the
-// three index families are built from the clone (one goroutine per
-// family), and the result is sealed. The caller's table remains its own —
-// it may keep mutating it and later produce a fresh generation with
+// NewSnapshot freezes tbl into a snapshot: the snapshot keeps a sealed
+// copy of the table (core.Table.Sealed, or tbl itself when it is already
+// sealed), and the three index families are built over that copy's values
+// in place (one goroutine per family). The caller's table remains its
+// own — it may keep mutating it and later produce a fresh generation with
 // another NewSnapshot or with Snapshot.WithUpdates.
 func NewSnapshot(tbl *core.Table) *Snapshot {
-	return newOwnedSnapshot(tbl.Clone(), false)
+	return newSnapshot(tbl, false)
 }
 
 // NewSnapshotWithRankings freezes tbl together with the marketplace
 // pages it was evaluated from, enabling Problem 3 (mitigation) requests:
 // the engine re-ranks a pinned page and re-measures it against the same
-// generation both measurements see. The table is cloned; the pages are
-// not — the snapshot takes ownership of them, and the caller must not
-// modify a page or its workers afterwards; the rankings slice itself
-// stays the caller's. Nil pages are skipped, and a (query, location)
-// given more than once keeps the last page given. schema projects
-// workers onto the group labels mitigation targets (nil selects
-// core.DefaultSchema).
+// generation both measurements see. The table is sealed by copy, as in
+// NewSnapshot; the pages are not copied — the snapshot takes ownership
+// of them, and the caller must not modify a page or its workers
+// afterwards; the rankings slice itself stays the caller's. Nil pages
+// are skipped, and a (query, location) given more than once keeps the
+// last page given. schema projects workers onto the group labels
+// mitigation targets (nil selects core.DefaultSchema).
 func NewSnapshotWithRankings(tbl *core.Table, schema *core.Schema, rankings []*core.MarketplaceRanking) *Snapshot {
 	return newSnapshotWithRankings(tbl, schema, rankings, false)
 }
@@ -159,9 +165,13 @@ func NewSnapshotWithRankings(tbl *core.Table, schema *core.Schema, rankings []*c
 // many requests arrive together. A snapshot that only serves mitigate
 // requests and lends its cells through Cell, Range and Len — a cluster
 // node above one partition — never builds them. Snapshots derived with
-// WithUpdates stay deferred. A serving engine should not use it: the
-// build would land on the first request after start and after every
-// refresh, with the requests behind it waiting.
+// WithUpdates stay deferred. Its table is a page-major Clone, not a
+// sealed copy: a sealed table holds a row for every (query, location)
+// pair, and a cluster node's sub-table owns only about 1/N of the pairs
+// of its dimensions, so a sealed copy would hold about N times its cells.
+// A serving engine should not use it: the build would land on the first
+// request after start and after every refresh, with the requests behind
+// it waiting.
 func NewDeferredSnapshot(tbl *core.Table, schema *core.Schema, rankings []*core.MarketplaceRanking) *Snapshot {
 	return newSnapshotWithRankings(tbl, schema, rankings, true)
 }
@@ -169,7 +179,10 @@ func NewDeferredSnapshot(tbl *core.Table, schema *core.Schema, rankings []*core.
 // newSnapshotWithRankings is the shared body of the two constructors
 // that take pages.
 func newSnapshotWithRankings(tbl *core.Table, schema *core.Schema, rankings []*core.MarketplaceRanking, deferred bool) *Snapshot {
-	s := newOwnedSnapshot(tbl.Clone(), deferred)
+	if deferred {
+		tbl = tbl.Clone()
+	}
+	s := newSnapshot(tbl, deferred)
 	if schema == nil {
 		schema = core.DefaultSchema()
 	}
@@ -279,9 +292,13 @@ func (s *Snapshot) Pages() [][2]string {
 	return out
 }
 
-// newOwnedSnapshot seals a table the snapshot already owns exclusively,
-// building its query structures now unless deferred.
-func newOwnedSnapshot(tbl *core.Table, deferred bool) *Snapshot {
+// newSnapshot freezes tbl, building its query structures now unless
+// deferred. An eager snapshot keeps tbl's sealed copy; a deferred one
+// keeps tbl itself, which the caller must own exclusively.
+func newSnapshot(tbl *core.Table, deferred bool) *Snapshot {
+	if !deferred {
+		tbl = tbl.Sealed()
+	}
 	query := sync.OnceValue(func() *queryState { return buildQuery(tbl) })
 	if !deferred {
 		query()
@@ -296,18 +313,19 @@ func newOwnedSnapshot(tbl *core.Table, deferred bool) *Snapshot {
 }
 
 // WithUpdates returns a new snapshot whose table is a copy of this one
-// with apply's edits: the sealed table is cloned, apply mutates the clone
-// freely (Set, SetKey, anything on core.Table), and the clone is frozen
-// under a fresh generation, its query structures built now or deferred
-// as the receiver's were. The receiver is untouched — queries running
-// against it concurrently keep seeing the old generation, and cache
-// entries for the old generation simply stop being produced.
+// with apply's edits: the snapshot's table is cloned into a writable
+// table, apply mutates the clone freely (Set, SetKey, anything on
+// core.Table), and the clone is frozen under a fresh generation, sealed
+// with its query structures built now, or deferred, as the receiver was.
+// The receiver is untouched — queries running against it concurrently
+// keep seeing the old generation, and cache entries for the old
+// generation simply stop being produced.
 func (s *Snapshot) WithUpdates(apply func(*core.Table)) *Snapshot {
 	clone := s.tbl.Clone()
 	if apply != nil {
 		apply(clone)
 	}
-	next := newOwnedSnapshot(clone, s.deferred)
+	next := newSnapshot(clone, s.deferred)
 	// The mitigation pages ride along unchanged: they are sealed, so the
 	// new generation may share them with the old one. A producer whose
 	// pages themselves changed rebuilds with NewSnapshotWithRankings.
@@ -316,17 +334,17 @@ func (s *Snapshot) WithUpdates(apply func(*core.Table)) *Snapshot {
 	return next
 }
 
-// Cell returns the sealed table's value for (groupKey, q, l) and whether
+// Cell returns the snapshot table's value for (groupKey, q, l) and whether
 // it is defined. Cell, Range and Len let callers derive structures from
 // the snapshot's cells without keeping a second copy of them.
 func (s *Snapshot) Cell(groupKey string, q core.Query, l core.Location) (float64, bool) {
 	return s.tbl.GetKey(groupKey, q, l)
 }
 
-// Range calls fn once for every defined cell of the sealed table.
+// Range calls fn once for every defined cell of the snapshot's table.
 func (s *Snapshot) Range(fn func(tr core.Triple, v float64)) { s.tbl.Range(fn) }
 
-// Len returns the number of defined cells in the sealed table.
+// Len returns the number of defined cells in the snapshot's table.
 func (s *Snapshot) Len() int { return s.tbl.Len() }
 
 // Gen returns the snapshot's process-unique generation number.
@@ -343,7 +361,7 @@ func (s *Snapshot) Queries() []core.Query { return s.query().groupIdx.Queries }
 func (s *Snapshot) Locations() []core.Location { return s.query().groupIdx.Locations }
 
 // Group resolves a canonical group key to the core.Group recorded in the
-// sealed table.
+// snapshot's table.
 func (s *Snapshot) Group(key string) (core.Group, bool) { return s.query().groupIdx.Group(key) }
 
 // DimensionOf resolves which dimension a comparison operand belongs to: a

@@ -213,6 +213,63 @@ func TestWithUpdatesKeepsDeferral(t *testing.T) {
 	}
 }
 
+// TestWithUpdatesSealsEditedTable pins that an eager snapshot's refresh
+// keeps one sealed table: an edit that overwrites a cell and adds a group,
+// a query and a location, each sorting between existing members so every
+// dimension is renumbered, gives a snapshot whose table is sealed and
+// which answers the full battery as a fresh snapshot of the edited table
+// does. A deferred snapshot's refresh keeps a page-major table.
+func TestWithUpdatesSealsEditedTable(t *testing.T) {
+	tbl, pages := deferredFixture()
+	added := core.NewGroup(core.Predicate{Attr: "cohort", Value: "g02x"})
+	old := core.NewGroup(core.Predicate{Attr: "cohort", Value: "g01"})
+	edit := func(t *core.Table) {
+		t.Set(old, "q00", "l00", 0.99)
+		t.Set(added, "q03", "l02", 0.7)
+		t.Set(old, "q03x", "l04", 0.4)
+		t.Set(added, "q05", "l01x", 0.2)
+	}
+	edited := tbl.Clone()
+	edit(edited)
+	fresh := serve.NewSnapshotWithRankings(edited, nil, pages)
+
+	next := serve.NewSnapshotWithRankings(tbl, nil, pages).WithUpdates(edit)
+	if got := serve.SnapshotTable(next); got.Sealed() != got {
+		t.Fatal("an eager snapshot's refresh keeps a table that is not sealed")
+	}
+	if len(next.GroupKeys()) != 7 || len(next.Queries()) != 9 || len(next.Locations()) != 9 {
+		t.Fatalf("the refresh holds %d groups, %d queries and %d locations, want 7, 9 and 9",
+			len(next.GroupKeys()), len(next.Queries()), len(next.Locations()))
+	}
+	reqs := fullBattery(fresh)
+	want, got := answers(fresh, reqs), answers(next, reqs)
+	for i := range reqs {
+		if got[i] != want[i] {
+			t.Errorf("request %d (%v) diverged on the refreshed snapshot:\n got: %s\nwant: %s", i, reqs[i].Problem, got[i], want[i])
+		}
+	}
+	if got := serve.SnapshotTable(serve.NewDeferredSnapshot(tbl, nil, pages).WithUpdates(edit)); got.Sealed() == got {
+		t.Error("a deferred snapshot's refresh keeps a sealed table, want a page-major one")
+	}
+}
+
+// TestSnapshotFootprint bounds what NewSnapshot allocates per (group,
+// query, location) slot of a crawl-shaped table: a sealed copy of the
+// table, 8 bytes of value a slot plus its defined bits, page index and
+// dictionaries, and the three index families' orders and lists, which
+// read the copy's values in place: about 25 bytes. A table clone beside
+// a value cube filled for the families, a second copy of every value,
+// read about 33.
+func TestSnapshotFootprint(t *testing.T) {
+	const ng, nq, nl = 11, 96, 56
+	tbl := randomTable(stats.NewRNG(5), ng, nq, nl, 0.05)
+	per := testutil.BytesPerRun(3, func() { serve.NewSnapshot(tbl) }) / (ng * nq * nl)
+	t.Logf("NewSnapshot of %v: %.1f bytes per slot", tbl, per)
+	if per > 28 {
+		t.Errorf("NewSnapshot allocates %.1f bytes per slot, want at most 28: does the snapshot hold its values twice?", per)
+	}
+}
+
 // TestSnapshotPagesFootprint pins what a snapshot's marketplace pages
 // hold beyond the pages themselves: at most 16 bytes of live heap a page,
 // where a slice sorted by (query, location) holds 8. A map keyed by the
