@@ -1,9 +1,11 @@
 package fairjob_test
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"fairjob/internal/core"
 	"fairjob/internal/experiment"
@@ -11,6 +13,7 @@ import (
 	"fairjob/internal/marketplace"
 	"fairjob/internal/metrics"
 	"fairjob/internal/search"
+	"fairjob/internal/serve"
 	"fairjob/internal/stats"
 	"fairjob/internal/topk"
 )
@@ -167,6 +170,40 @@ func BenchmarkSearchEvaluate(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSetup measures what the repository benchmark's setup_s times
+// for a single engine (bench/setup.go): evaluating its crawl,
+// experiment.NewEnv(7).MarketCrawl(), under the Exposure measure with
+// UseScores, through EvaluateAllCtx, then freezing the table with the
+// crawl's pages through serve.NewSnapshotWithRankings, which builds the
+// three index families and their full-scope list sources. The evaluator
+// runs without a telemetry registry. evaluate-ns/op and snapshot-ns/op
+// split each iteration between the two calls.
+func BenchmarkSetup(b *testing.B) {
+	crawl := experiment.NewEnv(7).MarketCrawl()
+	ev := &core.MarketplaceEvaluator{Schema: core.DefaultSchema(), Measure: core.MeasureExposure, UseScores: true}
+	ctx := context.Background()
+	var eval, snap time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		start := time.Now()
+		tbl, err := ev.EvaluateAllCtx(ctx, crawl, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		mid := time.Now()
+		benchSnapshot = serve.NewSnapshotWithRankings(tbl, nil, crawl)
+		eval += mid.Sub(start)
+		snap += time.Since(mid)
+	}
+	b.ReportMetric(float64(eval.Nanoseconds())/float64(b.N), "evaluate-ns/op")
+	b.ReportMetric(float64(snap.Nanoseconds())/float64(b.N), "snapshot-ns/op")
+}
+
+// benchSnapshot keeps BenchmarkSetup's snapshot reachable, so the
+// compiler cannot drop the call that builds it.
+var benchSnapshot *serve.Snapshot
 
 // BenchmarkAblationTopK compares the paper's Threshold Algorithm against
 // Fagin's original FA and a naive full scan on the group-fairness

@@ -12,6 +12,11 @@ import (
 
 // RankedWorker is one worker in a marketplace result page.
 type RankedWorker struct {
+	// ID identifies the worker across pages. Demographics belong to the
+	// worker: EvaluateAll buckets every entry of a non-empty ID by the
+	// Attrs of the ID's first entry in page order (Unfairness does so
+	// within its one page), and reads Attrs of a later entry only when
+	// its ID is empty.
 	ID    string
 	Attrs Assignment
 	Rank  int // 1-based position in the result page
@@ -279,7 +284,10 @@ func (e *MarketplaceEvaluator) exposureCell(part [][]int, g int, comp []int, sc 
 
 // EvaluateAll computes d<g,q,l> for every ranking and every group,
 // producing the unfairness table the indices and problem solvers consume.
-// A nil groups slice evaluates the full schema universe.
+// A nil groups slice evaluates the full schema universe. A worker's
+// groups are those of its ID's first entry in page order (see
+// RankedWorker.ID); an entry with an empty ID is bucketed by its own
+// Attrs.
 //
 // EvaluateAll is EvaluateAllCtx without a context; it panics on a
 // misconfigured Measure (its only error), keeping the original
@@ -294,14 +302,18 @@ func (e *MarketplaceEvaluator) EvaluateAll(rankings []*MarketplaceRanking, group
 
 // EvaluateAllCtx computes d<g,q,l> for every ranking and every group,
 // under a context. A nil groups slice evaluates the full schema
-// universe. A misconfigured Measure is returned as an error before any
+// universe, and a worker's groups are those of its ID's first entry in
+// page order, as in EvaluateAll. A misconfigured Measure is returned as an error before any
 // work starts; a context that ends mid-evaluation stops every shard at
 // its next page boundary and returns ctx.Err().
 //
 // The work is sharded across Workers goroutines (see the field doc):
 // each worker partitions its pages by plan slot and computes their
 // cells, and one serial pass fills the table in page order, so the
-// result is byte-identical to a single-threaded evaluation.
+// result is byte-identical to a single-threaded evaluation. The
+// first-entry rule holds at every worker count: when a worker's entries
+// disagree on their Attrs across a shard boundary, the evaluation runs
+// again on one goroutine.
 func (e *MarketplaceEvaluator) EvaluateAllCtx(ctx context.Context, rankings []*MarketplaceRanking, groups []Group) (*Table, error) {
 	cell, err := e.cellFunc()
 	if err != nil {
@@ -310,8 +322,8 @@ func (e *MarketplaceEvaluator) EvaluateAllCtx(ctx context.Context, rankings []*M
 	return evaluate(ctx, evalJob[*MarketplaceRanking]{
 		schema: e.Schema, family: "market", measure: e.Measure.String(), workers: e.Workers, obs: e.Obs,
 		at: func(r *MarketplaceRanking) (Query, Location) { return r.Query, r.Location },
-		shard: func(plan *evalPlan, _ *evalRun) func(*MarketplaceRanking, cellRow) {
-			pt, sc := newPartitioner(plan), e.newScratch()
+		shard: func(pt *partitioner, _ *evalRun) func(*MarketplaceRanking, cellRow) {
+			plan, sc := pt.plan, e.newScratch()
 			return func(r *MarketplaceRanking, row cellRow) {
 				part := pt.ranking(r)
 				sc.preparePage(e, r)

@@ -173,10 +173,11 @@ type evalJob[P any] struct {
 	workers int
 	obs     *obs.Registry
 	at      func(P) (Query, Location) // a page's query and location
-	// shard returns what one shard runs per page: compute the page's
-	// cells into row, one per plan group in plan order. It is called on
-	// the shard's goroutine, so the closure may own that shard's scratch.
-	shard func(plan *evalPlan, run *evalRun) func(p P, row cellRow)
+	// shard returns what one shard runs per page: partition the page
+	// with pt and compute its cells into row, one per plan group in the
+	// order of pt's plan. It is called on the shard's goroutine, so the
+	// closure may own that shard's scratch.
+	shard func(pt *partitioner, run *evalRun) func(p P, row cellRow)
 }
 
 // evaluate is both evaluators' EvaluateAllCtx pipeline. A nil groups
@@ -188,16 +189,22 @@ type evalJob[P any] struct {
 // byte-identical to a serial Set loop at any worker count. A context
 // that ends mid-evaluation stops every shard at its next page boundary
 // and returns ctx.Err().
+//
+// An individual's groups are those of its ID's first entry in page
+// order (partitioner). A shard memoizes each ID from its own first
+// entry, so once the shards finish their memos are merged in shard
+// order; if two shards resolved one ID to different combos, a later
+// shard bucketed that ID by an entry other than its first, and the
+// evaluation runs again on one shard, which applies the rule by
+// construction. Input whose IDs keep their attributes never runs twice.
 func evaluate[P any](ctx context.Context, j evalJob[P], pages []P, groups []Group) (*Table, error) {
 	if groups == nil {
 		groups = j.schema.Universe()
 	}
 	plan := newEvalPlan(j.schema, groups)
 	run := newEvalMetrics(j.obs, j.family).begin()
-	w := BoundedWorkers(j.workers, len(pages))
 	ng := len(plan.groups)
 	buf := cellRow{make([]float64, len(pages)*ng), make([]uint64, len(pages)*words(ng))}
-	errs := make([]error, w)
 	done := ctx.Done()
 	// Run the fan-out under pprof labels: the shard goroutines inherit
 	// them, so CPU profiles attribute evaluation samples to the evaluator
@@ -205,29 +212,48 @@ func evaluate[P any](ctx context.Context, j evalJob[P], pages []P, groups []Grou
 	defer pprof.SetGoroutineLabels(ctx)
 	ctx = pprof.WithLabels(ctx, pprof.Labels("eval", j.family, "measure", j.measure))
 	pprof.SetGoroutineLabels(ctx)
-	RunSharded(len(pages), w, func(shard, lo, hi int) {
-		start := time.Now()
-		page := j.shard(plan, run)
-		n := 0
-		for k := lo; k < hi; k++ {
-			if done != nil {
-				select {
-				case <-done:
-					errs[shard] = ctx.Err()
-					return
-				default:
+	// shards computes every page's cells into buf across w shards and
+	// returns each shard's partitioner.
+	shards := func(w int) ([]*partitioner, error) {
+		pts := make([]*partitioner, w)
+		errs := make([]error, w)
+		RunSharded(len(pages), w, func(shard, lo, hi int) {
+			start := time.Now()
+			pts[shard] = newPartitioner(plan)
+			page := j.shard(pts[shard], run)
+			n := 0
+			for k := lo; k < hi; k++ {
+				if done != nil {
+					select {
+					case <-done:
+						errs[shard] = ctx.Err()
+						return
+					default:
+					}
 				}
+				row := buf.page(k, ng)
+				page(pages[k], row)
+				n += row.defined()
 			}
-			row := buf.page(k, ng)
-			page(pages[k], row)
-			n += row.defined()
+			run.shardDone(start, hi-lo, n)
+		})
+		for _, err := range errs {
+			if err != nil {
+				return nil, err
+			}
 		}
-		run.shardDone(start, hi-lo, n)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+		return pts, nil
+	}
+	w := BoundedWorkers(j.workers, len(pages))
+	pts, err := shards(w)
+	if err == nil && w > 1 && !memosAgree(pts) {
+		clear(buf.v)
+		clear(buf.def)
+		w = 1
+		_, err = shards(w)
+	}
+	if err != nil {
+		return nil, err
 	}
 	t := fill(plan, pages, j.at, buf)
 	run.finish(w)

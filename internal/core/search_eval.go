@@ -12,6 +12,11 @@ import (
 // UserResults is one study participant's personalized result list for a
 // (query, location) pair on a search engine: E_q^l(u) in §3.2.
 type UserResults struct {
+	// ID identifies the participant across result sets. Demographics
+	// belong to the participant: EvaluateAll buckets every entry of a
+	// non-empty ID by the Attrs of the ID's first entry in result-set
+	// order (Unfairness does so within its one result set), and reads
+	// Attrs of a later entry only when its ID is empty.
 	ID    string
 	Attrs Assignment
 	List  []string // result identifiers, best first
@@ -228,7 +233,10 @@ func (e *SearchEvaluator) PairwiseUnfairness(sr *SearchResults, g, other Group) 
 }
 
 // EvaluateAll computes the full unfairness table over all result sets and
-// groups. A nil groups slice evaluates the schema universe.
+// groups. A nil groups slice evaluates the schema universe. A
+// participant's groups are those of its ID's first entry in result-set
+// order (see UserResults.ID); an entry with an empty ID is bucketed by
+// its own Attrs.
 //
 // EvaluateAll is EvaluateAllCtx without a context; it panics on a
 // misconfigured Measure (its only error), keeping the original
@@ -243,7 +251,8 @@ func (e *SearchEvaluator) EvaluateAll(results []*SearchResults, groups []Group) 
 
 // EvaluateAllCtx computes the full unfairness table over all result sets
 // and groups, under a context. A nil groups slice evaluates the schema
-// universe. A misconfigured Measure is returned as an error before any
+// universe, and a participant's groups are those of its ID's first entry
+// in result-set order, as in EvaluateAll. A misconfigured Measure is returned as an error before any
 // work starts; a context that ends mid-evaluation stops every shard at
 // its next result-set boundary and returns ctx.Err().
 //
@@ -251,7 +260,9 @@ func (e *SearchEvaluator) EvaluateAll(results []*SearchResults, groups []Group) 
 // each worker partitions its result sets by plan slot, memoizes pairwise
 // distances per result set and computes their cells, and one serial pass
 // fills the table in result-set order, so the result is byte-identical
-// to a single-threaded evaluation.
+// to a single-threaded evaluation. The first-entry rule holds at every
+// worker count: when a participant's entries disagree on their Attrs
+// across a shard boundary, the evaluation runs again on one goroutine.
 func (e *SearchEvaluator) EvaluateAllCtx(ctx context.Context, results []*SearchResults, groups []Group) (*Table, error) {
 	dist, err := e.distFunc()
 	if err != nil {
@@ -260,8 +271,8 @@ func (e *SearchEvaluator) EvaluateAllCtx(ctx context.Context, results []*SearchR
 	return evaluate(ctx, evalJob[*SearchResults]{
 		schema: e.Schema, family: "search", measure: e.Measure.String(), workers: e.Workers, obs: e.Obs,
 		at: func(sr *SearchResults) (Query, Location) { return sr.Query, sr.Location },
-		shard: func(plan *evalPlan, run *evalRun) func(*SearchResults, cellRow) {
-			pt, dc := newPartitioner(plan), &distCache{}
+		shard: func(pt *partitioner, run *evalRun) func(*SearchResults, cellRow) {
+			plan, dc := pt.plan, &distCache{}
 			return func(sr *SearchResults, row cellRow) {
 				part := pt.users(sr)
 				dc.reset(dist, len(sr.Users))

@@ -129,9 +129,42 @@ func (f *family) add(ps []posting, whole *family) Inverted {
 // appendOrder sorts ps into posting order and appends their member ids
 // to the family's order array.
 func (f *family) appendOrder(ps []posting) {
-	slices.SortFunc(ps, canonical)
+	sortPostings(ps)
 	for _, p := range ps {
 		f.order = append(f.order, p.id)
+	}
+}
+
+// insertionMax is the longest list sortPostings sorts by insertion. In a
+// sweep of list lengths 8–512 with random values in ascending id order
+// (go test -bench, 2-vCPU Xeon, go1.24.0), insertion beat
+// slices.SortFunc up to 112 postings, tied it at 128 and lost from 144
+// on; with 30% of the values tied at 0 it still won at 128.
+const insertionMax = 128
+
+// sortPostings sorts ps into canonical order. A list of up to
+// insertionMax postings is insertion-sorted with the comparison written
+// inline, which saves slices.SortFunc's call through canonical per
+// comparison; a longer one goes to slices.SortFunc, so the worst case
+// stays O(n log n). canonical is a total order on postings of distinct
+// ids and values other than NaN, which no measure yields, so both sorts
+// give one order.
+func sortPostings(ps []posting) {
+	if len(ps) > insertionMax {
+		slices.SortFunc(ps, canonical)
+		return
+	}
+	for i := 1; i < len(ps); i++ {
+		p := ps[i]
+		j := i
+		for ; j > 0; j-- {
+			q := ps[j-1]
+			if q.v > p.v || q.v == p.v && q.id < p.id {
+				break
+			}
+			ps[j] = q
+		}
+		ps[j] = p
 	}
 }
 
@@ -378,6 +411,12 @@ func (gi *GroupIndex) Get(q core.Query, l core.Location) *Inverted {
 	return list(gi.lists, gi.Queries, q, gi.Locations, l)
 }
 
+// List returns list i in stored order, (q, l) at qi·|L| + li over the
+// sorted Queries and Locations, for 0 ≤ i < |Q|·|L|.
+func (gi *GroupIndex) List(i int) *Inverted {
+	return &gi.lists[i]
+}
+
 // Group resolves a group key to the core.Group recorded in the source
 // table.
 func (gi *GroupIndex) Group(key string) (core.Group, bool) {
@@ -395,6 +434,12 @@ func (qi *QueryIndex) Get(g string, l core.Location) *Inverted {
 	return list(qi.lists, qi.GroupKeys, g, qi.Locations, l)
 }
 
+// List returns list i in stored order, (g, l) at gi·|L| + li over the
+// sorted GroupKeys and Locations, for 0 ≤ i < |G|·|L|.
+func (qi *QueryIndex) List(i int) *Inverted {
+	return &qi.lists[i]
+}
+
 // BuildLocationIndex builds the I(g,q) family from an unfairness table.
 func BuildLocationIndex(t *core.Table) *LocationIndex {
 	_, _, li := build(t, false, false, true)
@@ -404,6 +449,12 @@ func BuildLocationIndex(t *core.Table) *LocationIndex {
 // Get returns the inverted list of locations for (groupKey, q).
 func (li *LocationIndex) Get(g string, q core.Query) *Inverted {
 	return list(li.lists, li.GroupKeys, g, li.Queries, q)
+}
+
+// List returns list i in stored order, (g, q) at gi·|Q| + qi over the
+// sorted GroupKeys and Queries, for 0 ≤ i < |G|·|Q|.
+func (li *LocationIndex) List(i int) *Inverted {
+	return &li.lists[i]
 }
 
 // BuildAll builds the three Table-5 index families from one unfairness

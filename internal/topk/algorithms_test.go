@@ -3,7 +3,9 @@ package topk
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"fairjob/internal/core"
@@ -145,6 +147,44 @@ func TestTopKErrors(t *testing.T) {
 	}
 	if _, err := NewGroupLists(gi, []core.Query{"missing"}, nil); err == nil {
 		t.Fatal("unindexed query should error")
+	}
+}
+
+// TestFullScopeSourcesMatchScoped pins each family's nil-scope source,
+// which takes the index's lists in stored order, to the source scoped
+// explicitly to the index's full dimensions: the same *index.Inverted
+// values, in the same order. The table's dimensions differ in size, so a
+// transposed order shows. An empty table still fails with "empty scope".
+func TestFullScopeSourcesMatchScoped(t *testing.T) {
+	gi, qi, li := index.BuildAll(randomTable(8, 3, 4, 5))
+	lists := func(src ListSource, err error) []*index.Inverted {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return src.(*indexLists).lists
+	}
+	for _, c := range []struct {
+		family       string
+		full, scoped []*index.Inverted
+	}{
+		{"group", lists(NewGroupLists(gi, nil, nil)), lists(NewGroupLists(gi, gi.Queries, gi.Locations))},
+		{"query", lists(NewQueryLists(qi, nil, nil)), lists(NewQueryLists(qi, qi.GroupKeys, qi.Locations))},
+		{"location", lists(NewLocationLists(li, nil, nil)), lists(NewLocationLists(li, li.GroupKeys, li.Queries))},
+	} {
+		if len(c.full) == 0 || !slices.Equal(c.full, c.scoped) {
+			t.Errorf("%s: the nil scope holds %d lists %v, the full scope %d lists %v", c.family, len(c.full), c.full, len(c.scoped), c.scoped)
+		}
+	}
+	egi, eqi, eli := index.BuildAll(core.NewTable())
+	for family, build := range map[string]func() (ListSource, error){
+		"group":    func() (ListSource, error) { return NewGroupLists(egi, nil, nil) },
+		"query":    func() (ListSource, error) { return NewQueryLists(eqi, nil, nil) },
+		"location": func() (ListSource, error) { return NewLocationLists(eli, nil, nil) },
+	} {
+		if _, err := build(); err == nil || !strings.Contains(err.Error(), "empty scope") {
+			t.Errorf("%s: nil scope over an empty table: err = %v, want empty scope", family, err)
+		}
 	}
 }
 

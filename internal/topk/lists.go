@@ -81,11 +81,30 @@ func scoped[A, B ~string](as []A, bs []B, get func(A, B) *index.Inverted) (ListS
 	return &s, nil
 }
 
+// stored collects a family's n lists in its stored a-major order, which
+// is the full scope: every pair of the index's own dimensions. It fails
+// when the scope is empty.
+func stored(n int, list func(int) *index.Inverted) (ListSource, error) {
+	if n == 0 {
+		return nil, fmt.Errorf("topk: empty scope")
+	}
+	lists := make([]*index.Inverted, n)
+	for i := range lists {
+		lists[i] = list(i)
+	}
+	s := newIndexLists(lists)
+	return &s, nil
+}
+
 // NewGroupLists builds the group-fairness ListSource over the given scope:
 // the I(q,l) family, whose members are group keys. Nil qs or ls default
-// to the index's full dimensions. It returns an error when a requested
-// pair is not indexed.
+// to the index's full dimensions; with both nil the lists are taken in
+// the index's stored order, which is the same as resolving every pair.
+// It returns an error when a requested pair is not indexed.
 func NewGroupLists(gi *index.GroupIndex, qs []core.Query, ls []core.Location) (ListSource, error) {
+	if qs == nil && ls == nil {
+		return stored(len(gi.Queries)*len(gi.Locations), gi.List)
+	}
 	if qs == nil {
 		qs = gi.Queries
 	}
@@ -97,8 +116,12 @@ func NewGroupLists(gi *index.GroupIndex, qs []core.Query, ls []core.Location) (L
 
 // NewQueryLists builds the query-fairness ListSource over a (G, L) scope
 // of the I(g,l) family; members are queries. groupKeys and ls nil
-// default to the full dimensions.
+// default to the full dimensions, and with both nil the lists are taken
+// in the index's stored order.
 func NewQueryLists(qi *index.QueryIndex, groupKeys []string, ls []core.Location) (ListSource, error) {
+	if groupKeys == nil && ls == nil {
+		return stored(len(qi.GroupKeys)*len(qi.Locations), qi.List)
+	}
 	if groupKeys == nil {
 		groupKeys = qi.GroupKeys
 	}
@@ -109,8 +132,13 @@ func NewQueryLists(qi *index.QueryIndex, groupKeys []string, ls []core.Location)
 }
 
 // NewLocationLists builds the location-fairness ListSource over a (G, Q)
-// scope of the I(g,q) family; members are locations.
+// scope of the I(g,q) family; members are locations. groupKeys and qs
+// nil default to the full dimensions, and with both nil the lists are
+// taken in the index's stored order.
 func NewLocationLists(li *index.LocationIndex, groupKeys []string, qs []core.Query) (ListSource, error) {
+	if groupKeys == nil && qs == nil {
+		return stored(len(li.GroupKeys)*len(li.Queries), li.List)
+	}
 	if groupKeys == nil {
 		groupKeys = li.GroupKeys
 	}

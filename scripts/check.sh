@@ -26,12 +26,17 @@
 #                            snapshots), the byte-identity contracts of
 #                            the table build (evaluators at any worker
 #                            count and group set ≡ the serial loop, in
-#                            values and member numbering, the
+#                            values and member numbering, an
+#                            individual's groups ≡ its ID's first
+#                            entry at any worker count, the
 #                            page partition ≡ naive membership, the
 #                            by-rank exposure ≡ ExposureAtRank, the
 #                            table ≡ its reference model, the index
 #                            families ≡ their invariants whatever the
-#                            table's fill order), Problem 2's
+#                            table's fill order, posting order ≡
+#                            slices.SortFunc across the insertion-sort
+#                            bound, nil-scope list sources ≡ the
+#                            full-dimension scope), Problem 2's
 #                            access-count pin and operand rule, and the
 #                            memory and allocation pins. A renamed test fails the
 #                            script here instead of silently dropping
@@ -146,11 +151,11 @@ gate 'TestWideEventSchemaGate|TestClusterTracing' ./internal/cluster/
 gate 'FuzzMitigators' ./internal/mitigate/
 
 echo "== named gates: correctness contracts and memory pins"
-gate '^TestAlgorithmsEquivalentOnRandomTables$' ./internal/topk/
+gate '^TestAlgorithmsEquivalentOnRandomTables$|^TestFullScopeSourcesMatchScoped$' ./internal/topk/
 gate '^TestCoordinatorEquivalence$|^TestCoordinatorEquivalenceAfterRefresh$|^FuzzClusterEquivalence$|^TestFragmentFootprint$|^TestSplitTableAllocations$|^TestNodeFootprint$|^TestScanReplyAllocatesOnce$|^TestCoordinatorPagesMatchEngine$' ./internal/cluster/
 gate '^TestGoldenCompletionSemantics$|^TestGoldenDefinedOnlySemantics$|^TestGoldenQueryAndLocationComparisons$|^TestComparisonAccesses$|^TestUnindexedScopeErrors$|^TestUnknownGroupReadsAsZero$|^TestComparisonAllocations$' ./internal/compare/
-gate '^TestExposureMatchesPaperFigure5$|^TestTableFootprint$|^TestMarketplaceEvaluateAllDeterministicAcrossWorkers$|^TestSearchEvaluateAllDeterministicAcrossWorkers$|^TestPartitionMatchesNaiveMembership$|^TestMarketplaceEvaluatorMatchesReference$|^TestTableMatchesReferenceModel$|^TestWarmPartitionerAllocatesNothing$|^TestScratchExposureMatchesExposureAtRank$' ./internal/core/
-gate '^TestBuildAllFootprint$|^TestIndexInvariantsProperty$|^TestBuildAllIgnoresFillOrder$|^TestBuildAllReadsSealedTableInPlace$' ./internal/index/
+gate '^TestExposureMatchesPaperFigure5$|^TestTableFootprint$|^TestMarketplaceEvaluateAllDeterministicAcrossWorkers$|^TestSearchEvaluateAllDeterministicAcrossWorkers$|^TestPartitionMatchesNaiveMembership$|^TestMarketplaceEvaluatorMatchesReference$|^TestTableMatchesReferenceModel$|^TestWarmPartitionerAllocatesNothing$|^TestScratchExposureMatchesExposureAtRank$|^TestGroupsFollowFirstEntryOfID$|^TestMemosAgreeAcrossShards$' ./internal/core/
+gate '^TestBuildAllFootprint$|^TestIndexInvariantsProperty$|^TestBuildAllIgnoresFillOrder$|^TestBuildAllReadsSealedTableInPlace$|^TestPostingOrderAcrossSortBound$' ./internal/index/
 gate '^TestTracingAllocatesNothing$|^TestDeferredSnapshotMatchesEager$|^TestDeferredSnapshotBuildsOnce$|^TestWithUpdatesKeepsDeferral$|^TestSnapshotPagesFootprint$|^TestSnapshotPagesOrderAndRepeats$|^TestSnapshotFootprint$' ./internal/serve/
 gate '^TestMitigateGolden$' ./internal/mitigate/
 
