@@ -128,9 +128,10 @@ type clusterMetrics struct {
 }
 
 // Coordinator serves Problems 1–3 over a (query, location)-partitioned
-// cluster by scatter-gather: distributed TA for quantify, a gathered
-// cell store for compare, owner routing for mitigate. See the package
-// comment and DESIGN.md §14 for the fault model.
+// cluster by scatter-gather: distributed TA for quantify, a comparison
+// over one table gathered from the partitions' cells for compare, owner
+// routing for mitigate. See the package comment and DESIGN.md §14 for
+// the fault model.
 type Coordinator struct {
 	n         int
 	uni       *Universe
@@ -479,13 +480,14 @@ func (c *Coordinator) runQuantify(ctx context.Context, rc *reqCtx, req serve.Req
 }
 
 // runCompare is the distributed Problem 2: gather every partition's
-// cells (the union is exactly the single table's defined cells) and run
-// the same comparison walk over the gathered store.
+// cells into one table (the union is exactly the single table's defined
+// cells, and under Node.Refresh's contract its sorted dimensions are the
+// universe's) and run the same comparison walk over it.
 func (c *Coordinator) runCompare(ctx context.Context, rc *reqCtx, req serve.Request) serve.Response {
 	if err := ctx.Err(); err != nil {
 		return serve.Response{Err: typedCtxErr(ctx, err)}
 	}
-	var cells []Cell
+	replies := make([][]Cell, 0, c.n)
 	for p := 0; p < c.n; p++ {
 		reply, err := rc.call(ctx, p, Call{Op: OpCells})
 		if err != nil {
@@ -494,7 +496,7 @@ func (c *Coordinator) runCompare(ctx context.Context, rc *reqCtx, req serve.Requ
 			}
 			continue // marked dead; degrade recomputes from survivors
 		}
-		cells = append(cells, reply.Cells...)
+		replies = append(replies, reply.Cells)
 	}
 	if len(rc.missing()) > 0 {
 		return serve.Response{}
@@ -504,12 +506,11 @@ func (c *Coordinator) runCompare(ctx context.Context, rc *reqCtx, req serve.Requ
 		// degradation path must not compute over silently partial cells.
 		return serve.Response{Err: typedCtxErr(ctx, err)}
 	}
-	var cmp *compare.Comparer
+	comparer := compare.New
 	if req.DefinedOnly {
-		cmp = compare.NewDefinedOnlyFromCells(newCellStore(c.uni, cells))
-	} else {
-		cmp = compare.NewFromCells(newCellStore(c.uni, cells))
+		comparer = compare.NewDefinedOnly
 	}
+	cmp := comparer(c.uni.tableOf(replies))
 	resp := serve.Response{Gen: rc.pinnedGen()}
 	switch req.Of {
 	case compare.ByGroup:
@@ -578,17 +579,7 @@ func (c *Coordinator) degradedEngine(ctx context.Context, rc *reqCtx, missing []
 		return eng, nil
 	}
 
-	tbl := core.NewTable()
-	for _, cells := range gathered {
-		for _, cell := range cells {
-			g, ok := c.uni.Group(cell.G)
-			if !ok {
-				continue // unreachable: sealed universe
-			}
-			tbl.Set(g, cell.Q, cell.L, cell.V)
-		}
-	}
-	eng = serve.NewEngine(serve.NewSnapshotWithRankings(tbl, c.schema, rankings), serve.Options{
+	eng = serve.NewEngine(serve.NewSnapshotWithRankings(c.uni.tableOf(gathered), c.schema, rankings), serve.Options{
 		Workers:   1,
 		CacheSize: -1, // keyed cache would collide across missing-sets; the coordinator caches the engine instead
 	})

@@ -1,8 +1,8 @@
 // Package cluster partitions the unfairness table by (query, location)
 // across N engine instances and serves Problems 1–3 through a
 // scatter-gather Coordinator: distributed TA over per-partition sorted
-// access for quantify, a gathered cell store for compare, and
-// owner-routing for page-local mitigate. The robustness machinery is
+// access for quantify, one table gathered from every partition's cells
+// for compare, and owner-routing for page-local mitigate. The robustness machinery is
 // the point — per-leg deadline budgets carved from the request
 // deadline, deterministic-jitter hedging against slow partitions,
 // backoff retries for transient leg errors, generation pins for
@@ -102,12 +102,6 @@ func positions[K comparable](members []K) map[K]int {
 	return m
 }
 
-// Group resolves a canonical group key recorded in the universe.
-func (u *Universe) Group(key string) (core.Group, bool) {
-	g, ok := u.groups[key]
-	return g, ok
-}
-
 // counts returns the universe's member count per dimension: groups (the
 // I(q,l) family's members), queries (I(g,l)'s) and locations (I(g,q)'s).
 func (u *Universe) counts() (g, q, l int) {
@@ -139,6 +133,24 @@ func SplitTable(tbl *core.Table, n int) []*core.Table {
 		subs[p].SetKey(tr.GroupKey, g, tr.Query, tr.Location, v)
 	})
 	return subs
+}
+
+// tableOf fills one table with the cells of OpCells replies: the inverse
+// of SplitTable, for the coordinator's compare and its degraded engine.
+// The table is presized for every cell of the universe, so no fill
+// regrows it, and each cell is set by the group key it carries and the
+// universe's Group for that key, so no key is built per cell.
+func (u *Universe) tableOf(replies [][]Cell) *core.Table {
+	G, Q, L := u.counts()
+	tbl := core.NewTableSized(G*Q*L, G, Q, L)
+	for _, cells := range replies {
+		for _, c := range cells {
+			if g, ok := u.groups[c.G]; ok { // always: the universe is sealed
+				tbl.SetKey(c.G, g, c.Q, c.L, c.V)
+			}
+		}
+	}
+	return tbl
 }
 
 // page is one (query, location) pair: a result page and the cells

@@ -4,36 +4,9 @@ import (
 	"context"
 
 	"fairjob/internal/compare"
-	"fairjob/internal/core"
 	"fairjob/internal/index"
 	"fairjob/internal/topk"
 )
-
-// cellStore adapts the cells gathered from partitions into a
-// compare.CellSource: Problem 2 comparisons run the exact single-table
-// math over it, because the union of the partitions' defined cells IS
-// the single table's defined cells.
-type cellStore struct {
-	uni   *Universe
-	cells map[core.Triple]float64
-}
-
-func newCellStore(uni *Universe, gathered []Cell) *cellStore {
-	cs := &cellStore{uni: uni, cells: make(map[core.Triple]float64, len(gathered))}
-	for _, c := range gathered {
-		cs.cells[core.Triple{GroupKey: c.G, Query: c.Q, Location: c.L}] = c.V
-	}
-	return cs
-}
-
-func (cs *cellStore) Dims() ([]string, []core.Query, []core.Location) {
-	return cs.uni.GroupKeys, cs.uni.Queries, cs.uni.Locations
-}
-
-func (cs *cellStore) Cell(g string, q core.Query, l core.Location) (float64, bool) {
-	v, ok := cs.cells[core.Triple{GroupKey: g, Query: q, Location: l}]
-	return v, ok
-}
 
 // geom is the coordinator's precomputed geometry for one list family:
 // how many global lists the family has, how long each merged list is,

@@ -5,7 +5,7 @@
 //
 // This is the paper's Algorithm 2, with Algorithm 3 (ComputeGroupUnfairness
 // via random accesses to the group-based indices) as the overall-unfairness
-// subroutine. A Comparer reads cells from one CellSource, and every
+// subroutine. A Comparer reads cells from one core.Table, and every
 // comparison is one walk over it: the two overall aggregates, then the two
 // sides pinned to each breakdown member. By default the aggregates use the
 // same semantics as Algorithms 1 and 3: undefined triples contribute 0 and
@@ -45,7 +45,7 @@ func (d Dimension) String() string {
 }
 
 // Scope restricts the aggregation and breakdown sets. Nil fields default
-// to the full dimension of the Comparer's cell source. Group members are
+// to the full dimension of the Comparer's table. Group members are
 // canonical group keys.
 type Scope struct {
 	Groups    []string
@@ -77,20 +77,22 @@ type Comparison struct {
 	Accesses int
 }
 
-// Comparer answers fairness-comparison questions over one CellSource.
+// Comparer answers fairness-comparison questions over one unfairness
+// table, whatever holds it: a snapshot's sealed table, or the table a
+// scatter-gather coordinator fills from its partitions' cells.
 //
 // Every comparison is one walk. Before it reads a cell, the walk checks
-// that each query and location it will visit is in the source's Dims,
-// and otherwise fails with the error naming the first such (query,
-// location) pair in visiting order. So every source, whether the group
-// index, the table or cells gathered from partitions, answers an unknown
-// query or location operand with the same error. An unknown group is not
-// an error: its cells read as undefined.
+// that each query and location it will visit is in the table's sorted
+// dimensions, and otherwise fails with the error naming the first such
+// (query, location) pair in visiting order. So an unknown query or
+// location operand fails with the same error on every serving path. An
+// unknown group is not an error: its cells read as undefined.
 //
-// A Comparer is read-only while answering: the source and semantics flag
-// are fixed at construction and every Algorithm 3 sum lives in the call
-// computing it, so one Comparer may serve any number of concurrent
-// queries.
+// A Comparer is read-only while answering: the table, its sorted
+// dimensions and the semantics flag are fixed at construction and every
+// Algorithm 3 sum lives in the call computing it, so one Comparer may
+// serve any number of concurrent queries. The table must not change
+// while the Comparer is in use.
 //
 // Two aggregation semantics are supported. The default (New) follows
 // Algorithms 1–3 exactly: undefined triples contribute 0 and denominators
@@ -100,7 +102,10 @@ type Comparison struct {
 // (Table 12) even though their per-page deviations coincide on pages where
 // both genders appear.
 type Comparer struct {
-	src         CellSource
+	tbl         *core.Table
+	gks         []string // the table's group keys, sorted
+	qs          []core.Query
+	ls          []core.Location
 	definedOnly bool
 }
 
@@ -112,117 +117,56 @@ type Comparer struct {
 // and a strict comparison would turn those ties into arbitrary orderings.
 const epsilon = 1e-9
 
-// CellSource is where the Algorithm 3 random accesses read from: the
-// group-based index family, the unfairness table, or cells gathered from
-// remote partitions by the scatter-gather coordinator. Dims returns the
-// full dimension universe, each dimension sorted; Cell returns a triple's
-// value and whether it is defined. Both must be safe for concurrent
-// calls.
-type CellSource interface {
-	Dims() (groups []string, queries []core.Query, locations []core.Location)
-	Cell(g string, q core.Query, l core.Location) (float64, bool)
-}
-
 // New builds a Comparer with the completion semantics of Algorithms 1–3
-// (missing = 0, denominator = full scope size) over the group-based index
-// family.
-func New(gi *index.GroupIndex) *Comparer {
-	return NewFromCells(groupIndex{gi})
+// (missing = 0, denominator = full scope size) over the unfairness table.
+func New(tbl *core.Table) *Comparer {
+	return over(tbl, false)
 }
 
 // NewDefinedOnly builds a Comparer that averages over defined triples
-// only, reading directly from the unfairness table, which must not change
-// while the Comparer is in use.
+// only, over the unfairness table.
 func NewDefinedOnly(tbl *core.Table) *Comparer {
+	return over(tbl, true)
+}
+
+// NewDefinedOnlyWith is NewDefinedOnly for callers that already hold the
+// table's group-based index family, whose sorted dimensions it reuses; gi
+// must have been built from tbl.
+func NewDefinedOnlyWith(gi *index.GroupIndex, tbl *core.Table) *Comparer {
+	return &Comparer{tbl: tbl, gks: gi.GroupKeys, qs: gi.Queries, ls: gi.Locations, definedOnly: true}
+}
+
+// over builds a Comparer over tbl, collecting its sorted dimensions once.
+func over(tbl *core.Table, definedOnly bool) *Comparer {
 	groups := tbl.Groups()
 	gks := make([]string, len(groups))
 	for i, g := range groups {
 		gks[i] = g.Key()
 	}
-	return NewDefinedOnlyFromCells(&table{tbl, gks, tbl.Queries(), tbl.Locations()})
-}
-
-// NewDefinedOnlyWith is NewDefinedOnly for callers that already hold the
-// table's group-based index family (the serve layer's snapshots build all
-// three families once), whose sorted dimensions it reuses; gi must have
-// been built from tbl.
-func NewDefinedOnlyWith(gi *index.GroupIndex, tbl *core.Table) *Comparer {
-	return NewDefinedOnlyFromCells(&table{tbl, gi.GroupKeys, gi.Queries, gi.Locations})
-}
-
-// NewFromCells builds a Comparer with completion semantics (missing = 0,
-// denominator = full scope size) over an arbitrary cell source. Because
-// every source is walked in the same deterministic (g, q, l) order and
-// adding 0.0 to a float sum is exact, a cell source agreeing with a table
-// on its defined cells and dimensions yields byte-identical Comparisons.
-func NewFromCells(cs CellSource) *Comparer {
-	return &Comparer{src: cs}
-}
-
-// NewDefinedOnlyFromCells is NewFromCells with defined-only aggregation
-// semantics.
-func NewDefinedOnlyFromCells(cs CellSource) *Comparer {
-	return &Comparer{src: cs, definedOnly: true}
-}
-
-// groupIndex reads cells by Algorithm 3's random access to the
-// group-based index: a Find on the (q, l) list. The lists are complete,
-// so an undefined cell of a known group reads as a defined 0, which is
-// all completion semantics needs.
-type groupIndex struct{ gi *index.GroupIndex }
-
-func (s groupIndex) Dims() ([]string, []core.Query, []core.Location) {
-	return s.gi.GroupKeys, s.gi.Queries, s.gi.Locations
-}
-
-func (s groupIndex) Cell(g string, q core.Query, l core.Location) (float64, bool) {
-	if iv := s.gi.Get(q, l); iv != nil {
-		return iv.Find(g)
-	}
-	return 0, false
-}
-
-// table reads cells from an unfairness table whose sorted dimensions
-// were collected once.
-type table struct {
-	t   *core.Table
-	gks []string
-	qs  []core.Query
-	ls  []core.Location
-}
-
-func (s *table) Dims() ([]string, []core.Query, []core.Location) { return s.gks, s.qs, s.ls }
-
-func (s *table) Cell(g string, q core.Query, l core.Location) (float64, bool) {
-	return s.t.GetKey(g, q, l)
+	return &Comparer{tbl: tbl, gks: gks, qs: tbl.Queries(), ls: tbl.Locations(), definedOnly: definedOnly}
 }
 
 // d is Algorithm 3 generalized to a rectangular scope: the aggregate
 // unfairness over s.Groups × s.Queries × s.Locations, one random access
-// per cell, counted into *accesses. The singleton forms of the paper —
-// d<g,Q,L>, d<G,q,L>, d<G,Q,l> — are d with one axis pinned to a single
-// member; QuerySets passes a multi-member query axis. Cells are visited in
-// group-major (g, q, l) order, so every aggregate is a deterministic
-// left-to-right sum. Under completion semantics an undefined cell adds
-// an explicit 0 and the denominator is the scope size; under defined-only
-// semantics it is skipped, the denominator is the defined count, and a
-// scope with no defined cell averages to 0.
+// (Table.GetKey) per cell, counted into *accesses. The singleton forms of
+// the paper — d<g,Q,L>, d<G,q,L>, d<G,Q,l> — are d with one axis pinned
+// to a single member; QuerySets passes a multi-member query axis. Cells
+// are visited in group-major (g, q, l) order, so every aggregate is a
+// deterministic left-to-right sum. An undefined cell adds nothing: under
+// completion semantics it counts as 0, and adding +0 to a sum that starts
+// at +0 leaves it bit for bit unchanged, so the denominator, the scope
+// size, is all that sees it. Under defined-only semantics the denominator
+// is the defined count, and a scope with no defined cell averages to 0.
 func (c *Comparer) d(s Scope, accesses *int) float64 {
 	var sum float64
 	defined := 0
 	for _, g := range s.Groups {
 		for _, q := range s.Queries {
 			for _, l := range s.Locations {
-				v, ok := c.src.Cell(g, q, l)
-				switch {
-				case ok:
+				if v, ok := c.tbl.GetKey(g, q, l); ok {
+					sum += v
 					defined++
-				case c.definedOnly:
-					continue
-				default:
-					v = 0
 				}
-				sum += v
 			}
 		}
 	}
@@ -239,15 +183,14 @@ func (c *Comparer) d(s Scope, accesses *int) float64 {
 
 // walk is Algorithm 2 over the two sides s1 and s2, which differ only in
 // the axis their operands pin. It resolves both sides against the
-// source, then computes the two overall aggregates and, for each member
-// of the by axis, the two sides narrowed to that member.
+// table's dimensions, then computes the two overall aggregates and, for
+// each member of the by axis, the two sides narrowed to that member.
 func (c *Comparer) walk(r1, r2 string, s1, s2 Scope, by Dimension) (*Comparison, error) {
 	if by < ByGroup || by > ByLocation {
 		return nil, fmt.Errorf("compare: unknown breakdown dimension %v", by)
 	}
-	gs, qs, ls := c.src.Dims()
 	for _, s := range []*Scope{&s1, &s2} {
-		if err := s.resolve(gs, qs, ls); err != nil {
+		if err := s.resolve(c.gks, c.qs, c.ls); err != nil {
 			return nil, err
 		}
 	}
@@ -279,10 +222,10 @@ func (c *Comparer) walk(r1, r2 string, s1, s2 Scope, by Dimension) (*Comparison,
 	return cmp, nil
 }
 
-// resolve sets each nil axis of s to the source's full dimension, and
+// resolve sets each nil axis of s to the table's full dimension, and
 // returns the error for the first (query, location) pair, in the walk's
 // visiting order, whose query or location is not in the sorted
-// dimensions qs and ls. An axis taken from the source needs no check, and
+// dimensions qs and ls. An axis taken from the table needs no check, and
 // a side without groups or locations visits no cell.
 func (s *Scope) resolve(gs []string, qs []core.Query, ls []core.Location) error {
 	checkQ, checkL := s.Queries != nil, s.Locations != nil

@@ -38,7 +38,7 @@ func maleKey() string   { return core.NewGroup(core.Predicate{Attr: "gender", Va
 func femaleKey() string { return core.NewGroup(core.Predicate{Attr: "gender", Value: "Female"}).Key() }
 
 func TestGroupComparisonByLocation(t *testing.T) {
-	c := New(index.BuildGroupIndex(tableForCompare()))
+	c := New(tableForCompare())
 	cmp, err := c.Groups(maleKey(), femaleKey(), ByLocation, Scope{})
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +59,7 @@ func TestGroupComparisonByLocation(t *testing.T) {
 }
 
 func TestGroupComparisonByQueryNoReversal(t *testing.T) {
-	c := New(index.BuildGroupIndex(tableForCompare()))
+	c := New(tableForCompare())
 	cmp, err := c.Groups(maleKey(), femaleKey(), ByQuery, Scope{})
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +72,7 @@ func TestGroupComparisonByQueryNoReversal(t *testing.T) {
 }
 
 func TestGroupComparisonInvalidBreakdown(t *testing.T) {
-	c := New(index.BuildGroupIndex(tableForCompare()))
+	c := New(tableForCompare())
 	if _, err := c.Groups(maleKey(), femaleKey(), ByGroup, Scope{}); err == nil {
 		t.Fatal("breakdown by group should be rejected")
 	}
@@ -88,7 +88,7 @@ func TestQueryComparisonByGroup(t *testing.T) {
 	tbl.Set(male, "handyman", "NYC", 0.9)
 	tbl.Set(female, "cleaning", "NYC", 0.6)
 	tbl.Set(female, "handyman", "NYC", 0.5)
-	c := New(index.BuildGroupIndex(tbl))
+	c := New(tbl)
 
 	cmp, err := c.Queries("cleaning", "handyman", ByGroup, Scope{})
 	if err != nil {
@@ -110,7 +110,7 @@ func TestQueryComparisonByLocation(t *testing.T) {
 	tbl.Set(male, "q2", "l1", 0.8)
 	tbl.Set(male, "q1", "l2", 0.9)
 	tbl.Set(male, "q2", "l2", 0.3)
-	c := New(index.BuildGroupIndex(tbl))
+	c := New(tbl)
 	cmp, err := c.Queries("q1", "q2", ByLocation, Scope{})
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +134,7 @@ func TestLocationComparisonByQuery(t *testing.T) {
 	tbl.Set(g, "clean", "Chicago", 0.5)
 	tbl.Set(g, "organize", "SF", 0.4)
 	tbl.Set(g, "organize", "Chicago", 0.2)
-	c := New(index.BuildGroupIndex(tbl))
+	c := New(tbl)
 	// Overall: SF = 0.25, Chicago = 0.35 — SF fairer; "organize" inverts.
 	cmp, err := c.Locations("SF", "Chicago", ByQuery, Scope{})
 	if err != nil {
@@ -156,7 +156,7 @@ func TestLocationComparisonByGroup(t *testing.T) {
 	tbl.Set(male, "q", "l2", 0.9)
 	tbl.Set(female, "q", "l1", 0.8)
 	tbl.Set(female, "q", "l2", 0.2)
-	c := New(index.BuildGroupIndex(tbl))
+	c := New(tbl)
 	cmp, err := c.Locations("l1", "l2", ByGroup, Scope{})
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +169,7 @@ func TestLocationComparisonByGroup(t *testing.T) {
 }
 
 func TestScopeRestriction(t *testing.T) {
-	c := New(index.BuildGroupIndex(tableForCompare()))
+	c := New(tableForCompare())
 	// Restrict to OKC only: overall becomes the OKC comparison, so OKC
 	// itself no longer reverses.
 	cmp, err := c.Groups(maleKey(), femaleKey(), ByLocation, Scope{Locations: []core.Location{"OKC"}})
@@ -184,46 +184,19 @@ func TestScopeRestriction(t *testing.T) {
 	}
 }
 
-// mapCells is a CellSource over a map of a table's defined cells, the
-// shape of the cells a scatter-gather coordinator gathers.
-type mapCells struct {
-	gks   []string
-	qs    []core.Query
-	ls    []core.Location
-	cells map[core.Triple]float64
-}
-
-func newMapCells(tbl *core.Table) *mapCells {
-	m := &mapCells{qs: tbl.Queries(), ls: tbl.Locations(), cells: map[core.Triple]float64{}}
-	for _, g := range tbl.Groups() {
-		m.gks = append(m.gks, g.Key())
-	}
-	tbl.Range(func(tr core.Triple, v float64) { m.cells[tr] = v })
-	return m
-}
-
-func (m *mapCells) Dims() ([]string, []core.Query, []core.Location) { return m.gks, m.qs, m.ls }
-
-func (m *mapCells) Cell(g string, q core.Query, l core.Location) (float64, bool) {
-	v, ok := m.cells[core.Triple{GroupKey: g, Query: q, Location: l}]
-	return v, ok
-}
-
 // constructors builds a Comparer over a table every way a caller can.
 var constructors = []struct {
 	name  string
 	build func(*core.Table) *Comparer
 }{
-	{"New", func(t *core.Table) *Comparer { return New(index.BuildGroupIndex(t)) }},
+	{"New", New},
 	{"NewDefinedOnly", NewDefinedOnly},
 	{"NewDefinedOnlyWith", func(t *core.Table) *Comparer { return NewDefinedOnlyWith(index.BuildGroupIndex(t), t) }},
-	{"NewFromCells", func(t *core.Table) *Comparer { return NewFromCells(newMapCells(t)) }},
-	{"NewDefinedOnlyFromCells", func(t *core.Table) *Comparer { return NewDefinedOnlyFromCells(newMapCells(t)) }},
 }
 
 // TestUnindexedScopeErrors pins the operand rule: a query or location the
-// source does not hold fails with the same error, naming the first pair
-// the walk would visit, whatever the source and semantics.
+// table does not hold fails with the same error, naming the first pair
+// the walk would visit, whatever the constructor and semantics.
 func TestUnindexedScopeErrors(t *testing.T) {
 	cases := []struct {
 		name string
@@ -257,7 +230,7 @@ func TestUnindexedScopeErrors(t *testing.T) {
 }
 
 func TestUnknownGroupReadsAsZero(t *testing.T) {
-	// A group key absent from the source aggregates to 0 everywhere —
+	// A group key absent from the table aggregates to 0 everywhere —
 	// undefined under either semantics — rather than erroring.
 	for _, k := range constructors {
 		cmp, err := k.build(tableForCompare()).Groups("gender=Nonbinary", femaleKey(), ByLocation, Scope{})
@@ -413,7 +386,7 @@ func TestQuerySetsComparison(t *testing.T) {
 	tbl.Set(female, "a1", "l", 0.3)
 	tbl.Set(female, "a2", "l", 0.4)
 	tbl.Set(female, "b1", "l", 0.6)
-	c := New(index.BuildGroupIndex(tbl))
+	c := New(tbl)
 
 	cmp, err := c.QuerySets("setA", "setB", []core.Query{"a1", "a2"}, []core.Query{"b1"}, ByGroup, Scope{})
 	if err != nil {
@@ -447,7 +420,7 @@ func TestQuerySetsErrors(t *testing.T) {
 }
 
 func TestQuerySetsByLocation(t *testing.T) {
-	c := New(index.BuildGroupIndex(tableForCompare()))
+	c := New(tableForCompare())
 	cmp, err := c.QuerySets("cleaning", "handyman",
 		[]core.Query{"cleaning"}, []core.Query{"handyman"}, ByLocation, Scope{})
 	if err != nil {
@@ -494,7 +467,7 @@ func TestComparisonCoverageProperty(t *testing.T) {
 				tbl.Set(female, query, loc, rng.Float64())
 			}
 		}
-		c := New(index.BuildGroupIndex(tbl))
+		c := New(tbl)
 		cmp, err := c.Groups(male.Key(), female.Key(), ByLocation, Scope{})
 		if err != nil {
 			return false

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"fairjob/internal/core"
-	"fairjob/internal/index"
 	"fairjob/internal/testutil"
 )
 
@@ -87,7 +86,7 @@ func requireSet(t *testing.T, name string, got, want []string) {
 // semantics of the paper's pseudocode (missing = 0, denominator = |Q|·|L|).
 func TestGoldenCompletionSemantics(t *testing.T) {
 	tbl, bf, wm := goldenTable()
-	c := New(index.BuildGroupIndex(tbl))
+	c := New(tbl)
 
 	byQuery, err := c.Groups(bf, wm, ByQuery, Scope{})
 	if err != nil {
@@ -147,7 +146,7 @@ func TestGoldenDefinedOnlySemantics(t *testing.T) {
 // (completion semantics).
 func TestGoldenQueryAndLocationComparisons(t *testing.T) {
 	tbl, _, _ := goldenTable()
-	c := New(index.BuildGroupIndex(tbl))
+	c := New(tbl)
 
 	// cleaning vs handyman by location:
 	//   overall cleaning = (0.04+0.30+0.02+0.40)/4 = 0.19

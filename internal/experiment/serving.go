@@ -155,7 +155,7 @@ func servingMatchesDirect(tbl *core.Table, req serve.Request, resp serve.Respons
 		if req.DefinedOnly {
 			c = compare.NewDefinedOnly(tbl)
 		} else {
-			c = compare.New(index.BuildGroupIndex(tbl))
+			c = compare.New(tbl)
 		}
 		var (
 			want *compare.Comparison

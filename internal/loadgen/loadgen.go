@@ -1,3 +1,12 @@
+// Package loadgen is the open-loop load harness (DESIGN.md §13): it
+// offers requests to a serve.Engine at a scheduled arrival rate —
+// constant or Poisson — and records coordinated-omission-correct
+// latency, i.e. every request's latency is measured from its *scheduled*
+// arrival time, not from whenever the generator got around to sending
+// it. A closed-loop generator (send, wait, send) silently stops offering
+// load exactly when the system stalls, so its percentiles miss the worst
+// behavior; the open-loop schedule keeps arrivals independent of
+// responses, the way real user traffic is.
 package loadgen
 
 import (
@@ -9,6 +18,7 @@ import (
 	"sync"
 	"time"
 
+	"fairjob/internal/obs"
 	"fairjob/internal/serve"
 	"fairjob/internal/stats"
 )
@@ -103,14 +113,29 @@ type LatencySummary struct {
 	Mean float64 `json:"mean_ns"`
 }
 
-func summarize(h *Hist) LatencySummary {
+// latencyBounds are the bucket bounds of the run's latency histograms,
+// in nanoseconds: 700 buckets about 3% apart, from 100 ns to about 94 s,
+// so a quantile interpolated inside its bucket is within about 3% of a
+// recorded latency.
+var latencyBounds = obs.ExponentialBuckets(100, 1.03, 700)
+
+// summarize reads a histogram of latencies in nanoseconds whose exact
+// maximum is maxNS: each quantile is clamped at maxNS, so none exceeds
+// Max, and Mean is the histogram's sum over its count. An empty
+// histogram summarizes to zeros.
+func summarize(h *obs.Histogram, maxNS int64) LatencySummary {
+	s := h.Snapshot()
+	if s.Count == 0 {
+		return LatencySummary{}
+	}
+	q := func(p float64) int64 { return min(int64(s.Quantile(p)), maxNS) }
 	return LatencySummary{
-		P50:  h.Quantile(0.50),
-		P90:  h.Quantile(0.90),
-		P99:  h.Quantile(0.99),
-		P999: h.Quantile(0.999),
-		Max:  h.Max(),
-		Mean: h.Mean(),
+		P50:  q(0.50),
+		P90:  q(0.90),
+		P99:  q(0.99),
+		P999: q(0.999),
+		Max:  maxNS,
+		Mean: s.Mean(),
 	}
 }
 
@@ -145,9 +170,12 @@ type Report struct {
 	ByLabel        []LabelStats     `json:"by_label"`
 }
 
-// labelTrack is one label's accumulation during the run.
+// labelTrack is one label's accumulation during the run. The histogram
+// is lock-free; the exact maximum beside it and the counts are updated
+// under mu.
 type labelTrack struct {
-	hist      Hist
+	hist      *obs.Histogram
+	max       int64
 	count     int64
 	errors    int64
 	cacheHits int64
@@ -191,7 +219,8 @@ func (r *Runner) Run(ctx context.Context) *Report {
 	sampleRNG := rng.Split()
 
 	var (
-		total     Hist
+		total     = obs.NewHistogram(latencyBounds)
+		totalMax  int64
 		mu        sync.Mutex
 		outcomes  = make(map[string]int64)
 		byLabel   = make(map[string]*labelTrack)
@@ -203,7 +232,7 @@ func (r *Runner) Run(ctx context.Context) *Report {
 		maxLate   int64
 	)
 	for _, l := range r.wl.Labels() {
-		byLabel[l] = &labelTrack{}
+		byLabel[l] = &labelTrack{hist: obs.NewHistogram(latencyBounds)}
 	}
 
 	begin := time.Now()
@@ -247,13 +276,14 @@ func (r *Runner) Run(ctx context.Context) *Report {
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			resp := r.target.DoCtx(ctx, req)
-			lat := time.Since(arrival) // from SCHEDULED arrival: CO-correct
+			lat := time.Since(arrival).Nanoseconds() // from SCHEDULED arrival: CO-correct
 			if !measured {
 				return
 			}
 			track := byLabel[label]
-			track.hist.Record(lat.Nanoseconds())
+			track.hist.Observe(float64(lat))
 			track.mu.Lock()
+			track.max = max(track.max, lat)
 			track.count++
 			if resp.Err != nil {
 				track.errors++
@@ -262,8 +292,9 @@ func (r *Runner) Run(ctx context.Context) *Report {
 				track.cacheHits++
 			}
 			track.mu.Unlock()
-			total.Record(lat.Nanoseconds())
+			total.Observe(float64(lat))
 			mu.Lock()
+			totalMax = max(totalMax, lat)
 			completed++
 			outcomes[serve.Outcome(resp.Err)]++
 			mu.Unlock()
@@ -294,7 +325,7 @@ func (r *Runner) Run(ctx context.Context) *Report {
 		AchievedRPS:    float64(completed) / measureSec,
 		MaxLatenessNs:  maxLate,
 		Outcomes:       outcomes,
-		Latency:        summarize(&total),
+		Latency:        summarize(total, totalMax),
 	}
 	for label, track := range byLabel {
 		if track.count == 0 {
@@ -305,7 +336,7 @@ func (r *Runner) Run(ctx context.Context) *Report {
 			Count:     track.count,
 			Errors:    track.errors,
 			CacheHits: track.cacheHits,
-			Latency:   summarize(&track.hist),
+			Latency:   summarize(track.hist, track.max),
 		})
 	}
 	sort.Slice(rep.ByLabel, func(i, j int) bool { return rep.ByLabel[i].Label < rep.ByLabel[j].Label })

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"fairjob/internal/core"
+	"fairjob/internal/obs"
 	"fairjob/internal/serve"
 	"fairjob/internal/stats"
 )
@@ -26,51 +27,45 @@ func testEngine(tb testing.TB) *serve.Engine {
 	return serve.NewEngine(serve.NewSnapshot(tbl), serve.Options{Workers: 2})
 }
 
+// TestHistQuantiles reads a run's summary of 1 µs … 1 ms in 1 µs steps:
+// every quantile within 10% of the exact one and at most the exact
+// maximum, the maximum and the mean exact, and an empty histogram all
+// zeros.
 func TestHistQuantiles(t *testing.T) {
-	var h Hist
+	h := obs.NewHistogram(latencyBounds)
+	var maxNS int64
 	for i := int64(1); i <= 1000; i++ {
-		h.Record(i * 1000) // 1µs .. 1ms
+		ns := i * 1000 // 1µs .. 1ms
+		h.Observe(float64(ns))
+		maxNS = max(maxNS, ns)
 	}
 	if h.Count() != 1000 {
 		t.Fatalf("count = %d", h.Count())
 	}
-	if got := h.Max(); got != 1000000 {
-		t.Fatalf("max = %d", got)
+	s := summarize(h, maxNS)
+	if s.Max != 1000000 {
+		t.Fatalf("max = %d", s.Max)
 	}
-	// Bucket resolution is 2^-5 ≈ 3.2%; allow 2 buckets of slack.
+	// Buckets are 3% apart; allow 10%.
 	checks := []struct {
-		q    float64
-		want int64
-	}{{0.5, 500_000}, {0.9, 900_000}, {0.99, 990_000}, {1.0, 1_000_000}}
+		name      string
+		got, want int64
+	}{{"p50", s.P50, 500_000}, {"p90", s.P90, 900_000}, {"p99", s.P99, 990_000}, {"p999", s.P999, 999_000}}
 	for _, c := range checks {
-		got := h.Quantile(c.q)
 		lo := c.want - c.want/10
 		hi := c.want + c.want/10
-		if got < lo || got > hi {
-			t.Errorf("q%.3f = %d, want within [%d, %d]", c.q, got, lo, hi)
+		if c.got < lo || c.got > hi {
+			t.Errorf("%s = %d, want within [%d, %d]", c.name, c.got, lo, hi)
+		}
+		if c.got > s.Max {
+			t.Errorf("%s = %d exceeds the maximum %d", c.name, c.got, s.Max)
 		}
 	}
-	if h.Mean() < 450_000 || h.Mean() > 550_000 {
-		t.Errorf("mean = %v", h.Mean())
+	if s.Mean != 500_500 {
+		t.Errorf("mean = %v, want 500500", s.Mean)
 	}
-}
-
-func TestBucketRoundtrip(t *testing.T) {
-	for _, v := range []int64{0, 1, 31, 32, 33, 1000, 1 << 20, 1<<40 + 12345, 1<<62 + 99} {
-		idx := bucketOf(v)
-		mid := bucketMid(idx)
-		// The representative value must be within one sub-bucket width.
-		if v >= 1<<subBits {
-			rel := float64(mid-v) / float64(v)
-			if rel < -0.05 || rel > 0.05 {
-				t.Errorf("bucketMid(bucketOf(%d)) = %d, rel err %v", v, mid, rel)
-			}
-		} else if mid != v {
-			t.Errorf("identity range: bucketMid(bucketOf(%d)) = %d", v, mid)
-		}
-		if idx < 0 || idx >= histBuckets {
-			t.Fatalf("bucket index %d out of range for %d", idx, v)
-		}
+	if empty := summarize(obs.NewHistogram(latencyBounds), 0); empty != (LatencySummary{}) {
+		t.Errorf("empty summary = %+v, want zeros", empty)
 	}
 }
 

@@ -29,9 +29,9 @@
 //     generation.
 //
 // All query-time state of the underlying algorithms lives in per-call
-// structs (topk's taState et al., compare's accum), which is what makes a
-// single snapshot safe for N simultaneous queries; the package's
-// concurrency and fuzz tests pin that contract under -race.
+// structs (topk's taState et al.) or in the call itself (compare's sums),
+// which is what makes a single snapshot safe for N simultaneous queries;
+// the package's concurrency and fuzz tests pin that contract under -race.
 package serve
 
 import (
@@ -90,8 +90,8 @@ type Snapshot struct {
 
 // queryState is what quantify and compare read: the three Table-5 index
 // families, held through their full-scope list sources, and the two
-// Problem 2 comparers (completion and defined-only semantics). It is
-// read-only once built.
+// Problem 2 comparers (completion and defined-only semantics), which read
+// the snapshot's table. It is read-only once built.
 type queryState struct {
 	groupIdx *index.GroupIndex // also the snapshot's sorted dimensions
 
@@ -111,12 +111,12 @@ var buildQuery = newQueryState
 // newQueryState builds the three index families from tbl (one goroutine
 // per family), their full-scope list sources and both comparers. The
 // families read a sealed tbl in place; a deferred snapshot's page-major
-// table is sealed once for them.
+// table is sealed once for them. Both comparers read tbl itself.
 func newQueryState(tbl *core.Table) *queryState {
 	gi, qi, li := index.BuildAll(tbl)
 	q := &queryState{
 		groupIdx:    gi,
-		completion:  compare.New(gi),
+		completion:  compare.New(tbl),
 		definedOnly: compare.NewDefinedOnlyWith(gi, tbl),
 	}
 	// The full-scope sources fail only on an empty table: every pair of

@@ -337,26 +337,38 @@ func TestNRAEarlyTermination(t *testing.T) {
 	}
 }
 
-func TestGroupFairnessAmongRestrictsCandidates(t *testing.T) {
+// TestFilteredListsRestrictCandidates answers §4.1's restricted question
+// ("Out of Black Males, Asian Males, Asian Females, and White Females,
+// what are the 2 groups for which the site is the most unfair?") the
+// way the engine serves Request.Candidates: TA over the group lists
+// restricted by NewFilteredLists.
+func TestFilteredListsRestrictCandidates(t *testing.T) {
 	tbl := randomTable(404, 12, 5, 4)
-	gi := index.BuildGroupIndex(tbl)
+	src, err := NewGroupLists(index.BuildGroupIndex(tbl), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	exact := bruteForceGroups(tbl)
 	// Candidates: the groups ranked 3rd, 5th, 8th and 10th overall.
 	candidates := []string{exact[2].Key, exact[4].Key, exact[7].Key, exact[9].Key}
-	got, err := GroupFairnessAmong(gi, candidates, nil, nil, 2, MostUnfair)
+	restricted, err := NewFilteredLists(src, candidates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := TopK(restricted, 2, MostUnfair, TA)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The answer must be the best two *among the candidates*.
 	assertSameResults(t, got, []Result{exact[2], exact[4]}, "restricted")
 
-	least, err := GroupFairnessAmong(gi, candidates, nil, nil, 1, LeastUnfair)
+	least, _, err := TopK(restricted, 1, LeastUnfair, TA)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertSameResults(t, least, []Result{exact[9]}, "restricted least")
 
-	if _, err := GroupFairnessAmong(gi, []string{"nope"}, nil, nil, 1, MostUnfair); err == nil {
+	if _, err := NewFilteredLists(src, []string{"nope"}); err == nil {
 		t.Fatal("empty restriction should error")
 	}
 }

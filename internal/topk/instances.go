@@ -39,20 +39,3 @@ func LocationFairness(idx *index.LocationIndex, groupKeys []string, qs []core.Qu
 	results, _, err := TopK(src, k, dir, TA)
 	return results, err
 }
-
-// GroupFairnessAmong solves the restricted group-fairness question of
-// §4.1's example ("Out of Black Males, Asian Males, Asian Females, and
-// White Females, what are the 2 groups for which the site is the most
-// unfair?"): the k most/least unfair groups among the given candidates.
-func GroupFairnessAmong(idx *index.GroupIndex, candidates []string, qs []core.Query, ls []core.Location, k int, dir Direction) ([]Result, error) {
-	src, err := NewGroupLists(idx, qs, ls)
-	if err != nil {
-		return nil, err
-	}
-	restricted, err := NewFilteredLists(src, candidates)
-	if err != nil {
-		return nil, err
-	}
-	results, _, err := TopK(restricted, k, dir, TA)
-	return results, err
-}

@@ -6,9 +6,8 @@
 // The package implements the paper's adaptation of Fagin's Threshold
 // Algorithm (Algorithm 1) plus three baselines used by the ablation
 // benchmarks: Fagin's original FA, Fagin's No-Random-Access algorithm
-// (NRA), and a naive full scan. Restricted variants (NewFilteredLists,
-// GroupFairnessAmong) answer the paper's "out of these groups…" form of
-// the question.
+// (NRA), and a naive full scan. A source restricted by NewFilteredLists
+// answers the paper's "out of these groups…" form of the question.
 package topk
 
 import (

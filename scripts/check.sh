@@ -37,7 +37,8 @@
 #                            slices.SortFunc across the insertion-sort
 #                            bound, nil-scope list sources ≡ the
 #                            full-dimension scope), Problem 2's
-#                            access-count pin and operand rule, and the
+#                            access-count pin, operand rule and cost by
+#                            request shape on every serving path, and the
 #                            memory and allocation pins. A renamed test fails the
 #                            script here instead of silently dropping
 #                            out; step 8 runs them
@@ -152,7 +153,7 @@ gate 'FuzzMitigators' ./internal/mitigate/
 
 echo "== named gates: correctness contracts and memory pins"
 gate '^TestAlgorithmsEquivalentOnRandomTables$|^TestFullScopeSourcesMatchScoped$' ./internal/topk/
-gate '^TestCoordinatorEquivalence$|^TestCoordinatorEquivalenceAfterRefresh$|^FuzzClusterEquivalence$|^TestFragmentFootprint$|^TestSplitTableAllocations$|^TestNodeFootprint$|^TestScanReplyAllocatesOnce$|^TestCoordinatorPagesMatchEngine$' ./internal/cluster/
+gate '^TestCoordinatorEquivalence$|^TestCoordinatorEquivalenceAfterRefresh$|^FuzzClusterEquivalence$|^TestFragmentFootprint$|^TestSplitTableAllocations$|^TestNodeFootprint$|^TestScanReplyAllocatesOnce$|^TestCoordinatorPagesMatchEngine$|^TestCompareCostByShape$' ./internal/cluster/
 gate '^TestGoldenCompletionSemantics$|^TestGoldenDefinedOnlySemantics$|^TestGoldenQueryAndLocationComparisons$|^TestComparisonAccesses$|^TestUnindexedScopeErrors$|^TestUnknownGroupReadsAsZero$|^TestComparisonAllocations$' ./internal/compare/
 gate '^TestExposureMatchesPaperFigure5$|^TestTableFootprint$|^TestMarketplaceEvaluateAllDeterministicAcrossWorkers$|^TestSearchEvaluateAllDeterministicAcrossWorkers$|^TestPartitionMatchesNaiveMembership$|^TestMarketplaceEvaluatorMatchesReference$|^TestTableMatchesReferenceModel$|^TestWarmPartitionerAllocatesNothing$|^TestScratchExposureMatchesExposureAtRank$|^TestGroupsFollowFirstEntryOfID$|^TestMemosAgreeAcrossShards$' ./internal/core/
 gate '^TestBuildAllFootprint$|^TestIndexInvariantsProperty$|^TestBuildAllIgnoresFillOrder$|^TestBuildAllReadsSealedTableInPlace$|^TestPostingOrderAcrossSortBound$' ./internal/index/
