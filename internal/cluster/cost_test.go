@@ -9,15 +9,19 @@ import (
 	"fairjob/internal/cluster"
 	"fairjob/internal/compare"
 	"fairjob/internal/core"
+	"fairjob/internal/mitigate"
 	"fairjob/internal/serve"
 	"fairjob/internal/testutil"
+	"fairjob/internal/topk"
 )
 
 // wireCount is a cluster.Transport that forwards to a coordinator's own
 // nodes and counts what one request sends, the way the benchmark counts
-// it: a call to a partition is counted once per op, not again for a hedge
-// duplicate or a retry of it, and its cells are taken from its first
-// successful reply. So the counts do not move with the hedge timers.
+// it: a call is keyed by what it asks for (a scan by its block, a lookup
+// by its key, cells and serve once per partition), so it is counted once
+// and not again for a hedge duplicate or a retry of it, and its entries
+// are taken from its first successful reply. So the counts do not move
+// with the hedge timers.
 type wireCount struct {
 	inner cluster.Transport
 
@@ -25,21 +29,29 @@ type wireCount struct {
 	sent     map[wireCall]bool
 	answered map[wireCall]bool
 	ops      map[cluster.Op]int
-	cells    int
+	entries  int
+	// off makes Send forward without counting, so an allocation count
+	// reads the coordinator alone.
+	off bool
 }
 
 // wireCall is one call of a request: within a request the coordinator
-// sends each op to a partition once, unless it hedges or retries it.
+// sends a call to a partition once, unless it hedges or retries it.
 type wireCall struct {
-	p  int
-	op cluster.Op
+	p                  int
+	op                 cluster.Op
+	gen                uint64
+	dim                compare.Dimension
+	list, start, count int
+	key                string
 }
 
-// countedCoordinator builds an n-partition coordinator over tbl, node
-// caches off, whose transport is a wireCount over its own nodes.
-func countedCoordinator(tbl *core.Table, n int) (*cluster.Coordinator, *wireCount) {
+// countedCoordinator builds an n-partition coordinator over tbl and the
+// marketplace pages, node caches off, whose transport is a wireCount
+// over its own nodes.
+func countedCoordinator(tbl *core.Table, pages []*core.MarketplaceRanking, n int) (*cluster.Coordinator, *wireCount) {
 	w := &wireCount{}
-	c := cluster.New(tbl, cluster.Options{Partitions: n, NodeCacheSize: -1, Transport: w})
+	c := cluster.NewWithRankings(tbl, nil, pages, cluster.Options{Partitions: n, NodeCacheSize: -1, Transport: w})
 	nodes := make([]*cluster.Node, n)
 	for p := range nodes {
 		nodes[p] = c.Node(p)
@@ -53,11 +65,14 @@ func countedCoordinator(tbl *core.Table, n int) (*cluster.Coordinator, *wireCoun
 func (w *wireCount) reset() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.sent, w.answered, w.ops, w.cells = map[wireCall]bool{}, map[wireCall]bool{}, map[cluster.Op]int{}, 0
+	w.sent, w.answered, w.ops, w.entries = map[wireCall]bool{}, map[wireCall]bool{}, map[cluster.Op]int{}, 0
 }
 
 func (w *wireCount) Send(ctx context.Context, p int, call cluster.Call) (cluster.Reply, error) {
-	k := wireCall{p, call.Op}
+	if w.off {
+		return w.inner.Send(ctx, p, call)
+	}
+	k := wireCall{p, call.Op, call.PinGen, call.Dim, call.List, call.Start, call.Count, call.Key}
 	w.mu.Lock()
 	if !w.sent[k] {
 		w.sent[k] = true
@@ -68,7 +83,7 @@ func (w *wireCount) Send(ctx context.Context, p int, call cluster.Call) (cluster
 	w.mu.Lock()
 	if err == nil && !w.answered[k] {
 		w.answered[k] = true
-		w.cells += len(reply.Cells)
+		w.entries += len(reply.Entries) + len(reply.Row) + len(reply.Cells)
 	}
 	w.mu.Unlock()
 	return reply, err
@@ -100,8 +115,8 @@ func TestCompareCostByShape(t *testing.T) {
 	gks, qs, ls := groupKeys(tbl), tbl.Queries(), tbl.Locations()
 	G, Q, L := len(gks), len(qs), len(ls)
 	engine := serve.NewEngine(serve.NewSnapshot(tbl), serve.Options{Workers: 1, CacheSize: -1})
-	one, wire1 := countedCoordinator(tbl, 1)
-	four, wire4 := countedCoordinator(tbl, 4)
+	one, wire1 := countedCoordinator(tbl, nil, 1)
+	four, wire4 := countedCoordinator(tbl, nil, 4)
 	measureBytes := !testutil.RaceEnabled()
 
 	shapes := []struct {
@@ -151,12 +166,12 @@ func TestCompareCostByShape(t *testing.T) {
 				if len(w.ops) != 1 || w.ops[path.op] != path.n {
 					t.Errorf("%s, %s at %d partitions: sends %v, want %d %v and no other op", name, semantics, path.n, w.ops, path.n, path.op)
 				}
-				if path.n == 4 && w.cells != tbl.Len() {
-					t.Errorf("%s, %s at 4 partitions: the OpCells replies carry %d cells, want %d", name, semantics, w.cells, tbl.Len())
+				if path.n == 4 && w.entries != tbl.Len() {
+					t.Errorf("%s, %s at 4 partitions: the OpCells replies carry %d cells, want %d", name, semantics, w.entries, tbl.Len())
 				}
 			}
 
-			cellsCalls, cells := wire4.ops[cluster.OpCells], wire4.cells
+			cellsCalls, cells := wire4.ops[cluster.OpCells], wire4.entries
 			bytesPerCell := "-"
 			if measureBytes {
 				b := testutil.BytesPerRun(5, func() { four.Do(req) }) / float64(tbl.Len())
@@ -169,3 +184,217 @@ func TestCompareCostByShape(t *testing.T) {
 		}
 	}
 }
+
+// quantifyCost is what one Problem 1 request costs: its Response.Stats,
+// which every serving path reports alike, the scans and lookups a
+// four-partition coordinator sends and the entries their replies carry,
+// and its allocations per request on the engine and on the coordinator
+// at one and four partitions.
+type quantifyCost struct {
+	sorted, random, rounds  int
+	scans, lookups, entries int
+	allocs                  [3]float64
+}
+
+// TestQuantifyCostByShape pins what a Problem 1 request costs on every
+// serving path, on the table of TestCompareCostByShape (the benchmark
+// crawl's shape, 11 groups × 96 queries × 56 locations, about 5% of the
+// cells undefined) with caches off. The shapes are every dimension,
+// algorithm and direction at k = 3, and the group quantify restricted to
+// four candidates under every algorithm. Per shape:
+//
+//   - Response.Stats is pinned, and the engine and the coordinator at one
+//     and four partitions return the same results and the same Stats;
+//   - at one partition the coordinator sends one OpServe and nothing
+//     else; at four it sends only OpScan and OpLookup, and the calls of
+//     each and the entries their replies carry are pinned;
+//   - outside the race detector, the allocations per request on each
+//     path stay under a ceiling at the reading the pins were taken at
+//     (allocCeiling).
+//
+// Each mitigator's request, on the paper's page, is pinned the same way:
+// the same answer on the engine and at four partitions, where it is one
+// OpServe to the page's owner, and an allocation ceiling on each.
+//
+// A count here may only fall, or rise with its reason written down. Run
+// with -v to print the table.
+func TestQuantifyCostByShape(t *testing.T) {
+	tbl := crawlShaped()
+	pages := []*core.MarketplaceRanking{clusterRanking()}
+	gks := groupKeys(tbl)
+	engine := serve.NewEngine(serve.NewSnapshotWithRankings(tbl, nil, pages), serve.Options{Workers: 1, CacheSize: -1})
+	one, wire1 := countedCoordinator(tbl, pages, 1)
+	four, wire4 := countedCoordinator(tbl, pages, 4)
+	measureAllocs := !testutil.RaceEnabled()
+	// allocs returns the allocations of one request on each path, or
+	// zeros under the race detector.
+	allocs := func(req serve.Request) (a [3]float64) {
+		if !measureAllocs {
+			return a
+		}
+		wire1.off, wire4.off = true, true
+		defer func() { wire1.off, wire4.off = false, false }()
+		for i, do := range []func(serve.Request) serve.Response{engine.Do, one.Do, four.Do} {
+			a[i] = testing.AllocsPerRun(3, func() { do(req) })
+		}
+		return a
+	}
+	checkAllocs := func(name string, got, read [3]float64) {
+		t.Helper()
+		if !measureAllocs {
+			return
+		}
+		for i, path := range []string{"the engine", "1 partition", "4 partitions"} {
+			if ceiling := allocCeiling(read[i]); got[i] > ceiling {
+				t.Errorf("%s on %s: %.0f allocations per request, want at most %.0f (%.0f when pinned)", name, path, got[i], ceiling, read[i])
+			}
+		}
+	}
+
+	type shape struct {
+		dim        compare.Dimension
+		algo       topk.Algorithm
+		dir        topk.Direction
+		candidates []string
+	}
+	var shapes []shape
+	for _, dim := range []compare.Dimension{compare.ByGroup, compare.ByQuery, compare.ByLocation} {
+		for _, algo := range topk.Algorithms() {
+			for _, dir := range []topk.Direction{topk.MostUnfair, topk.LeastUnfair} {
+				shapes = append(shapes, shape{dim, algo, dir, nil})
+			}
+		}
+	}
+	for _, algo := range topk.Algorithms() {
+		shapes = append(shapes, shape{compare.ByGroup, algo, topk.MostUnfair, gks[:4]})
+	}
+
+	t.Logf("%-36s %7s %7s %6s %8s %8s %8s %9s %9s %9s", "shape", "sorted", "random", "rounds", "p4 scan", "p4 look", "p4 ent", "allocs e", "allocs p1", "allocs p4")
+	for _, sh := range shapes {
+		req := serve.Request{Problem: serve.Quantify, Dim: sh.dim, K: 3, Direction: sh.dir, Algorithm: sh.algo, Candidates: sh.candidates}
+		name := fmt.Sprintf("%v %v %v", sh.dim, sh.algo, sh.dir)
+		if sh.candidates != nil {
+			name += " candidates"
+		}
+		want, ok := quantifyCosts[name]
+		if !ok {
+			t.Errorf("%s: no pinned cost", name)
+		}
+
+		ref := engine.Do(req)
+		if ref.Err != nil {
+			t.Fatalf("%s: engine: %v", name, ref.Err)
+		}
+		if got := (topk.Stats{SortedAccesses: want.sorted, RandomAccesses: want.random, Rounds: want.rounds}); ref.Stats != got {
+			t.Errorf("%s: engine Stats %+v, want %+v", name, ref.Stats, got)
+		}
+		for _, path := range []struct {
+			n     int
+			coord *cluster.Coordinator
+			wire  *wireCount
+		}{{1, one, wire1}, {4, four, wire4}} {
+			path.wire.reset()
+			got := path.coord.Do(req)
+			if got.Err != nil {
+				t.Fatalf("%s at %d partitions: %v", name, path.n, got.Err)
+			}
+			if g, w := fmt.Sprintf("%+v %+v", got.Results, got.Stats), fmt.Sprintf("%+v %+v", ref.Results, ref.Stats); g != w {
+				t.Errorf("%s at %d partitions: answer differs from the engine's:\n got: %s\nwant: %s", name, path.n, g, w)
+			}
+		}
+		if len(wire1.ops) != 1 || wire1.ops[cluster.OpServe] != 1 {
+			t.Errorf("%s at 1 partition: sends %v, want one %v and no other op", name, wire1.ops, cluster.OpServe)
+		}
+		scans, lookups, stray := wire4.ops[cluster.OpScan], wire4.ops[cluster.OpLookup], 0
+		for op, n := range wire4.ops {
+			if op != cluster.OpScan && op != cluster.OpLookup {
+				stray += n
+			}
+		}
+		if stray > 0 || scans != want.scans || lookups != want.lookups || wire4.entries != want.entries {
+			t.Errorf("%s at 4 partitions: sends %v carrying %d entries, want %d %v, %d %v and %d entries",
+				name, wire4.ops, wire4.entries, want.scans, cluster.OpScan, want.lookups, cluster.OpLookup, want.entries)
+		}
+		a := allocs(req)
+		checkAllocs(name, a, want.allocs)
+		t.Logf("%-36s %7d %7d %6d %8d %8d %8d %9.0f %9.0f %9.0f", name, ref.Stats.SortedAccesses, ref.Stats.RandomAccesses, ref.Stats.Rounds, scans, lookups, wire4.entries, a[0], a[1], a[2])
+	}
+
+	base := serve.Request{Problem: serve.Mitigate, Group: "ethnicity=Asian&gender=Female", Query: "Home Cleaning", Location: "San Francisco, CA"}
+	fair, greedy, exposure := base, base, base
+	fair.Mitigator, fair.MinProportion, fair.Alpha = mitigate.FairTopK, 0.3, 0.25
+	greedy.Mitigator = mitigate.DetGreedy
+	exposure.Mitigator, exposure.SwapBudget = mitigate.ExposureParity, 10
+	for _, req := range []serve.Request{fair, greedy, exposure} {
+		name := fmt.Sprintf("mitigate %v", req.Mitigator)
+		ref := engine.Do(req)
+		if ref.Err != nil {
+			t.Fatalf("%s: engine: %v", name, ref.Err)
+		}
+		wire4.reset()
+		got := four.Do(req)
+		if got.Err != nil {
+			t.Fatalf("%s at 4 partitions: %v", name, got.Err)
+		}
+		if g, w := fmt.Sprintf("%+v", *got.Mitigation), fmt.Sprintf("%+v", *ref.Mitigation); g != w {
+			t.Errorf("%s at 4 partitions: answer differs from the engine's:\n got: %s\nwant: %s", name, g, w)
+		}
+		if len(wire4.ops) != 1 || wire4.ops[cluster.OpServe] != 1 {
+			t.Errorf("%s at 4 partitions: sends %v, want one %v to the page's owner and no other op", name, wire4.ops, cluster.OpServe)
+		}
+		a := allocs(req)
+		checkAllocs(name, a, mitigateAllocs[req.Mitigator])
+		t.Logf("%-36s %7s %7s %6s %8s %8s %8s %9.0f %9.0f %9.0f", name, "-", "-", "-", "-", "-", "-", a[0], a[1], a[2])
+	}
+}
+
+// quantifyCosts holds TestQuantifyCostByShape's pins, by shape name:
+// Stats, the four-partition wire counts, and the allocations per
+// request read when the pins were taken, which allocCeiling turns into
+// ceilings.
+var quantifyCosts = map[string]quantifyCost{
+	"group TA most-unfair":               {32256, 59125, 6, 5376, 44, 118272, [3]float64{13, 25, 82170}},
+	"group TA least-unfair":              {32256, 59125, 6, 5376, 44, 118272, [3]float64{14, 28, 87542}},
+	"group FA most-unfair":               {59136, 59136, 11, 5376, 44, 118272, [3]float64{13, 29, 87541}},
+	"group FA least-unfair":              {59136, 59136, 11, 5376, 44, 118272, [3]float64{14, 30, 87542}},
+	"group naive most-unfair":            {59136, 0, 11, 5376, 0, 59136, [3]float64{12, 28, 86040}},
+	"group naive least-unfair":           {59136, 0, 11, 5376, 0, 59136, [3]float64{13, 29, 86041}},
+	"group NRA most-unfair":              {59136, 0, 11, 5376, 0, 59136, [3]float64{25, 41, 86052}},
+	"group NRA least-unfair":             {59136, 0, 11, 5376, 0, 59136, [3]float64{29, 45, 86057}},
+	"query TA most-unfair":               {28336, 59040, 46, 2464, 384, 118272, [3]float64{19, 35, 39389}},
+	"query TA least-unfair":              {28952, 59040, 47, 2464, 384, 118272, [3]float64{20, 36, 40008}},
+	"query FA most-unfair":               {57904, 59136, 94, 2464, 384, 118272, [3]float64{19, 35, 40007}},
+	"query FA least-unfair":              {59136, 59136, 96, 2464, 384, 118272, [3]float64{20, 36, 40005}},
+	"query naive most-unfair":            {59136, 0, 96, 2464, 0, 59136, [3]float64{12, 28, 31440}},
+	"query naive least-unfair":           {59136, 0, 96, 2464, 0, 59136, [3]float64{13, 29, 31440}},
+	"query NRA most-unfair":              {59136, 0, 96, 2464, 0, 59136, [3]float64{122, 138, 31549}},
+	"query NRA least-unfair":             {59136, 0, 96, 2464, 0, 59136, [3]float64{120, 136, 31548}},
+	"location TA most-unfair":            {29568, 59080, 28, 4224, 224, 118272, [3]float64{17, 33, 57269}},
+	"location TA least-unfair":           {29568, 59080, 28, 4224, 224, 118272, [3]float64{18, 34, 58329}},
+	"location FA most-unfair":            {59136, 59136, 56, 4224, 224, 118272, [3]float64{17, 33, 58326}},
+	"location FA least-unfair":           {59136, 59136, 56, 4224, 224, 118272, [3]float64{18, 34, 58336}},
+	"location naive most-unfair":         {59136, 0, 56, 4224, 0, 59136, [3]float64{12, 28, 52823}},
+	"location naive least-unfair":        {59136, 0, 56, 4224, 0, 59136, [3]float64{13, 29, 52825}},
+	"location NRA most-unfair":           {59136, 0, 56, 4224, 0, 59136, [3]float64{74, 90, 52885}},
+	"location NRA least-unfair":          {59136, 0, 56, 4224, 0, 59136, [3]float64{78, 94, 52889}},
+	"group TA most-unfair candidates":    {16128, 21500, 3, 5376, 16, 80640, [3]float64{16142, 16158, 102716}},
+	"group FA most-unfair candidates":    {21504, 21504, 4, 5376, 16, 80640, [3]float64{16142, 16158, 102714}},
+	"group naive most-unfair candidates": {21504, 0, 4, 5376, 0, 59136, [3]float64{16142, 16158, 102170}},
+	"group NRA most-unfair candidates":   {21504, 0, 4, 5376, 0, 59136, [3]float64{16147, 16163, 102175}},
+}
+
+// mitigateAllocs holds the allocations per request of each mitigator's
+// request on the engine and at one and four partitions, read when the
+// pins were taken.
+var mitigateAllocs = map[mitigate.Kind][3]float64{
+	mitigate.FairTopK:       {138, 153, 153},
+	mitigate.DetGreedy:      {209, 224, 224},
+	mitigate.ExposureParity: {131, 146, 146},
+}
+
+// allocCeiling is the most allocations per request a path may make
+// against a reading of read. The engine's and one partition's counts
+// repeat exactly; two more allow for a pool emptied by a collection.
+// At four partitions about 1% of headroom covers the legs' hedge timers,
+// which moved two runs' readings by up to 6 of ~100k.
+func allocCeiling(read float64) float64 { return read*1.01 + 2 }
