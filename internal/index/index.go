@@ -1,9 +1,12 @@
 // Package index implements the three pre-computed index families of the
 // paper's Table 5: group-based indices I(q,l), query-based indices I(g,l)
 // and location-based indices I(g,q). Each index is an inverted list of
-// (member, unfairness) postings sorted by descending unfairness, supporting
-// the two access modes Fagin-style algorithms need: sorted access (next
-// posting) and random access (value of a given member).
+// (member, unfairness) postings sorted by descending unfairness, and each
+// family answers the two access modes Fagin-style algorithms need itself:
+// sorted access At(list, pos), the posting at a position of a list, and
+// random access Find(list, key), the value of a given member. A family is
+// Problem 1's list source (topk.ListSource) as it stands; ListOf numbers
+// the list of a pair of the other two dimensions.
 //
 // Completion invariant: every posting list over a dimension contains an
 // entry for every member of that dimension that appears anywhere in the
@@ -15,25 +18,29 @@
 // member keys, so a member's id is its position and id order is key
 // order: value ties, broken by ascending id, come out in ascending key
 // order. Every list of the family stores only its member ids, in posting
-// order as int32, back to back in one array the family shares: 4 bytes a
-// posting and 16 a list. The families store no values: they read the
-// sealed table's (core.Table.Sealed) rows in place, which are one value
-// cube, a float64 per (query, location, group) cell laid out in that
-// order by the cell's positions in the sorted dimensions. Every family a
-// build makes shares it, and a snapshot that indexes its sealed table
-// holds each value once. A list reads member id's value at
-// cube[base + id·stride], where base is the list's own and stride is 1
-// for I(q,l), |G| for I(g,q) and |L|·|G| for I(g,l). So a random access
-// is one indexed load after the dictionary lookup, and a sorted access
-// is the id at the list's offset plus pos, then that load. A ragged list
-// (NewLists) keeps its values in posting order in its family's own
-// array, and random access scans its ids: ragged lists are a partition's
-// share of a list, so short.
+// order as int32, back to back in one array, and where its values start
+// in the value cube, also as int32: 4 bytes a posting and 4 a list. The
+// families store no values: they read the sealed table's
+// (core.Table.Sealed) rows in place, which are one value cube, a float64
+// per (query, location, group) cell laid out in that order by the cell's
+// positions in the sorted dimensions. Every family a build makes shares
+// it, and a snapshot that indexes its sealed table holds each value once.
+// A family's lists run a-major over its two other dimensions, list
+// a·|B| + b, and a list reads member id's value at base + id·stride,
+// where stride is 1 for I(q,l), |G| for I(g,q) and |L|·|G| for I(g,l).
+// So a random access is one indexed load after the dictionary lookup, and
+// a sorted access is the id at list·|members| + pos, then that load.
+//
+// NewLists builds a second kind of list, ragged and standalone
+// (Inverted), which keeps its values in posting order beside its ids and
+// answers random access by scanning them: the lists a cluster partition
+// holds are its share of each list, so short.
 package index
 
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"fairjob/internal/core"
@@ -46,34 +53,62 @@ type Entry struct {
 	Value float64
 }
 
-// family is the storage every list of one family shares.
+// family is one built index family: its lists' member ids in posting
+// order, and where each list reads its members' values in the cube, so
+// the family itself answers sorted and random access on every list.
 type family struct {
 	keys []string         // member dictionary, ascending; id = position
 	ids  map[string]int32 // key → member id
-	// stride is positive in a family of complete lists, which hold every
-	// member and read member id's value at vals[base+id·stride], and 0 in
-	// a family of NewLists's ragged lists. (A built family's stride is 0
-	// only when the table is empty, and then it has no lists.)
-	stride int32
-	// order holds each list's member ids in posting order.
+	// order holds list i's member ids in posting order at
+	// [i·len(keys), (i+1)·len(keys)).
 	order []int32
-	// vals holds the values. A built family's is the sealed table's value
-	// cube, which every family built with it shares. NewLists's families
-	// share their own: a complete list keeps its values by member id
-	// (stride 1) and a ragged one in posting order, each at the range of
-	// vals its ids hold in order.
-	vals []float64
+	// cube is the sealed table's value cube, which every family a build
+	// makes shares. List i reads member id's value at
+	// cube[bases[i] + id·stride].
+	cube   []float64
+	bases  []int32
+	stride int
 }
 
-// newFamily sets up storage for postings postings over the sorted keys,
-// for NewLists's ragged lists; ids already holds every key and is
-// renumbered in place.
-func newFamily(keys []string, ids map[string]int32, postings int) *family {
-	return &family{
-		keys:  keys,
-		ids:   number(keys, ids),
-		order: make([]int32, 0, postings),
-		vals:  make([]float64, 0, postings),
+// NumLists returns the number of posting lists: the product of the sizes
+// of the family's two other dimensions.
+func (f *family) NumLists() int { return len(f.bases) }
+
+// ListLen returns the length of every list, the number of members, which
+// the completion invariant makes the same for all of them.
+func (f *family) ListLen() int { return len(f.keys) }
+
+// At performs a sorted access: the posting at position pos of list i (0 =
+// highest unfairness). ok is false past the end of the list.
+func (f *family) At(i, pos int) (Entry, bool) {
+	n := len(f.keys)
+	if uint(pos) >= uint(n) {
+		return Entry{}, false
+	}
+	id := f.order[i*n+pos]
+	return Entry{f.keys[id], f.cube[int(f.bases[i])+int(id)*f.stride]}, true
+}
+
+// Find performs a random access: the unfairness value list i records for
+// key. ok is false when key is not a member of the family.
+func (f *family) Find(i int, key string) (float64, bool) {
+	id, ok := f.ids[key]
+	if !ok {
+		return 0, false
+	}
+	return f.cube[int(f.bases[i])+int(id)*f.stride], true
+}
+
+// sortLists sorts every list of the family from the cube into order.
+func (f *family) sortLists() {
+	n := len(f.keys)
+	f.order = make([]int32, 0, len(f.bases)*n)
+	ps := make([]posting, n)
+	for _, base := range f.bases {
+		for m := range ps {
+			ps[m] = posting{int32(m), f.cube[int(base)+m*f.stride]}
+		}
+		f.order = appendOrder(f.order, ps)
 	}
 }
 
@@ -107,32 +142,14 @@ func canonical(a, b posting) int {
 	return cmp.Compare(a.id, b.id)
 }
 
-// add appends one list, given its postings in ascending id order, and
-// returns it. A list holding every member reads its values by member id
-// through whole, the family of stride 1 over f's arrays. ps is reordered.
-func (f *family) add(ps []posting, whole *family) Inverted {
-	off := int32(len(f.vals))
-	if len(ps) == len(f.keys) {
-		for _, p := range ps {
-			f.vals = append(f.vals, p.v)
-		}
-		f.appendOrder(ps)
-		return Inverted{f: whole, off: off, aux: off}
-	}
-	f.appendOrder(ps)
-	for _, p := range ps {
-		f.vals = append(f.vals, p.v)
-	}
-	return Inverted{f: f, off: off, aux: int32(len(ps))}
-}
-
 // appendOrder sorts ps into posting order and appends their member ids
-// to the family's order array.
-func (f *family) appendOrder(ps []posting) {
+// to order.
+func appendOrder(order []int32, ps []posting) []int32 {
 	sortPostings(ps)
 	for _, p := range ps {
-		f.order = append(f.order, p.id)
+		order = append(order, p.id)
 	}
+	return order
 }
 
 // insertionMax is the longest list sortPostings sorts by insertion. In a
@@ -168,56 +185,49 @@ func sortPostings(ps []posting) {
 	}
 }
 
-// Inverted is a posting list sorted by descending Value (ties broken by
-// ascending Key so ordering is deterministic). It supports sorted access
-// via At and random access via Find.
+// Inverted is one of NewLists's lists: a posting list sorted by
+// descending Value (ties broken by ascending Key so ordering is
+// deterministic). It supports sorted access via At and random access via
+// Find.
 type Inverted struct {
-	f   *family
-	off int32 // the list's first posting in f.order
-	// aux is what the family leaves open about the list, so a list costs
-	// 16 bytes: in a family of complete lists, the list's base in f.vals;
-	// in a family of ragged lists, whose values start at off, its length.
-	aux int32
+	s      *ragged
+	off, n int32 // the list's postings are [off, off+n) of s's arrays
+}
+
+// ragged is the storage the lists of one NewLists call share: one member
+// dictionary, and every list's member ids and values in posting order,
+// back to back.
+type ragged struct {
+	keys  []string         // member dictionary, ascending; id = position
+	ids   map[string]int32 // key → member id
+	order []int32
+	vals  []float64
 }
 
 // Len returns the number of postings.
-func (iv *Inverted) Len() int {
-	if iv.f.stride > 0 {
-		return len(iv.f.keys)
-	}
-	return int(iv.aux)
-}
+func (iv *Inverted) Len() int { return int(iv.n) }
 
 // At performs a sorted access: the posting at position pos (0 = highest
 // unfairness). ok is false past the end of the list.
 func (iv *Inverted) At(pos int) (Entry, bool) {
-	f := iv.f
-	if uint(pos) >= uint(iv.Len()) {
+	if uint(pos) >= uint(iv.n) {
 		return Entry{}, false
 	}
 	i := int(iv.off) + pos
-	id := f.order[i]
-	if f.stride > 0 {
-		i = int(iv.aux + id*f.stride)
-	}
-	return Entry{f.keys[id], f.vals[i]}, true
+	return Entry{iv.s.keys[iv.s.order[i]], iv.s.vals[i]}, true
 }
 
 // Find performs a random access: the unfairness value recorded for key.
 // ok is false when the list holds no posting for key.
 func (iv *Inverted) Find(key string) (float64, bool) {
-	f := iv.f
-	id, ok := f.ids[key]
+	id, ok := iv.s.ids[key]
 	if !ok {
 		return 0, false
 	}
-	if f.stride > 0 {
-		return f.vals[iv.aux+id*f.stride], true
-	}
 	off := int(iv.off)
-	for pos, x := range f.order[off : off+int(iv.aux)] {
+	for pos, x := range iv.s.order[off : off+int(iv.n)] {
 		if x == id {
-			return f.vals[off+pos], true
+			return iv.s.vals[off+pos], true
 		}
 	}
 	return 0, false
@@ -256,9 +266,8 @@ func NewLists(lists [][]Entry) []*Inverted {
 	}
 	slices.Sort(keys)
 
-	f := newFamily(keys, ids, total)
-	whole := &family{stride: 1}
-	empty := &Inverted{f: f}
+	s := &ragged{keys: keys, ids: number(keys, ids), order: make([]int32, 0, total), vals: make([]float64, 0, total)}
+	empty := &Inverted{s: s}
 	ivs := make([]Inverted, 0, nonEmpty)
 	out := make([]*Inverted, len(lists))
 	var ps []posting
@@ -269,7 +278,7 @@ func NewLists(lists [][]Entry) []*Inverted {
 		}
 		ps = ps[:0]
 		for _, e := range l {
-			ps = append(ps, posting{f.ids[e.Key], e.Value})
+			ps = append(ps, posting{s.ids[e.Key], e.Value})
 		}
 		slices.SortFunc(ps, func(a, b posting) int { return cmp.Compare(a.id, b.id) })
 		// A duplicate would give the list two postings for one member and
@@ -279,70 +288,53 @@ func NewLists(lists [][]Entry) []*Inverted {
 				panic(fmt.Sprintf("index: list %d holds key %q twice", i, keys[ps[j].id]))
 			}
 		}
-		ivs = append(ivs, f.add(ps, whole))
+		ivs = append(ivs, Inverted{s: s, off: int32(len(s.order)), n: int32(len(ps))})
+		s.order = appendOrder(s.order, ps) // sorts ps into posting order
+		for _, p := range ps {
+			s.vals = append(s.vals, p.v)
+		}
 		out[i] = &ivs[len(ivs)-1]
 	}
-	whole.keys, whole.ids, whole.order, whole.vals = f.keys, f.ids, f.order, f.vals
 	return out
 }
 
-// sortLists cuts the family's value cube into its lists, each holding
-// every member, and appends each list's member ids in posting order. The
-// lists run a-major over na × nb, and list (a, b) reads member m's value
-// at a·sa + b·sb + m·stride.
-func (f *family) sortLists(na, sa, nb, sb int) []Inverted {
-	n, stride := len(f.keys), int(f.stride)
-	lists := make([]Inverted, 0, na*nb)
-	ps := make([]posting, n)
-	for a := 0; a < na; a++ {
-		for b := 0; b < nb; b++ {
-			base := a*sa + b*sb
-			for m := range ps {
-				ps[m] = posting{int32(m), f.vals[base+m*stride]}
-			}
-			off := len(f.order)
-			f.appendOrder(ps)
-			lists = append(lists, Inverted{f: f, off: int32(off), aux: int32(base)})
-		}
-	}
-	return lists
-}
-
-// list returns the list of (a, b) in lists laid out a-major over the
-// sorted dimensions as and bs, or nil when either is not a member.
-func list[A, B cmp.Ordered](lists []Inverted, as []A, a A, bs []B, b B) *Inverted {
+// listOf returns the number of list (a, b) in a family whose lists run
+// a-major over the sorted dimensions as and bs, and false when either is
+// not a member.
+func listOf[A, B cmp.Ordered](as []A, a A, bs []B, b B) (int, bool) {
 	i, okA := slices.BinarySearch(as, a)
 	j, okB := slices.BinarySearch(bs, b)
 	if !okA || !okB {
-		return nil
+		return 0, false
 	}
-	return &lists[i*len(bs)+j]
+	return i*len(bs) + j, true
 }
 
 // GroupIndex holds one inverted list of groups per (query, location) pair:
-// the I(q,l) family.
+// the I(q,l) family, list (q, l) at qi·|L| + li. Its members are group
+// keys.
 type GroupIndex struct {
-	lists []Inverted // (q, l) at qi·|L| + li
+	family
 	// Dimension metadata, sorted, shared by consumers.
 	GroupKeys []string
 	Queries   []core.Query
 	Locations []core.Location
-	tbl       *core.Table // sealed; resolves group keys
+	groups    []core.Group // by member id
 }
 
 // QueryIndex holds one inverted list of queries per (group, location)
-// pair: the I(g,l) family.
+// pair: the I(g,l) family, list (g, l) at gi·|L| + li.
 type QueryIndex struct {
-	lists     []Inverted // (g, l) at gi·|L| + li
+	family
 	GroupKeys []string
 	Queries   []core.Query
 	Locations []core.Location
 }
 
 // LocationIndex holds one inverted list of locations per (group, query)
-// pair: the I(g,q) family.
+// pair: the I(g,q) family, list (g, q) at gi·|Q| + qi.
 type LocationIndex struct {
-	lists     []Inverted // (g, q) at gi·|Q| + qi
+	family
 	GroupKeys []string
 	Queries   []core.Query
 	Locations []core.Location
@@ -361,10 +353,11 @@ func strs[T ~string](xs []T) []string {
 // They read t's sealed copy in place: its rows are the value cube, laid
 // out (query, location, group) by the cell's positions in the sorted
 // dimensions, where a member whose cell is undefined reads 0, the
-// completion invariant. A table that is not sealed is sealed once here.
-// Each family's lists are sorted from the cube on a goroutine of its own.
-// The families share the cube, the sorted dimensions and, per dimension,
-// the member dictionary that numbers the members of the family over it.
+// completion invariant. A table that is not sealed is sealed once here,
+// and of that copy the families keep only the cube. Each family's lists
+// are sorted from the cube on a goroutine of its own. The families share
+// the cube, the sorted dimensions and, per dimension, the member
+// dictionary that numbers the members of the family over it.
 func build(t *core.Table, group, query, location bool) (gi *GroupIndex, qi *QueryIndex, li *LocationIndex) {
 	t = t.Sealed()
 	groups, qs, ls := t.Groups(), t.Queries(), t.Locations()
@@ -376,24 +369,35 @@ func build(t *core.Table, group, query, location bool) (gi *GroupIndex, qi *Quer
 	// The cell at sorted positions (g, q, l) is cube[q·sq + l·sl + g].
 	sq, sl, cube := nl*ng, ng, t.Cube()
 
+	// The families keep cube positions as int32, 4 bytes a list.
+	if len(cube) > math.MaxInt32 {
+		panic(fmt.Sprintf("index: a table of %d cells is past the %d an index holds", len(cube), math.MaxInt32))
+	}
+
 	// Each selected family's lists run a-major over na × nb, list (a, b)
-	// starting at a·sa + b·sb in the cube; sort them into *dst.
+	// starting at a·sa + b·sb in the cube; sort them into f.order.
 	var sorts []func()
-	add := func(keys []string, stride, na, sa, nb, sb int, dst *[]Inverted) {
-		f := &family{keys: keys, ids: number(keys, nil), order: make([]int32, 0, na*nb*len(keys)), vals: cube, stride: int32(stride)}
-		sorts = append(sorts, func() { *dst = f.sortLists(na, sa, nb, sb) })
+	add := func(f *family, keys []string, stride, na, sa, nb, sb int) {
+		bases := make([]int32, 0, na*nb)
+		for a := 0; a < na; a++ {
+			for b := 0; b < nb; b++ {
+				bases = append(bases, int32(a*sa+b*sb))
+			}
+		}
+		*f = family{keys: keys, ids: number(keys, nil), cube: cube, bases: bases, stride: stride}
+		sorts = append(sorts, f.sortLists)
 	}
 	if group {
-		gi = &GroupIndex{GroupKeys: gks, Queries: qs, Locations: ls, tbl: t}
-		add(gks, 1, nq, sq, nl, sl, &gi.lists)
+		gi = &GroupIndex{GroupKeys: gks, Queries: qs, Locations: ls, groups: groups}
+		add(&gi.family, gks, 1, nq, sq, nl, sl)
 	}
 	if query {
 		qi = &QueryIndex{GroupKeys: gks, Queries: qs, Locations: ls}
-		add(strs(qs), sq, ng, 1, nl, sl, &qi.lists)
+		add(&qi.family, strs(qs), sq, ng, 1, nl, sl)
 	}
 	if location {
 		li = &LocationIndex{GroupKeys: gks, Queries: qs, Locations: ls}
-		add(strs(ls), sl, ng, 1, nq, sq, &li.lists)
+		add(&li.family, strs(ls), sl, ng, 1, nq, sq)
 	}
 	core.RunIndexed(len(sorts), len(sorts), func(i int) { sorts[i]() })
 	return gi, qi, li
@@ -405,22 +409,20 @@ func BuildGroupIndex(t *core.Table) *GroupIndex {
 	return gi
 }
 
-// Get returns the inverted list of groups for (q, l), or nil when the pair
-// was not indexed.
-func (gi *GroupIndex) Get(q core.Query, l core.Location) *Inverted {
-	return list(gi.lists, gi.Queries, q, gi.Locations, l)
-}
-
-// List returns list i in stored order, (q, l) at qi·|L| + li over the
-// sorted Queries and Locations, for 0 ≤ i < |Q|·|L|.
-func (gi *GroupIndex) List(i int) *Inverted {
-	return &gi.lists[i]
+// ListOf returns the number of the list of groups for (q, l), and false
+// when the pair was not indexed.
+func (gi *GroupIndex) ListOf(q core.Query, l core.Location) (int, bool) {
+	return listOf(gi.Queries, q, gi.Locations, l)
 }
 
 // Group resolves a group key to the core.Group recorded in the source
 // table.
 func (gi *GroupIndex) Group(key string) (core.Group, bool) {
-	return gi.tbl.GroupByKey(key)
+	id, ok := gi.ids[key]
+	if !ok {
+		return core.Group{}, false
+	}
+	return gi.groups[id], true
 }
 
 // BuildQueryIndex builds the I(g,l) family from an unfairness table.
@@ -429,15 +431,10 @@ func BuildQueryIndex(t *core.Table) *QueryIndex {
 	return qi
 }
 
-// Get returns the inverted list of queries for (groupKey, l).
-func (qi *QueryIndex) Get(g string, l core.Location) *Inverted {
-	return list(qi.lists, qi.GroupKeys, g, qi.Locations, l)
-}
-
-// List returns list i in stored order, (g, l) at gi·|L| + li over the
-// sorted GroupKeys and Locations, for 0 ≤ i < |G|·|L|.
-func (qi *QueryIndex) List(i int) *Inverted {
-	return &qi.lists[i]
+// ListOf returns the number of the list of queries for (g, l), and false
+// when the pair was not indexed.
+func (qi *QueryIndex) ListOf(g string, l core.Location) (int, bool) {
+	return listOf(qi.GroupKeys, g, qi.Locations, l)
 }
 
 // BuildLocationIndex builds the I(g,q) family from an unfairness table.
@@ -446,15 +443,10 @@ func BuildLocationIndex(t *core.Table) *LocationIndex {
 	return li
 }
 
-// Get returns the inverted list of locations for (groupKey, q).
-func (li *LocationIndex) Get(g string, q core.Query) *Inverted {
-	return list(li.lists, li.GroupKeys, g, li.Queries, q)
-}
-
-// List returns list i in stored order, (g, q) at gi·|Q| + qi over the
-// sorted GroupKeys and Queries, for 0 ≤ i < |G|·|Q|.
-func (li *LocationIndex) List(i int) *Inverted {
-	return &li.lists[i]
+// ListOf returns the number of the list of locations for (g, q), and
+// false when the pair was not indexed.
+func (li *LocationIndex) ListOf(g string, q core.Query) (int, bool) {
+	return listOf(li.GroupKeys, g, li.Queries, q)
 }
 
 // BuildAll builds the three Table-5 index families from one unfairness

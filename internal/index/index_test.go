@@ -3,7 +3,9 @@ package index_test
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -28,7 +30,7 @@ func sampleTable() *core.Table {
 }
 
 // TestInvertedOrderingAndAccess pins the posting order, canonical as
-// topk.SortEntries defines it, through many-way value ties (three at 0.5,
+// topk.LessEntries defines it, through many-way value ties (three at 0.5,
 // three at 0.3, and +0 against −0) on a complete list and on a ragged one
 // sharing its dictionary, and random access on both: a key a list lacks,
 // in the dictionary or not, Finds as (0, false).
@@ -44,7 +46,7 @@ func TestInvertedOrderingAndAccess(t *testing.T) {
 		iv := lists[li]
 		in := [][]index.Entry{full, ragged}[li]
 		want := append([]index.Entry(nil), in...)
-		topk.SortEntries(want)
+		sort.Slice(want, func(i, j int) bool { return topk.LessEntries(want[i], want[j]) })
 		if iv.Len() != len(want) {
 			t.Fatalf("list %d: Len = %d, want %d", li, iv.Len(), len(want))
 		}
@@ -85,11 +87,11 @@ func TestInvertedEntriesCopy(t *testing.T) {
 
 func TestGroupIndexSortedByUnfairness(t *testing.T) {
 	gi := index.BuildGroupIndex(sampleTable())
-	iv := gi.Get("q1", "l1")
-	if iv == nil {
+	i, ok := gi.ListOf("q1", "l1")
+	if !ok {
 		t.Fatal("missing list")
 	}
-	top, _ := iv.At(0)
+	top, _ := gi.At(i, 0)
 	if top.Key != "gender=Female" || top.Value != 0.8 {
 		t.Fatalf("top = %v", top)
 	}
@@ -98,15 +100,14 @@ func TestGroupIndexSortedByUnfairness(t *testing.T) {
 func TestGroupIndexCompletion(t *testing.T) {
 	gi := index.BuildGroupIndex(sampleTable())
 	// female@q1,l2 was undefined -> completed with 0.
-	iv := gi.Get("q1", "l2")
-	v, ok := iv.Find("gender=Female")
+	v, ok := gi.Find(list(gi.ListOf("q1", "l2")), "gender=Female")
 	if !ok || v != 0 {
 		t.Fatalf("completed value = %v, %v", v, ok)
 	}
 	// Every list has every group.
 	for _, q := range gi.Queries {
 		for _, l := range gi.Locations {
-			if got := gi.Get(q, l).Len(); got != len(gi.GroupKeys) {
+			if got := len(entries(gi, list(gi.ListOf(q, l)))); got != len(gi.GroupKeys) {
 				t.Fatalf("list (%s,%s) has %d entries, want %d", q, l, got, len(gi.GroupKeys))
 			}
 		}
@@ -126,34 +127,34 @@ func TestGroupIndexGroupResolution(t *testing.T) {
 
 func TestGroupIndexMissingPair(t *testing.T) {
 	gi := index.BuildGroupIndex(sampleTable())
-	if gi.Get("zzz", "l1") != nil {
-		t.Fatal("unknown pair should return nil")
+	if _, ok := gi.ListOf("zzz", "l1"); ok {
+		t.Fatal("unknown pair should not resolve")
 	}
 }
 
 func TestQueryIndex(t *testing.T) {
 	qi := index.BuildQueryIndex(sampleTable())
-	iv := qi.Get("gender=Male", "l1")
-	if iv == nil || iv.Len() != 2 {
-		t.Fatalf("list = %v", iv)
+	i, ok := qi.ListOf("gender=Male", "l1")
+	if !ok || len(entries(qi, i)) != 2 {
+		t.Fatalf("list %d, %v", i, ok)
 	}
-	top, _ := iv.At(0)
+	top, _ := qi.At(i, 0)
 	if top.Key != "q2" || top.Value != 0.5 {
 		t.Fatalf("top query = %v", top)
 	}
 	// Completion: male@q2,l2 undefined -> 0.
-	if v, ok := qi.Get("gender=Male", "l2").Find("q2"); !ok || v != 0 {
+	if v, ok := qi.Find(list(qi.ListOf("gender=Male", "l2")), "q2"); !ok || v != 0 {
 		t.Fatalf("completed = %v, %v", v, ok)
 	}
 }
 
 func TestLocationIndex(t *testing.T) {
 	li := index.BuildLocationIndex(sampleTable())
-	iv := li.Get("gender=Male", "q1")
-	if iv == nil || iv.Len() != 2 {
-		t.Fatalf("list = %v", iv)
+	i, ok := li.ListOf("gender=Male", "q1")
+	if !ok || len(entries(li, i)) != 2 {
+		t.Fatalf("list %d, %v", i, ok)
 	}
-	top, _ := iv.At(0)
+	top, _ := li.At(i, 0)
 	if top.Key != "l2" || top.Value != 0.9 {
 		t.Fatalf("top location = %v", top)
 	}
@@ -230,7 +231,7 @@ func TestIndexInvariantsProperty(t *testing.T) {
 		}
 		for _, qq := range gi.Queries {
 			for _, ll := range gi.Locations {
-				err := checkList(gi.Get(qq, ll), gi.GroupKeys, func(g string) float64 { return cellOf(g, qq, ll) })
+				err := checkList(gi, list(gi.ListOf(qq, ll)), gi.GroupKeys, func(g string) float64 { return cellOf(g, qq, ll) })
 				if err != nil {
 					t.Errorf("seed %d: group list (%s, %s): %v", seed, qq, ll, err)
 					return false
@@ -239,14 +240,14 @@ func TestIndexInvariantsProperty(t *testing.T) {
 		}
 		for _, gg := range gi.GroupKeys {
 			for _, ll := range gi.Locations {
-				err := checkList(qi.Get(gg, ll), strs(gi.Queries), func(q string) float64 { return cellOf(gg, core.Query(q), ll) })
+				err := checkList(qi, list(qi.ListOf(gg, ll)), strs(gi.Queries), func(q string) float64 { return cellOf(gg, core.Query(q), ll) })
 				if err != nil {
 					t.Errorf("seed %d: query list (%s, %s): %v", seed, gg, ll, err)
 					return false
 				}
 			}
 			for _, qq := range gi.Queries {
-				err := checkList(li.Get(gg, qq), strs(gi.Locations), func(l string) float64 { return cellOf(gg, qq, core.Location(l)) })
+				err := checkList(li, list(li.ListOf(gg, qq)), strs(gi.Locations), func(l string) float64 { return cellOf(gg, qq, core.Location(l)) })
 				if err != nil {
 					t.Errorf("seed %d: location list (%s, %s): %v", seed, gg, qq, err)
 					return false
@@ -260,7 +261,7 @@ func TestIndexInvariantsProperty(t *testing.T) {
 		}
 		for _, qq := range gi.Queries {
 			for _, ll := range gi.Locations {
-				if err := sameList(sgi.Get(qq, ll), gi.Get(qq, ll), gi.GroupKeys); err != nil {
+				if err := sameList(sgi, list(sgi.ListOf(qq, ll)), gi, list(gi.ListOf(qq, ll)), gi.GroupKeys); err != nil {
 					t.Errorf("seed %d: sealed group list (%s, %s): %v", seed, qq, ll, err)
 					return false
 				}
@@ -268,13 +269,13 @@ func TestIndexInvariantsProperty(t *testing.T) {
 		}
 		for _, gg := range gi.GroupKeys {
 			for _, ll := range gi.Locations {
-				if err := sameList(sqi.Get(gg, ll), qi.Get(gg, ll), strs(gi.Queries)); err != nil {
+				if err := sameList(sqi, list(sqi.ListOf(gg, ll)), qi, list(qi.ListOf(gg, ll)), strs(gi.Queries)); err != nil {
 					t.Errorf("seed %d: sealed query list (%s, %s): %v", seed, gg, ll, err)
 					return false
 				}
 			}
 			for _, qq := range gi.Queries {
-				if err := sameList(sli.Get(gg, qq), li.Get(gg, qq), strs(gi.Locations)); err != nil {
+				if err := sameList(sli, list(sli.ListOf(gg, qq)), li, list(li.ListOf(gg, qq)), strs(gi.Locations)); err != nil {
 					t.Errorf("seed %d: sealed location list (%s, %s): %v", seed, gg, qq, err)
 					return false
 				}
@@ -287,23 +288,49 @@ func TestIndexInvariantsProperty(t *testing.T) {
 	}
 }
 
-// checkList reports how iv departs from a complete list over the members
-// keys whose member k has value want(k): each member once, in descending
-// value with ties by ascending key, and At and Find both reading want.
-func checkList(iv *index.Inverted, keys []string, want func(string) float64) error {
-	if iv == nil {
+// list returns a ListOf result's list number, or -1 when the pair was
+// not indexed.
+func list(i int, ok bool) int {
+	if !ok {
+		return -1
+	}
+	return i
+}
+
+// entries returns list i of fam through sorted access, up to the first
+// position At refuses.
+func entries(fam topk.ListSource, i int) []index.Entry {
+	var out []index.Entry
+	for pos := 0; ; pos++ {
+		e, ok := fam.At(i, pos)
+		if !ok {
+			return out
+		}
+		out = append(out, e)
+	}
+}
+
+// checkList reports how list i of fam, -1 when not indexed, departs from
+// a complete list over the members keys whose member k has value
+// want(k): each member once, in descending value with ties by ascending
+// key, and At and Find both reading want.
+func checkList(fam topk.ListSource, i int, keys []string, want func(string) float64) error {
+	if i < 0 {
 		return fmt.Errorf("not indexed")
 	}
-	if iv.Len() != len(keys) {
-		return fmt.Errorf("Len = %d, want %d", iv.Len(), len(keys))
+	if i >= fam.NumLists() {
+		return fmt.Errorf("list %d of %d", i, fam.NumLists())
+	}
+	if fam.ListLen() != len(keys) {
+		return fmt.Errorf("ListLen = %d, want %d", fam.ListLen(), len(keys))
 	}
 	members := make(map[string]bool, len(keys))
 	for _, k := range keys {
 		members[k] = true
 	}
 	var prev index.Entry
-	for pos := 0; pos < iv.Len(); pos++ {
-		e, ok := iv.At(pos)
+	for pos := range keys {
+		e, ok := fam.At(i, pos)
 		switch {
 		case !ok:
 			return fmt.Errorf("At(%d) failed", pos)
@@ -318,32 +345,32 @@ func checkList(iv *index.Inverted, keys []string, want func(string) float64) err
 		prev = e
 	}
 	for _, k := range keys {
-		if v, ok := iv.Find(k); !ok || v != want(k) {
+		if v, ok := fam.Find(i, k); !ok || v != want(k) {
 			return fmt.Errorf("Find(%s) = %v, %v; want %v, true", k, v, ok, want(k))
 		}
 	}
-	if v, ok := iv.Find("absent"); ok {
+	if v, ok := fam.Find(i, "absent"); ok {
 		return fmt.Errorf("Find of a non-member = %v, true", v)
 	}
-	if _, ok := iv.At(iv.Len()); ok {
+	if _, ok := fam.At(i, len(keys)); ok {
 		return fmt.Errorf("At past the end succeeded")
 	}
 	return nil
 }
 
-// sameList reports how got departs from want, a list over the members
-// keys: in its postings, their order and values, and in Find of every
-// member.
-func sameList(got, want *index.Inverted, keys []string) error {
-	if got == nil {
+// sameList reports how list i of got departs from list j of want, lists
+// over the members keys: in their postings, their order and values, and
+// in Find of every member.
+func sameList(got topk.ListSource, i int, want topk.ListSource, j int, keys []string) error {
+	if i < 0 {
 		return fmt.Errorf("not indexed")
 	}
-	if g, w := got.Entries(), want.Entries(); !slices.Equal(g, w) {
+	if g, w := entries(got, i), entries(want, j); !slices.Equal(g, w) {
 		return fmt.Errorf("postings %v, want %v", g, w)
 	}
 	for _, k := range keys {
-		g, gok := got.Find(k)
-		w, wok := want.Find(k)
+		g, gok := got.Find(i, k)
+		w, wok := want.Find(j, k)
 		if g != w || gok != wok {
 			return fmt.Errorf("Find(%s) = %v, %v; want %v, %v", k, g, gok, w, wok)
 		}
@@ -395,25 +422,20 @@ func TestBuildAllIgnoresFillOrder(t *testing.T) {
 	if !slices.Equal(g1.GroupKeys, g2.GroupKeys) || !slices.Equal(g1.Queries, g2.Queries) || !slices.Equal(g1.Locations, g2.Locations) {
 		t.Fatalf("dimensions differ: %v %v %v vs %v %v %v", g1.GroupKeys, g1.Queries, g1.Locations, g2.GroupKeys, g2.Queries, g2.Locations)
 	}
-	same := func(family string, a, b *index.Inverted) {
+	same := func(family string, a, b topk.ListSource) {
 		t.Helper()
-		if ea, eb := a.Entries(), b.Entries(); !slices.Equal(ea, eb) {
-			t.Fatalf("%s list: key order gives %v, reverse key order %v", family, ea, eb)
+		if a.NumLists() != b.NumLists() {
+			t.Fatalf("%s lists: key order gives %d, reverse key order %d", family, a.NumLists(), b.NumLists())
+		}
+		for i := range a.NumLists() {
+			if ea, eb := entries(a, i), entries(b, i); !slices.Equal(ea, eb) {
+				t.Fatalf("%s list %d: key order gives %v, reverse key order %v", family, i, ea, eb)
+			}
 		}
 	}
-	for _, q := range g1.Queries {
-		for _, l := range g1.Locations {
-			same(fmt.Sprintf("group (%s, %s)", q, l), g1.Get(q, l), g2.Get(q, l))
-		}
-	}
-	for _, g := range g1.GroupKeys {
-		for _, l := range g1.Locations {
-			same(fmt.Sprintf("query (%s, %s)", g, l), q1.Get(g, l), q2.Get(g, l))
-		}
-		for _, q := range g1.Queries {
-			same(fmt.Sprintf("location (%s, %s)", g, q), l1.Get(g, q), l2.Get(g, q))
-		}
-	}
+	same("group", g1, g2)
+	same("query", q1, q2)
+	same("location", l1, l2)
 }
 
 // footprintTable is a generated table with the crawl's eleven groups,
@@ -437,12 +459,13 @@ func footprintTable() (tbl *core.Table, lists, postings int) {
 }
 
 // TestBuildAllFootprint pins the columnar layout's memory on a table that
-// is not sealed: BuildAll allocates at most one object per list beyond a
-// constant per family, and at most 10 bytes per posting: 4 of order, a
-// list's 16 bytes over its members, and the sealed copy the families read
-// in place, a third of its 8 bytes of value per cell plus its defined
-// bits, page index and dictionaries. Values kept per family cost about
-// 15, and a map and an entry slice per list about 70.
+// is not sealed: BuildAll allocates a constant number of objects per
+// family, none per list, and at most 9 bytes per posting: 4 of order, a
+// list's 4-byte cube position over its members, and the sealed copy the
+// families read in place, a third of its 8 bytes of value per cell plus
+// its defined bits, page index and dictionaries. A 16-byte header per
+// list costs about 1.1 more, values kept per family about 15, and a map
+// and an entry slice per list about 70.
 func TestBuildAllFootprint(t *testing.T) {
 	tbl, lists, postings := footprintTable()
 	const perFamily = 40
@@ -450,25 +473,71 @@ func TestBuildAllFootprint(t *testing.T) {
 	allocs := testing.AllocsPerRun(10, build)
 	per := testutil.BytesPerRun(10, build) / float64(postings)
 	t.Logf("BuildAll: %.0f objects for %d lists, %.1f bytes per posting", allocs, lists, per)
-	if allocs > float64(lists+3*perFamily) {
-		t.Errorf("BuildAll allocates %.0f objects for %d lists; want at most one per list plus %d per family", allocs, lists, perFamily)
+	if allocs > 3*perFamily {
+		t.Errorf("BuildAll allocates %.0f objects for %d lists; want at most %d per family", allocs, lists, perFamily)
 	}
-	if per > 10 {
-		t.Errorf("BuildAll allocates %.1f bytes per posting, want at most 10", per)
+	if per > 9 {
+		t.Errorf("BuildAll allocates %.1f bytes per posting, want at most 9", per)
 	}
 }
 
 // TestBuildAllReadsSealedTableInPlace pins that the families read a
 // sealed table's values where they lie: BuildAll on a sealed table
-// allocates its orders, lists and dictionaries, about 6.2 bytes per
-// posting, and no value cube, which would add 8 bytes per cell, a third
-// of them per posting: about 9.
+// allocates its orders, cube positions and dictionaries, about 5.3 bytes
+// per posting, and no value cube, which would add 8 bytes per cell, a
+// third of them per posting: about 8.
 func TestBuildAllReadsSealedTableInPlace(t *testing.T) {
 	tbl, _, postings := footprintTable()
 	sealed := tbl.Sealed()
 	per := testutil.BytesPerRun(10, func() { index.BuildAll(sealed) }) / float64(postings)
 	t.Logf("BuildAll of a sealed table: %.2f bytes per posting", per)
-	if per > 7 {
-		t.Errorf("BuildAll of a sealed table allocates %.2f bytes per posting, want at most 7: is it copying the values?", per)
+	if per > 5.5 {
+		t.Errorf("BuildAll of a sealed table allocates %.2f bytes per posting, want at most 5.5: is it copying the values?", per)
 	}
+}
+
+// TestBuildAllKeepsOnlyTheCube pins what the families of a table that is
+// not sealed keep alive. BuildAll seals a copy of the table, and of it
+// the families keep only the value cube they read, 8 bytes a cell, beside
+// their own orders, 4 bytes a posting and so 12 a cell, their lists' cube
+// positions, 4 bytes a list, and dictionaries. The table has two groups,
+// so the copy's other parts would show: its defined bits and page index
+// take 12 bytes a page, 6 a cell, and it has dictionaries of its own. The
+// families alone hold about 24 bytes a cell, and with the whole copy
+// about 31.
+func TestBuildAllKeepsOnlyTheCube(t *testing.T) {
+	if testutil.RaceEnabled() {
+		t.Skip("the race detector's shadow memory and pool drops blur the live heap")
+	}
+	const ng, nq, nl = 2, 64, 64
+	rng := stats.NewRNG(7)
+	tbl := core.NewTable()
+	for g := 0; g < ng; g++ {
+		grp := core.NewGroup(core.Predicate{Attr: "cohort", Value: fmt.Sprintf("g%d", g)})
+		for q := 0; q < nq; q++ {
+			for l := 0; l < nl; l++ {
+				tbl.Set(grp, core.Query(fmt.Sprintf("q%02d", q)), core.Location(fmt.Sprintf("l%02d", l)), rng.Float64())
+			}
+		}
+	}
+	base := liveHeap()
+	gi, qi, li := index.BuildAll(tbl)
+	per := (float64(liveHeap()) - float64(base)) / float64(tbl.Len())
+	runtime.KeepAlive(gi)
+	runtime.KeepAlive(qi)
+	runtime.KeepAlive(li)
+	t.Logf("the families of %d cells hold %.1f bytes a cell", tbl.Len(), per)
+	if per > 26 {
+		t.Errorf("the families hold %.1f bytes a cell, want at most 26: do they keep the whole sealed table?", per)
+	}
+}
+
+// liveHeap returns the bytes of live heap after two full collections:
+// the second empties the pools the first only demoted.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }

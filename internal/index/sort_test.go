@@ -34,7 +34,7 @@ func TestPostingOrderAcrossSortBound(t *testing.T) {
 	}
 	// want is list iv's order: its members' postings, numbered by their
 	// position in keys, sorted by slices.SortFunc with canonical.
-	want := func(iv *Inverted, keys []string) []posting {
+	want := func(iv oneList, keys []string) []posting {
 		var ps []posting
 		for id, k := range keys {
 			if v, ok := iv.Find(k); ok {
@@ -44,7 +44,7 @@ func TestPostingOrderAcrossSortBound(t *testing.T) {
 		slices.SortFunc(ps, canonical)
 		return ps
 	}
-	check := func(name string, iv *Inverted, keys []string) {
+	check := func(name string, iv oneList, keys []string) {
 		t.Helper()
 		ps := want(iv, keys)
 		if iv.Len() != len(ps) {
@@ -73,14 +73,14 @@ func TestPostingOrderAcrossSortBound(t *testing.T) {
 			}
 		}
 		gi, qi, li := BuildAll(tbl)
-		for i := range gi.lists {
-			check(fmt.Sprintf("%v: group list %d", dims, i), &gi.lists[i], gi.GroupKeys)
+		for i := range gi.NumLists() {
+			check(fmt.Sprintf("%v: group list %d", dims, i), familyList{&gi.family, i}, gi.GroupKeys)
 		}
-		for i := range qi.lists {
-			check(fmt.Sprintf("%v: query list %d", dims, i), &qi.lists[i], strs(gi.Queries))
+		for i := range qi.NumLists() {
+			check(fmt.Sprintf("%v: query list %d", dims, i), familyList{&qi.family, i}, strs(gi.Queries))
 		}
-		for i := range li.lists {
-			check(fmt.Sprintf("%v: location list %d", dims, i), &li.lists[i], strs(gi.Locations))
+		for i := range li.NumLists() {
+			check(fmt.Sprintf("%v: location list %d", dims, i), familyList{&li.family, i}, strs(gi.Locations))
 		}
 	}
 
@@ -125,3 +125,20 @@ func TestPostingOrderAcrossSortBound(t *testing.T) {
 		}
 	}
 }
+
+// oneList is the sorted and random access of one posting list.
+type oneList interface {
+	Len() int
+	At(pos int) (Entry, bool)
+	Find(key string) (float64, bool)
+}
+
+// familyList is list i of a built family as a oneList.
+type familyList struct {
+	f *family
+	i int
+}
+
+func (l familyList) Len() int                        { return l.f.ListLen() }
+func (l familyList) At(pos int) (Entry, bool)        { return l.f.At(l.i, pos) }
+func (l familyList) Find(key string) (float64, bool) { return l.f.Find(l.i, key) }

@@ -10,8 +10,8 @@
 // The design splits serving into two pieces:
 //
 //   - Snapshot: a frozen, shared-read view of one core.Table and of what
-//     answers Problems 1 and 2 over it — the three index families, a
-//     full-scope list source per family, and the two comparers — plus
+//     answers Problems 1 and 2 over it — the three index families, which
+//     are Problem 1's list sources, and the two comparers — plus
 //     the marketplace pages Problem 3 re-ranks. A snapshot is sealed —
 //     constructed only by its constructors or WithUpdates, never mutated
 //     afterwards — and carries a process-unique generation number. The
@@ -89,16 +89,13 @@ type Snapshot struct {
 }
 
 // queryState is what quantify and compare read: the three Table-5 index
-// families, held through their full-scope list sources, and the two
+// families, which are Problem 1's full-scope list sources, and the two
 // Problem 2 comparers (completion and defined-only semantics), which read
 // the snapshot's table. It is read-only once built.
 type queryState struct {
 	groupIdx *index.GroupIndex // also the snapshot's sorted dimensions
-
-	// Full-scope list sources, prebuilt once so per-query setup does not
-	// re-collect |Q|·|L| inverted lists; nil for an empty table, whose
-	// quantify requests then error per call.
-	groupSrc, querySrc, locSrc topk.ListSource
+	queryIdx *index.QueryIndex
+	locIdx   *index.LocationIndex
 
 	completion  *compare.Comparer
 	definedOnly *compare.Comparer
@@ -109,29 +106,18 @@ type queryState struct {
 var buildQuery = newQueryState
 
 // newQueryState builds the three index families from tbl (one goroutine
-// per family), their full-scope list sources and both comparers. The
-// families read a sealed tbl in place; a deferred snapshot's page-major
-// table is sealed once for them. Both comparers read tbl itself.
+// per family) and both comparers. The families read a sealed tbl in
+// place; a deferred snapshot's page-major table is sealed once for them.
+// Both comparers read tbl itself.
 func newQueryState(tbl *core.Table) *queryState {
 	gi, qi, li := index.BuildAll(tbl)
-	q := &queryState{
+	return &queryState{
 		groupIdx:    gi,
+		queryIdx:    qi,
+		locIdx:      li,
 		completion:  compare.New(tbl),
 		definedOnly: compare.NewDefinedOnlyWith(gi, tbl),
 	}
-	// The full-scope sources fail only on an empty table: every pair of
-	// the table's own dimensions is indexed by construction.
-	var err error
-	if q.groupSrc, err = topk.NewGroupLists(gi, nil, nil); err != nil {
-		q.groupSrc = nil
-	}
-	if q.querySrc, err = topk.NewQueryLists(qi, nil, nil); err != nil {
-		q.querySrc = nil
-	}
-	if q.locSrc, err = topk.NewLocationLists(li, nil, nil); err != nil {
-		q.locSrc = nil
-	}
-	return q
 }
 
 // NewSnapshot freezes tbl into a snapshot: the snapshot keeps a sealed
@@ -159,8 +145,7 @@ func NewSnapshotWithRankings(tbl *core.Table, schema *core.Schema, rankings []*c
 }
 
 // NewDeferredSnapshot is NewSnapshotWithRankings without the index
-// build: the three index families, their list sources and the comparers
-// are built on the first quantify or compare (or the first call of
+// build: the three index families and the comparers are built on the first quantify or compare (or the first call of
 // GroupKeys, Queries, Locations, Group or DimensionOf), once, however
 // many requests arrive together. A snapshot that only serves mitigate
 // requests and lends its cells through Cell, Range and Len — a cluster
@@ -385,20 +370,26 @@ func (s *Snapshot) DimensionOf(v string) (compare.Dimension, bool) {
 	return 0, false
 }
 
-// source returns the prebuilt full-scope list source for a quantification
-// dimension, or nil for an unknown dimension or an empty table.
+// source returns the full-scope list source for a quantification
+// dimension, its index family, or nil for an unknown dimension or an
+// empty table.
 func (s *Snapshot) source(dim compare.Dimension) topk.ListSource {
 	q := s.query()
+	var src topk.ListSource
 	switch dim {
 	case compare.ByGroup:
-		return q.groupSrc
+		src = q.groupIdx
 	case compare.ByQuery:
-		return q.querySrc
+		src = q.queryIdx
 	case compare.ByLocation:
-		return q.locSrc
+		src = q.locIdx
 	default:
 		return nil
 	}
+	if src.NumLists() == 0 {
+		return nil
+	}
+	return src
 }
 
 // comparer returns the Problem 2 comparer for the requested semantics.

@@ -3,7 +3,6 @@ package topk
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -151,29 +150,63 @@ func TestTopKErrors(t *testing.T) {
 }
 
 // TestFullScopeSourcesMatchScoped pins each family's nil-scope source,
-// which takes the index's lists in stored order, to the source scoped
-// explicitly to the index's full dimensions: the same *index.Inverted
-// values, in the same order. The table's dimensions differ in size, so a
-// transposed order shows. An empty table still fails with "empty scope".
+// which is the family itself, to the source scoped explicitly to the
+// index's full dimensions: a view of the list numbers 0, 1, … in the
+// family's order, which reads the same posting at every position of
+// every list and the same value for every member. The table's dimensions
+// differ in size, so a transposed order shows. An empty table still
+// fails with "empty scope".
 func TestFullScopeSourcesMatchScoped(t *testing.T) {
 	gi, qi, li := index.BuildAll(randomTable(8, 3, 4, 5))
-	lists := func(src ListSource, err error) []*index.Inverted {
+	must := func(src ListSource, err error) ListSource {
 		t.Helper()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return src.(*indexLists).lists
+		return src
 	}
 	for _, c := range []struct {
 		family       string
-		full, scoped []*index.Inverted
+		fam          ListSource
+		full, scoped ListSource
 	}{
-		{"group", lists(NewGroupLists(gi, nil, nil)), lists(NewGroupLists(gi, gi.Queries, gi.Locations))},
-		{"query", lists(NewQueryLists(qi, nil, nil)), lists(NewQueryLists(qi, qi.GroupKeys, qi.Locations))},
-		{"location", lists(NewLocationLists(li, nil, nil)), lists(NewLocationLists(li, li.GroupKeys, li.Queries))},
+		{"group", gi, must(NewGroupLists(gi, nil, nil)), must(NewGroupLists(gi, gi.Queries, gi.Locations))},
+		{"query", qi, must(NewQueryLists(qi, nil, nil)), must(NewQueryLists(qi, qi.GroupKeys, qi.Locations))},
+		{"location", li, must(NewLocationLists(li, nil, nil)), must(NewLocationLists(li, li.GroupKeys, li.Queries))},
 	} {
-		if len(c.full) == 0 || !slices.Equal(c.full, c.scoped) {
-			t.Errorf("%s: the nil scope holds %d lists %v, the full scope %d lists %v", c.family, len(c.full), c.full, len(c.scoped), c.scoped)
+		if c.full != c.fam {
+			t.Errorf("%s: the nil scope is %T, not the family", c.family, c.full)
+		}
+		view, ok := c.scoped.(*scopedLists)
+		if !ok {
+			t.Fatalf("%s: the full scope is %T, not a view of the family's lists", c.family, c.scoped)
+		}
+		n := c.fam.NumLists()
+		if n == 0 || len(view.lists) != n || view.fam != c.fam {
+			t.Fatalf("%s: the full scope views %d lists, the family holds %d", c.family, len(view.lists), n)
+		}
+		for i, l := range view.lists {
+			if l != i {
+				t.Fatalf("%s: the full scope's list %d is the family's list %d", c.family, i, l)
+			}
+		}
+		if c.scoped.ListLen() != c.full.ListLen() {
+			t.Fatalf("%s: ListLen %d, want %d", c.family, c.scoped.ListLen(), c.full.ListLen())
+		}
+		for i := 0; i < n; i++ {
+			for pos := 0; pos <= c.full.ListLen(); pos++ {
+				e, ok := c.full.At(i, pos)
+				if se, sok := c.scoped.At(i, pos); se != e || sok != ok {
+					t.Fatalf("%s: list %d position %d reads %v, %v in the full scope, %v, %v in the nil scope", c.family, i, pos, se, sok, e, ok)
+				}
+				if !ok {
+					continue
+				}
+				v, vok := c.full.Find(i, e.Key)
+				if sv, svok := c.scoped.Find(i, e.Key); sv != v || svok != vok || !vok {
+					t.Fatalf("%s: list %d finds %s as %v, %v in the full scope, %v, %v in the nil scope", c.family, i, e.Key, sv, svok, v, vok)
+				}
+			}
 		}
 	}
 	egi, eqi, eli := index.BuildAll(core.NewTable())

@@ -1,8 +1,6 @@
 package topk
 
 import (
-	"sort"
-
 	"fairjob/internal/index"
 )
 
@@ -15,12 +13,12 @@ import (
 
 // LessEntries reports whether a sorts strictly before b in the
 // canonical posting-list order: descending Value, ascending Key on
-// ties. This is exactly the order index.Inverted sorts its postings in
-// (it breaks ties by member id, and its sorted dictionary makes id
-// order key order); merging per-partition fragments with this
-// comparator therefore reproduces the single-index list byte-for-byte,
-// which is what makes the coordinator's answers byte-identical to a
-// single engine's.
+// ties. This is exactly the order the index families and index.NewLists
+// sort their postings in (they break ties by member id, and a sorted
+// dictionary makes id order key order); merging per-partition fragments
+// with this comparator therefore reproduces the single-index list
+// byte-for-byte, which is what makes the coordinator's answers
+// byte-identical to a single engine's.
 func LessEntries(a, b index.Entry) bool {
 	if a.Value != b.Value {
 		return a.Value > b.Value
@@ -28,21 +26,16 @@ func LessEntries(a, b index.Entry) bool {
 	return a.Key < b.Key
 }
 
-// SortEntries sorts entries in place into the canonical posting-list
-// order.
-func SortEntries(entries []index.Entry) {
-	sort.Slice(entries, func(i, j int) bool { return LessEntries(entries[i], entries[j]) })
-}
-
 // SliceLists is a ListSource over ragged posting lists built from raw
 // entry slices: the form a partition node holds its list fragments in.
-// Unlike the index-backed sources the lists may be ragged (a fragment
-// holds only the members a partition owns), so ListLen reports the
-// longest list, and a key a list lacks Finds as (0, false); algorithms
-// that rely on the completion invariant should only be run over
-// SliceLists built with equal-length lists.
+// Unlike the index families the lists may be ragged (a fragment holds
+// only the members a partition owns), so ListLen reports the longest
+// list, and a key a list lacks Finds as (0, false); algorithms that rely
+// on the completion invariant should only be run over SliceLists built
+// with equal-length lists.
 type SliceLists struct {
-	indexLists
+	lists  []*index.Inverted
+	maxLen int
 }
 
 // NewSliceLists builds a ListSource over the given entry slices through
@@ -50,7 +43,20 @@ type SliceLists struct {
 // canonical posting-list order. A nil slice is an empty list. The value
 // is immutable and safe for concurrent use.
 func NewSliceLists(lists [][]index.Entry) *SliceLists {
-	return &SliceLists{newIndexLists(index.NewLists(lists))}
+	s := &SliceLists{lists: index.NewLists(lists)}
+	for _, iv := range s.lists {
+		s.maxLen = max(s.maxLen, iv.Len())
+	}
+	return s
+}
+
+func (s *SliceLists) NumLists() int { return len(s.lists) }
+func (s *SliceLists) ListLen() int  { return s.maxLen }
+func (s *SliceLists) At(i, pos int) (index.Entry, bool) {
+	return s.lists[i].At(pos)
+}
+func (s *SliceLists) Find(i int, key string) (float64, bool) {
+	return s.lists[i].Find(key)
 }
 
 // Len returns the length of list i (fragments are ragged).

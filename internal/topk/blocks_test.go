@@ -1,6 +1,7 @@
 package topk
 
 import (
+	"sort"
 	"testing"
 
 	"fairjob/internal/core"
@@ -24,8 +25,14 @@ func TestLessEntriesMatchesInvertedOrder(t *testing.T) {
 		tbl.Set(core.NewGroup(core.Predicate{Attr: "cohort", Value: name}), "q", "other", 1)
 	}
 	gi := index.BuildGroupIndex(tbl)
-	iv := gi.Get("q", "l")
-	entries := iv.Entries()
+	list, ok := gi.ListOf("q", "l")
+	if !ok {
+		t.Fatal("list (q, l) not indexed")
+	}
+	entries := make([]index.Entry, gi.ListLen())
+	for pos := range entries {
+		entries[pos], _ = gi.At(list, pos)
+	}
 	if len(entries) != len(values)+2 {
 		t.Fatalf("expected %d entries, got %d", len(values)+2, len(entries))
 	}
@@ -34,18 +41,18 @@ func TestLessEntriesMatchesInvertedOrder(t *testing.T) {
 			t.Fatalf("index order violates LessEntries at %d: %+v !< %+v", i, entries[i-1], entries[i])
 		}
 	}
-	// SortEntries over a reversed copy reproduces the index order.
+	// Sorting a reversed copy by LessEntries reproduces the index order.
 	shuffled := make([]index.Entry, len(entries))
 	for i, e := range entries {
 		shuffled[len(entries)-1-i] = e
 	}
-	SortEntries(shuffled)
+	sortEntries(shuffled)
 	for i := range entries {
 		if shuffled[i] != entries[i] {
-			t.Fatalf("SortEntries diverged from index order at %d: %+v vs %+v", i, shuffled[i], entries[i])
+			t.Fatalf("LessEntries order diverged from index order at %d: %+v vs %+v", i, shuffled[i], entries[i])
 		}
 	}
-	if v, ok := iv.Find("cohort=Nobody"); ok || v != 0 {
+	if v, ok := gi.Find(list, "cohort=Nobody"); ok || v != 0 {
 		t.Fatalf("Find of an absent key = %v, %v; want (0, false)", v, ok)
 	}
 }
@@ -70,7 +77,7 @@ func TestSliceListsAndScanFrom(t *testing.T) {
 	}
 	for i, l := range lists {
 		want := append([]index.Entry(nil), l...)
-		SortEntries(want)
+		sortEntries(want)
 		for pos, w := range want {
 			if e, ok := s.At(i, pos); !ok || e != w {
 				t.Fatalf("At(%d,%d) = %+v, %v; want %+v", i, pos, e, ok, w)
@@ -110,4 +117,10 @@ func TestSliceListsAndScanFrom(t *testing.T) {
 	if ScanFrom(s, 2, 0, 4) != nil {
 		t.Fatal("scan of an empty list must return nil")
 	}
+}
+
+// sortEntries sorts entries in place into the canonical posting-list
+// order.
+func sortEntries(entries []index.Entry) {
+	sort.Slice(entries, func(i, j int) bool { return LessEntries(entries[i], entries[j]) })
 }

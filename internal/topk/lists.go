@@ -8,6 +8,13 @@
 // benchmarks: Fagin's original FA, Fagin's No-Random-Access algorithm
 // (NRA), and a naive full scan. A source restricted by NewFilteredLists
 // answers the paper's "out of these groups…" form of the question.
+//
+// The algorithms read a ListSource. The three index families of
+// internal/index are list sources themselves, with no per-list header:
+// NewGroupLists, NewQueryLists and NewLocationLists return the family
+// for its full scope, and for a narrower one a view of the list numbers
+// the family's ListOf resolves. SliceLists is the list source over the
+// ragged lists a cluster partition holds.
 package topk
 
 import (
@@ -20,7 +27,7 @@ import (
 // ListSource is the access interface Fagin-style algorithms need: a family
 // of posting lists with identical membership (the index completion
 // invariant), each sorted by descending value, supporting sorted access
-// (At) and random access (Find).
+// (At) and random access (Find). Lists are numbered 0 ≤ i < NumLists().
 type ListSource interface {
 	// NumLists returns the number of posting lists (|Q|·|L| for
 	// group-fairness).
@@ -34,117 +41,87 @@ type ListSource interface {
 	Find(i int, key string) (float64, bool)
 }
 
-// indexLists is a ListSource over index posting lists: the three
-// Table-5 families' scoped sources and SliceLists. ListLen is the longest
-// list, which for a family built under the completion invariant is every
-// list's length.
-type indexLists struct {
-	lists  []*index.Inverted
-	maxLen int
+// family is an index family as a list source, with the resolver that
+// numbers its list of a pair of the other two dimensions.
+type family[A, B any] interface {
+	ListSource
+	ListOf(A, B) (int, bool)
 }
 
-func newIndexLists(lists []*index.Inverted) indexLists {
-	s := indexLists{lists: lists}
-	for _, iv := range lists {
-		s.maxLen = max(s.maxLen, iv.Len())
+// scopedLists is a view of some of a family's lists: list i of the view
+// is list lists[i] of the family.
+type scopedLists struct {
+	fam   ListSource
+	lists []int
+}
+
+func (s *scopedLists) NumLists() int { return len(s.lists) }
+func (s *scopedLists) ListLen() int  { return s.fam.ListLen() }
+func (s *scopedLists) At(i, pos int) (index.Entry, bool) {
+	return s.fam.At(s.lists[i], pos)
+}
+func (s *scopedLists) Find(i int, key string) (float64, bool) {
+	return s.fam.Find(s.lists[i], key)
+}
+
+// lists returns fam over the scope as × bs, where a nil as or bs stands
+// for fullA or fullB, the family's own dimension. With both nil it is fam
+// itself, every list in the family's order, which is the same as
+// resolving every pair; otherwise it is a view of the scope's lists,
+// a-major. It fails when a requested pair is not indexed or the scope is
+// empty.
+func lists[A, B ~string](fam family[A, B], as []A, bs []B, fullA []A, fullB []B) (ListSource, error) {
+	if as == nil && bs == nil {
+		if fam.NumLists() == 0 {
+			return nil, fmt.Errorf("topk: empty scope")
+		}
+		return fam, nil
 	}
-	return s
-}
-
-func (s *indexLists) NumLists() int { return len(s.lists) }
-func (s *indexLists) ListLen() int  { return s.maxLen }
-func (s *indexLists) At(i, pos int) (index.Entry, bool) {
-	return s.lists[i].At(pos)
-}
-func (s *indexLists) Find(i int, key string) (float64, bool) {
-	return s.lists[i].Find(key)
-}
-
-// scoped collects get(a, b) for every pair of as × bs, a-major, failing
-// when a pair is not indexed or the scope is empty.
-func scoped[A, B ~string](as []A, bs []B, get func(A, B) *index.Inverted) (ListSource, error) {
-	lists := make([]*index.Inverted, 0, len(as)*len(bs))
+	if as == nil {
+		as = fullA
+	}
+	if bs == nil {
+		bs = fullB
+	}
+	v := &scopedLists{fam: fam, lists: make([]int, 0, len(as)*len(bs))}
 	for _, a := range as {
 		for _, b := range bs {
-			iv := get(a, b)
-			if iv == nil {
+			i, ok := fam.ListOf(a, b)
+			if !ok {
 				return nil, fmt.Errorf("topk: pair (%s, %s) not indexed", a, b)
 			}
-			lists = append(lists, iv)
+			v.lists = append(v.lists, i)
 		}
 	}
-	if len(lists) == 0 {
+	if len(v.lists) == 0 {
 		return nil, fmt.Errorf("topk: empty scope")
 	}
-	s := newIndexLists(lists)
-	return &s, nil
-}
-
-// stored collects a family's n lists in its stored a-major order, which
-// is the full scope: every pair of the index's own dimensions. It fails
-// when the scope is empty.
-func stored(n int, list func(int) *index.Inverted) (ListSource, error) {
-	if n == 0 {
-		return nil, fmt.Errorf("topk: empty scope")
-	}
-	lists := make([]*index.Inverted, n)
-	for i := range lists {
-		lists[i] = list(i)
-	}
-	s := newIndexLists(lists)
-	return &s, nil
+	return v, nil
 }
 
 // NewGroupLists builds the group-fairness ListSource over the given scope:
 // the I(q,l) family, whose members are group keys. Nil qs or ls default
-// to the index's full dimensions; with both nil the lists are taken in
-// the index's stored order, which is the same as resolving every pair.
-// It returns an error when a requested pair is not indexed.
+// to the index's full dimensions; with both nil the source is the family
+// itself. It returns an error when a requested pair is not indexed or
+// the scope is empty.
 func NewGroupLists(gi *index.GroupIndex, qs []core.Query, ls []core.Location) (ListSource, error) {
-	if qs == nil && ls == nil {
-		return stored(len(gi.Queries)*len(gi.Locations), gi.List)
-	}
-	if qs == nil {
-		qs = gi.Queries
-	}
-	if ls == nil {
-		ls = gi.Locations
-	}
-	return scoped(qs, ls, gi.Get)
+	return lists(gi, qs, ls, gi.Queries, gi.Locations)
 }
 
 // NewQueryLists builds the query-fairness ListSource over a (G, L) scope
 // of the I(g,l) family; members are queries. groupKeys and ls nil
-// default to the full dimensions, and with both nil the lists are taken
-// in the index's stored order.
+// default to the full dimensions, and with both nil the source is the
+// family itself.
 func NewQueryLists(qi *index.QueryIndex, groupKeys []string, ls []core.Location) (ListSource, error) {
-	if groupKeys == nil && ls == nil {
-		return stored(len(qi.GroupKeys)*len(qi.Locations), qi.List)
-	}
-	if groupKeys == nil {
-		groupKeys = qi.GroupKeys
-	}
-	if ls == nil {
-		ls = qi.Locations
-	}
-	return scoped(groupKeys, ls, qi.Get)
+	return lists(qi, groupKeys, ls, qi.GroupKeys, qi.Locations)
 }
 
 // NewLocationLists builds the location-fairness ListSource over a (G, Q)
 // scope of the I(g,q) family; members are locations. groupKeys and qs
-// nil default to the full dimensions, and with both nil the lists are
-// taken in the index's stored order.
+// nil default to the full dimensions, and with both nil the source is
+// the family itself.
 func NewLocationLists(li *index.LocationIndex, groupKeys []string, qs []core.Query) (ListSource, error) {
-	if groupKeys == nil && qs == nil {
-		return stored(len(li.GroupKeys)*len(li.Queries), li.List)
-	}
-	if groupKeys == nil {
-		groupKeys = li.GroupKeys
-	}
-	if qs == nil {
-		qs = li.Queries
-	}
-	return scoped(groupKeys, qs, li.Get)
+	return lists(li, groupKeys, qs, li.GroupKeys, li.Queries)
 }
 
 // reversedLists adapts a ListSource so that ascending order on the
