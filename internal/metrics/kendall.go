@@ -44,33 +44,6 @@ func KendallTauDistance(a, b []string) float64 {
 	return float64(discordant) / float64(pairs)
 }
 
-// KendallTauCoefficient returns the Kendall tau rank-correlation
-// coefficient in [-1, 1] over the common items of the two lists
-// (1 = same order, -1 = reversed). With fewer than two common items it
-// returns 1 for identical lists and 0 otherwise.
-func KendallTauCoefficient(a, b []string) float64 {
-	posA := firstPositions(a)
-	posB := firstPositions(b)
-	common := make([]int, 0, len(posA))
-	for i, item := range a {
-		if posA[item] != i {
-			continue
-		}
-		if pb, ok := posB[item]; ok {
-			common = append(common, pb)
-		}
-	}
-	if len(common) < 2 {
-		if JaccardDistance(a, b) == 0 {
-			return 1
-		}
-		return 0
-	}
-	pairs := len(common) * (len(common) - 1) / 2
-	discordant := countInversions(common)
-	return 1 - 2*float64(discordant)/float64(pairs)
-}
-
 func firstPositions(list []string) map[string]int {
 	pos := make(map[string]int, len(list))
 	for i, item := range list {
