@@ -343,9 +343,7 @@ func TestClusterFaultPropertyConvergence(t *testing.T) {
 func TestClusterDeadlineNeverHangs(t *testing.T) {
 	defer faultinject.Reset()
 	const n = 3
-	coord, _, tbl := chaosFixture(t, n, cluster.Options{
-		MinLegBudget: 5 * time.Millisecond,
-	})
+	coord, _, tbl := chaosFixture(t, n, cluster.Options{})
 	release := make(chan struct{})
 	faultinject.SetKeyed(faultinject.ClusterPartitionSlow, func(string) error {
 		<-release

@@ -41,9 +41,6 @@ type Options struct {
 	// DefaultDeadline bounds requests that carry no deadline of their
 	// own; 0 leaves them unbounded.
 	DefaultDeadline time.Duration
-	// MinLegBudget floors the per-leg budget (default 10ms) so a request
-	// arriving nearly dead still gives its legs a usable slice.
-	MinLegBudget time.Duration
 	// Retry is the per-leg backoff policy for transient errors. The
 	// zero value retries twice with the serve defaults; the coordinator
 	// installs its own Abort classifier for gen-pin mismatches on top.
@@ -61,6 +58,9 @@ const (
 	// fan-out leg may spend: a failed first leg leaves budget for a retry
 	// instead of burning the whole request.
 	legFraction = 0.5
+	// minLegBudget floors the per-leg budget so a request arriving nearly
+	// dead still gives its legs a usable slice.
+	minLegBudget = 10 * time.Millisecond
 	// hedgeFloor is the minimum hedge delay: never duplicate a leg faster
 	// than this, no matter how fast the partition has been.
 	hedgeFloor = time.Millisecond
@@ -176,9 +176,6 @@ func New(tbl *core.Table, opts Options) *Coordinator {
 func NewWithRankings(tbl *core.Table, schema *core.Schema, rankings []*core.MarketplaceRanking, opts Options) *Coordinator {
 	if opts.Partitions <= 0 {
 		opts.Partitions = 1
-	}
-	if opts.MinLegBudget <= 0 {
-		opts.MinLegBudget = 10 * time.Millisecond
 	}
 
 	n := opts.Partitions

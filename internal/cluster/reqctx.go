@@ -349,7 +349,7 @@ type legResult struct {
 
 // leg executes one hedged send to partition p. The leg context carves
 // legFraction of the request's remaining deadline (floored at
-// MinLegBudget, capped at the remainder). The FIRST attempt runs
+// minLegBudget, capped at the remainder). The FIRST attempt runs
 // synchronously on the request goroutine — the hot path pays no
 // goroutine spawn, no channel handoff and no cross-core cache migration
 // of the engine's index data (measured at ~17% of request latency when
@@ -375,8 +375,8 @@ func (rc *reqCtx) leg(ctx context.Context, p int, call Call, kind string) (Reply
 	if dl, ok := ctx.Deadline(); ok {
 		remaining := time.Until(dl)
 		budget := time.Duration(float64(remaining) * legFraction)
-		if budget < c.opts.MinLegBudget {
-			budget = c.opts.MinLegBudget
+		if budget < minLegBudget {
+			budget = minLegBudget
 		}
 		if budget > remaining {
 			budget = remaining

@@ -146,8 +146,8 @@ func NewLocalTransport(nodes []*Node) *LocalTransport {
 // round checkpoint, an OpScan, OpLookup or OpCells to its end. The
 // longest of those, OpCells, copies a 4-partition node's ~14k cells of
 // the benchmark crawl (about 0.8 MB) in 0.4–2.6 ms on a 2-vCPU Xeon, a
-// tenth to a quarter of the 10 ms MinLegBudget default, so it checks no
-// context. Once Handle returns, an ended ctx makes Send return
+// tenth to a quarter of the 10 ms floor on a leg's budget (minLegBudget),
+// so it checks no context. Once Handle returns, an ended ctx makes Send return
 // ctx.Err() instead of the reply.
 func (t *LocalTransport) Send(ctx context.Context, partition int, call Call) (Reply, error) {
 	if partition < 0 || partition >= len(t.nodes) {
