@@ -13,22 +13,22 @@ import (
 
 // benchWorkload builds the serving benchmark's toy-experiment fixture: a
 // table at the TaskRabbit case-study scale (11 groups × 48 queries × 10
-// locations) and a 256-request mixed workload drawn from 32 distinct
-// query shapes, each repeated 8× and deterministically shuffled — the
-// "heavy traffic" regime where many users ask overlapping fairness
-// questions.
+// locations) and a 256-request mixed workload drawn from every shape of
+// battery in equal share, as near as 256 allows: passes over its 55
+// shapes, each pass starting five shapes after the one before, so every
+// shape comes four or five times. That is the "heavy traffic" regime
+// where many users ask overlapping fairness questions, and it takes
+// every kind of request the battery holds — quantifies over each
+// dimension, the candidate restriction and compares — through the
+// layers the overhead pair prices.
 func benchWorkload() (*serve.Snapshot, []serve.Request) {
 	rng := stats.NewRNG(4242)
 	snap := serve.NewSnapshot(randomTable(rng, 11, 48, 10, 0.1))
 	distinct := battery(snap)
-	if len(distinct) > 32 {
-		distinct = distinct[:32]
-	}
-	reqs := make([]serve.Request, 0, len(distinct)*8)
-	for rep := 0; rep < 8; rep++ {
-		for i := range distinct {
-			reqs = append(reqs, distinct[(i+rep*5)%len(distinct)])
-		}
+	reqs := make([]serve.Request, 256)
+	for i := range reqs {
+		pass := i / len(distinct)
+		reqs[i] = distinct[(i+pass*5)%len(distinct)]
 	}
 	return snap, reqs
 }
