@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"fairjob/internal/cluster"
@@ -32,7 +33,7 @@ type wireCount struct {
 	entries  int
 	// off makes Send forward without counting, so an allocation count
 	// reads the coordinator alone.
-	off bool
+	off atomic.Bool
 }
 
 // wireCall is one call of a request: within a request the coordinator
@@ -69,7 +70,7 @@ func (w *wireCount) reset() {
 }
 
 func (w *wireCount) Send(ctx context.Context, p int, call cluster.Call) (cluster.Reply, error) {
-	if w.off {
+	if w.off.Load() {
 		return w.inner.Send(ctx, p, call)
 	}
 	k := wireCall{p, call.Op, call.PinGen, call.Dim, call.List, call.Start, call.Count, call.Key}
@@ -232,8 +233,10 @@ func TestQuantifyCostByShape(t *testing.T) {
 		if !measureAllocs {
 			return a
 		}
-		wire1.off, wire4.off = true, true
-		defer func() { wire1.off, wire4.off = false, false }()
+		for _, w := range []*wireCount{wire1, wire4} {
+			w.off.Store(true)
+			defer w.off.Store(false)
+		}
 		for i, do := range []func(serve.Request) serve.Response{engine.Do, one.Do, four.Do} {
 			a[i] = testing.AllocsPerRun(3, func() { do(req) })
 		}

@@ -145,12 +145,12 @@ func NewSnapshotWithRankings(tbl *core.Table, schema *core.Schema, rankings []*c
 }
 
 // NewDeferredSnapshot is NewSnapshotWithRankings without the index
-// build: the three index families and the comparers are built on the first quantify or compare (or the first call of
-// GroupKeys, Queries, Locations, Group or DimensionOf), once, however
-// many requests arrive together. A snapshot that only serves mitigate
-// requests and lends its cells through Cell, Range and Len — a cluster
-// node above one partition — never builds them. Snapshots derived with
-// WithUpdates stay deferred. Its table is a page-major Clone, not a
+// build: the three index families and the comparers are built on the
+// first quantify or compare (or the first call of GroupKeys, Queries,
+// Locations, Group or DimensionOf), once, however many requests arrive
+// together. A snapshot that only serves mitigate requests and lends its
+// cells through Cell, Range and Len — a cluster node above one partition
+// — never builds them. Snapshots derived with WithUpdates stay deferred. Its table is a page-major Clone, not a
 // sealed copy: a sealed table holds a row for every (query, location)
 // pair, and a cluster node's sub-table owns only about 1/N of the pairs
 // of its dimensions, so a sealed copy would hold about N times its cells.
