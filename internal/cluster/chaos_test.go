@@ -15,6 +15,7 @@ import (
 	"fairjob/internal/compare"
 	"fairjob/internal/core"
 	"fairjob/internal/faultinject"
+	"fairjob/internal/obs"
 	"fairjob/internal/serve"
 	"fairjob/internal/stats"
 	"fairjob/internal/topk"
@@ -136,8 +137,9 @@ func TestClusterPartitionDown(t *testing.T) {
 }
 
 // TestClusterPartitionSlow: a stalled partition is absorbed by hedging —
-// the hedge duplicate returns the full (non-partial) answer and the
-// stuck primary is canceled, not waited for.
+// the hedge duplicate returns the full (non-partial) answer, the stuck
+// primary is canceled, not waited for, and as a race's loser it counts
+// as no partition leg error.
 func TestClusterPartitionSlow(t *testing.T) {
 	defer faultinject.Reset()
 	const n = 3
@@ -169,6 +171,13 @@ func TestClusterPartitionSlow(t *testing.T) {
 	hedgesBefore := coord.Registry().Counter("cluster_hedges_total").Value()
 	winsBefore := coord.Registry().Counter("cluster_hedge_wins_total").Value()
 	cancelsBefore := coord.Registry().Counter("cluster_hedge_loser_cancels_total").Value()
+	legErrors := func(p int) uint64 {
+		return coord.Registry().Counter(obs.Name("cluster_partition_leg_errors_total", "partition", strconv.Itoa(p))).Value()
+	}
+	var errorsBefore [n]uint64
+	for p := range errorsBefore {
+		errorsBefore[p] = legErrors(p)
+	}
 
 	done := make(chan serve.Response, 1)
 	go func() { done <- coord.Do(req) }()
@@ -193,6 +202,12 @@ func TestClusterPartitionSlow(t *testing.T) {
 	}
 	if cancels := coord.Registry().Counter("cluster_hedge_loser_cancels_total").Value(); cancels <= cancelsBefore {
 		t.Fatal("stalled loser was never canceled")
+	}
+	// The canceled primaries lost their races; none failed on its own.
+	for p, before := range errorsBefore {
+		if got := legErrors(p); got != before {
+			t.Errorf("partition %d: hedging absorbed its stall, yet its leg errors moved %d → %d", p, before, got)
+		}
 	}
 }
 

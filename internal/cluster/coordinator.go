@@ -309,12 +309,7 @@ func (c *Coordinator) DoCtx(ctx context.Context, req serve.Request) serve.Respon
 	tr := c.tracer.Start(req.Problem.String())
 	if err := serve.ValidateRequest(req); err != nil {
 		tr.Annotate("err", err.Error())
-		tr.SetOutcome("error")
-		c.tracer.Finish(tr)
-		resp := serve.Response{Err: err}
-		c.emit(req, resp, tr, time.Since(start), nil)
-		c.tracer.Release(tr)
-		return resp
+		return c.finish(req, serve.Response{Err: err}, tr, start, nil)
 	}
 	if d := req.Deadline; d > 0 || c.opts.DefaultDeadline > 0 {
 		if d <= 0 {
@@ -383,11 +378,19 @@ func (c *Coordinator) DoCtx(ctx context.Context, req serve.Request) serve.Respon
 			resp.Err = typedCtxErr(ctx, ctx.Err())
 		}
 	}
+	return c.finish(req, resp, tr, start, st)
+}
 
+// finish is every request's one exit: it closes the trace, records
+// cluster_request_seconds for a request past validation (st is made
+// after it), emits the wide event and releases the trace.
+func (c *Coordinator) finish(req serve.Request, resp serve.Response, tr *obs.Trace, start time.Time, st *scatterStats) serve.Response {
 	lat := time.Since(start)
 	tr.SetOutcome(serve.Outcome(resp.Err))
 	c.tracer.Finish(tr)
-	c.met.requestSeconds.Observe(lat.Seconds())
+	if st != nil {
+		c.met.requestSeconds.Observe(lat.Seconds())
+	}
 	c.emit(req, resp, tr, lat, st)
 	c.tracer.Release(tr)
 	return resp

@@ -77,6 +77,8 @@ type reqCtx struct {
 	stats  *scatterStats
 	stream []streamStat
 
+	hedge hedger
+
 	mu      sync.Mutex
 	pins    []uint64
 	dead    []bool
@@ -337,27 +339,100 @@ func (rc *reqCtx) legSpan(op Op, kind string, p int, at time.Time) obs.SpanRef {
 	return s
 }
 
-// legResult is the hedge duplicate's verdict, shipped back to the
-// request goroutine: the reply, the error, and the duplicate's own
-// measured duration (the request goroutine reconstructs the hedge's
-// span from it — the duplicate's goroutine never touches the tree).
-type legResult struct {
+// sent is one send's outcome and extent.
+type sent struct {
 	reply Reply
 	err   error
+	start time.Time
 	dur   time.Duration
+}
+
+// send makes one round-trip to partition p and books it, for the primary
+// and the hedge duplicate alike: a fan-out leg, a partition leg, an RPC,
+// the partition's leg time and, on success, the leg latency the hedge
+// delay is derived from. Failures are booked by leg, which alone knows
+// whether a send lost a hedge race or failed on its own.
+func (rc *reqCtx) send(ctx context.Context, p int, call Call) (s sent) {
+	c := rc.c
+	c.met.legs.Inc()
+	c.met.partLegs[p].Inc()
+	rc.stats.rpcs.Add(1)
+	s.start = time.Now()
+	s.reply, s.err = c.transport.Send(ctx, p, call)
+	s.dur = time.Since(s.start)
+	rc.stats.legNS[p].Add(int64(s.dur))
+	if s.err == nil {
+		c.observeLeg(p, s.dur.Seconds())
+	}
+	return s
+}
+
+// hedger is a request attempt's hedge state, made on its first armed leg
+// and re-armed for every later one. A request's legs run one at a time on
+// its goroutine, and a leg whose duplicate launched does not return
+// before the duplicate reports, so one timer, one result slot and one
+// done signal serve every leg.
+type hedger struct {
+	timer *time.Timer
+	done  chan struct{} // the duplicate reported into res
+
+	// The leg the timer fires for, written before the timer is armed.
+	ctx    context.Context
+	cancel context.CancelFunc
+	p      int
+	call   Call
+
+	res sent // the duplicate's send, read after done
+}
+
+// armHedge sets the duplicate of the leg about to be sent and arms the
+// timer that launches it after d.
+func (rc *reqCtx) armHedge(ctx context.Context, cancel context.CancelFunc, p int, call Call, d time.Duration) {
+	h := &rc.hedge
+	h.ctx, h.cancel, h.p, h.call = ctx, cancel, p, call
+	if h.timer == nil {
+		h.done = make(chan struct{}, 1)
+		h.timer = time.AfterFunc(d, rc.sendDuplicate)
+		return
+	}
+	h.timer.Reset(d)
+}
+
+// sendDuplicate is the hedge timer's function, run on the timer's
+// goroutine. The duplicate sends without a span context: its span is
+// made by the request goroutine once the race is decided, and parenting
+// an engine join under the primary's span would misattribute the work.
+// A duplicate that succeeds cancels the leg context, which unblocks a
+// primary still stuck in its send.
+func (rc *reqCtx) sendDuplicate() {
+	h := &rc.hedge
+	rc.c.met.hedges.Inc()
+	rc.stats.hedgesFired.Add(1)
+	h.res = rc.send(h.ctx, h.p, h.call)
+	if h.res.err == nil {
+		h.cancel()
+	}
+	h.done <- struct{}{}
 }
 
 // leg executes one hedged send to partition p. The leg context carves
 // legFraction of the request's remaining deadline (floored at
-// minLegBudget, capped at the remainder). The FIRST attempt runs
-// synchronously on the request goroutine — the hot path pays no
-// goroutine spawn, no channel handoff and no cross-core cache migration
-// of the engine's index data (measured at ~17% of request latency when
-// every leg took the async path). Hedging still works: a timer armed at
-// the partition's jittered p99-derived delay launches one asynchronous
-// duplicate, and a duplicate that succeeds cancels the shared leg
-// context, which unblocks a stalled original — first response wins
-// either way, and the deferred cancel reaps whichever copy lost.
+// minLegBudget, capped at the remainder). The primary runs synchronously
+// on the request goroutine — the hot path pays no goroutine spawn, no
+// channel handoff and no cross-core cache migration of the engine's
+// index data (measured at ~17% of request latency when every leg took
+// the async path). Hedging still works: the request's hedge timer, armed
+// at the partition's jittered p99-derived delay, launches one
+// asynchronous duplicate, and a duplicate that succeeds cancels the
+// shared leg context, which unblocks a stalled primary.
+//
+// A leg never outlives its call. Once the duplicate has launched and the
+// primary has returned, leg cancels the leg context, waits for the
+// duplicate's report — bounded by one handler run (see
+// LocalTransport.Send) — and only then picks the winner: the primary if
+// it succeeded, else the duplicate if it did, else the primary's error.
+// A send canceled because the race was decided lost it; it counts as a
+// leg and in leg time, but not as a partition leg error.
 //
 // Span policy: serve and cells legs, retries, and any leg whose hedge
 // actually fired get spans; plain scan/lookup primaries are counted
@@ -365,9 +440,8 @@ type legResult struct {
 // thousands — see obs.MaxChildSpans). All span creation happens on the
 // request goroutine: an eagerly-spanned leg opens its span before the
 // send (so an OpServe engine can join it through the context), and a
-// leg that only became interesting when its hedge fired gets both
-// spans reconstructed after the race resolves, from timings the
-// duplicate shipped through hedgeCh.
+// leg that only became interesting when its hedge fired gets both spans
+// made after the race, from the extents the two sends measured.
 func (rc *reqCtx) leg(ctx context.Context, p int, call Call, kind string) (Reply, error) {
 	c := rc.c
 	var legCtx context.Context
@@ -396,148 +470,63 @@ func (rc *reqCtx) leg(ctx context.Context, p int, call Call, kind string) (Reply
 		sctx = obs.ContextWithSpan(legCtx, ps)
 	}
 
-	var (
-		hedged  atomic.Bool
-		hedgeAt atomic.Int64 // UnixNano the duplicate launched; set before hedged
-		hedgeCh chan legResult
-	)
+	armed := false
 	if d := c.hedgeDelay(p); d > 0 {
-		hedgeCh = make(chan legResult, 1)
-		timer := time.AfterFunc(d, func() {
-			hedgeAt.Store(time.Now().UnixNano())
-			hedged.Store(true)
-			c.met.hedges.Inc()
-			c.met.legs.Inc()
-			c.met.partLegs[p].Inc()
-			rc.stats.hedgesFired.Add(1)
-			rc.stats.rpcs.Add(1)
-			hstart := time.Now()
-			// The duplicate sends WITHOUT a span context: its span does not
-			// exist yet (it is reconstructed by the request goroutine after
-			// the race resolves), and parenting an engine join under the
-			// primary's span would misattribute the work.
-			reply, err := c.transport.Send(legCtx, p, call)
-			hdur := time.Since(hstart)
-			rc.stats.legNS[p].Add(int64(hdur))
-			if err == nil {
-				c.observeLeg(p, hdur.Seconds())
-			} else {
-				c.met.partLegErrors[p].Inc()
-			}
-			hedgeCh <- legResult{reply, err, hdur}
-			if err == nil {
-				// First-response-wins: the duplicate came back first, so
-				// unblock the original, which is still stuck in its send.
-				cancel()
-			}
-		})
-		defer timer.Stop()
+		rc.armHedge(legCtx, cancel, p, call, d)
+		armed = true
+	}
+	prim := rc.send(sctx, p, call)
+	hedged := armed && !rc.hedge.timer.Stop()
+	var dup sent
+	if hedged {
+		cancel()
+		<-rc.hedge.done
+		dup = rc.hedge.res
 	}
 
-	c.met.legs.Inc()
-	c.met.partLegs[p].Inc()
-	rc.stats.rpcs.Add(1)
-	start := time.Now()
-	reply, err := c.transport.Send(sctx, p, call)
-	dur := time.Since(start)
-	rc.stats.legNS[p].Add(int64(dur))
-
-	// finishLeg closes the attempt's spans once the race outcome is
-	// known, creating the primary's retroactively when only the fired
-	// hedge made the leg interesting, and the hedge's always
-	// retroactively, linked to its peer.
-	finishLeg := func(primOut string, primReply Reply, hedgeOut string, hres *legResult) {
-		if !traced {
-			return
-		}
-		hedgedNow := hedged.Load()
-		if !ps.Valid() && hedgedNow {
-			ps = rc.legSpan(call.Op, kind, p, start)
-		}
-		if !ps.Valid() {
-			return
-		}
-		ps.SetGen(primReply.Gen)
-		ps.SetEntries(legEntries(call.Op, primReply))
-		ps.SetOutcome(primOut)
-		ps.FinishDur(dur)
-		if !hedgedNow {
-			return
-		}
-		hs := rc.legSpan(call.Op, "hedge", p, time.Unix(0, hedgeAt.Load()))
-		if hres != nil {
-			hs.SetGen(hres.reply.Gen)
-			hs.SetEntries(legEntries(call.Op, hres.reply))
-			hs.SetOutcome(hedgeOut)
-			hs.FinishDur(hres.dur)
-		} else {
-			hs.SetOutcome(hedgeOut)
-			hs.Finish()
-		}
-		hs.Link(ps)
-	}
-
-	if err == nil {
-		c.observeLeg(p, dur.Seconds())
-		if hedged.Load() {
+	reply, err := prim.reply, prim.err
+	primOut, hedgeOut := errClass(prim.err), errClass(dup.err)
+	switch {
+	case !hedged:
+	case prim.err == nil:
+		c.met.hedgeLoserCancels.Inc()
+		primOut, hedgeOut = "won", "lost"
+	case dup.err == nil:
+		c.met.hedgeWins.Inc()
+		rc.stats.hedgesWon.Add(1)
+		if errors.Is(prim.err, context.Canceled) {
+			// The duplicate's win is what canceled the primary.
 			c.met.hedgeLoserCancels.Inc()
-			if traced {
-				// Reap the duplicate now instead of leaving it to the
-				// deferred cancel, so its span carries its real extent:
-				// cancel unblocks its send (Send honors ctx), the handoff
-				// channel is buffered, so this wait is bounded by the leg
-				// budget and usually instant. The untraced path skips it —
-				// exactly the old behavior.
-				cancel()
-				hres := <-hedgeCh
-				finishLeg("won", reply, "lost", &hres)
-			}
-			return reply, nil
 		}
-		finishLeg("ok", reply, "", nil)
-		return reply, nil
+		reply, err = dup.reply, nil
+		hedgeOut = "won"
 	}
-	c.met.partLegErrors[p].Inc()
-	if errors.Is(err, ErrGenMismatch) {
-		finishLeg("gen-mismatch", reply, "canceled", nil)
-		return reply, err
-	}
-	if hedged.Load() {
-		// The original failed — possibly canceled by a winning duplicate.
-		// Wait for the duplicate's verdict; it observes the same legCtx, so
-		// this wait is bounded by the leg budget. A winning duplicate
-		// delivers its result BEFORE canceling the leg context, so when
-		// both channels are ready the result must win the select — checked
-		// again non-blockingly under Done to beat select's random pick.
-		takeHedge := func(res legResult) (Reply, error) {
-			if res.err == nil {
-				c.met.hedgeWins.Inc()
-				rc.stats.hedgesWon.Add(1)
-				if errors.Is(err, context.Canceled) {
-					// The duplicate's win is what canceled the original.
-					c.met.hedgeLoserCancels.Inc()
-				}
-				finishLeg(errClass(err), Reply{}, "won", &res)
-				return res.reply, nil
-			}
-			finishLeg(errClass(err), Reply{}, errClass(res.err), &res)
-			return Reply{}, res.err
-		}
-		select {
-		case res := <-hedgeCh:
-			return takeHedge(res)
-		case <-legCtx.Done():
-			select {
-			case res := <-hedgeCh:
-				return takeHedge(res)
-			default:
-				finishLeg(errClass(err), Reply{}, "canceled", nil)
-				return Reply{}, legCtx.Err()
-			}
+	// A send is a partition leg error only when it failed on its own: one
+	// canceled while the request is alive was stopped by its race.
+	for _, e := range [...]error{prim.err, dup.err} {
+		if e != nil && !(errors.Is(e, context.Canceled) && ctx.Err() == nil) {
+			c.met.partLegErrors[p].Inc()
 		}
 	}
-	finishLeg(errClass(err), Reply{}, "", nil)
-	return Reply{}, err
+
+	if traced {
+		if hedged && !ps.Valid() {
+			ps = rc.legSpan(call.Op, kind, p, prim.start)
+		}
+		ps.SetGen(prim.reply.Gen)
+		ps.SetEntries(legEntries(call.Op, prim.reply))
+		ps.SetOutcome(primOut)
+		ps.FinishDur(prim.dur)
+		if hedged {
+			hs := rc.legSpan(call.Op, "hedge", p, dup.start)
+			hs.SetGen(dup.reply.Gen)
+			hs.SetEntries(legEntries(call.Op, dup.reply))
+			hs.SetOutcome(hedgeOut)
+			hs.FinishDur(dup.dur)
+			hs.Link(ps)
+		}
+	}
+	return reply, err
 }
 
 // legEntries counts the payload entries a reply moved, per op.

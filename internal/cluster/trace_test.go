@@ -254,7 +254,8 @@ func TestClusterCacheHitEvent(t *testing.T) {
 // request in allocations, for one quantify. The hop itself is a
 // one-partition coordinator with node caches off, minus a bare engine
 // with caching off: the attempt's generation pins and scatter
-// accounting, the leg's context and the hedge timer. Tracing
+// accounting, the leg's context, and the attempt's hedge timer with its
+// function and done channel, made once for all the attempt's legs. Tracing
 // on top costs only the two allocations of obs.ContextWithSpan (the
 // context node and the span ref boxed into it) that carry the serve
 // leg's span to the node: the scatter, leg, engine and phase spans all
@@ -266,7 +267,7 @@ func TestClusterTracingAllocations(t *testing.T) {
 	if testutil.RaceEnabled() {
 		t.Skip("the race detector drops sync.Pool entries at random")
 	}
-	const hopPin = 15
+	const hopPin = 11
 	tbl := clusterTable(stats.NewRNG(7), 6, 5, 4, 0.15)
 	req := serve.Request{Problem: serve.Quantify, Dim: compare.ByGroup, K: 2, Algorithm: topk.TA}
 	allocs := func(do func(serve.Request) serve.Response) float64 {
