@@ -175,15 +175,16 @@ func TestChaosPanicIsolation(t *testing.T) {
 }
 
 // TestChaosOverloadServesCacheHits holds the admission gate saturated
-// with a blocked slow query and checks the overload contract: cached
-// answers keep flowing (the cache probe precedes the gate), fresh
-// compute sheds with ErrOverloaded, and /readyz-via-Engine.Ready reports
-// not-ready until the gate drains.
+// with a blocked slow query and a full wait queue, and checks the
+// overload contract: cached answers keep flowing (the cache probe
+// precedes the gate), fresh compute sheds with ErrOverloaded,
+// /readyz-via-Engine.Ready reports not-ready until the gate drains, and
+// the queued requests then run.
 func TestChaosOverloadServesCacheHits(t *testing.T) {
 	defer faultinject.Reset()
 	rng := stats.NewRNG(74)
 	snap := serve.NewSnapshot(randomTable(rng, 6, 4, 4, 0))
-	eng := serve.NewEngine(snap, serve.Options{MaxInflight: 1, MaxQueue: -1})
+	eng := serve.NewEngine(snap, serve.Options{MaxInflight: 1})
 
 	hot := serve.Request{Problem: serve.Quantify, Dim: compare.ByGroup, K: 2, Algorithm: topk.TA}
 	warm := eng.Do(hot)
@@ -200,6 +201,19 @@ func TestChaosOverloadServesCacheHits(t *testing.T) {
 		})
 	}()
 	waitHits(t, faultinject.SlowEvaluator, 1) // the slow query now holds the gate
+
+	// Fill the gate's two queue slots (2 × MaxInflight) with compute that
+	// waits behind the slow query.
+	queued := make(chan serve.Response, 2)
+	for _, k := range []int{1, 3} {
+		req := serve.Request{Problem: serve.Quantify, Dim: compare.ByGroup, K: k, Algorithm: topk.NRA}
+		go func() { queued <- eng.Do(req) }()
+	}
+	for deadline := time.Now().Add(10 * time.Second); eng.Registry().Snapshot().Gauges["serve_admission_queued"] < 2; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatal("the queued requests never filled the admission queue")
+		}
+	}
 
 	if resp := eng.Do(hot); !resp.CacheHit || resp.Err != nil {
 		t.Fatalf("cached request under overload: hit=%v err=%v, want a free hit", resp.CacheHit, resp.Err)
@@ -218,6 +232,11 @@ func TestChaosOverloadServesCacheHits(t *testing.T) {
 	close(release)
 	if resp := <-slowDone; resp.Err != nil {
 		t.Fatalf("slow query after release: %v", resp.Err)
+	}
+	for i := 0; i < 2; i++ {
+		if resp := <-queued; resp.Err != nil {
+			t.Fatalf("queued request after release: %v", resp.Err)
+		}
 	}
 	if err := eng.Ready(); err != nil {
 		t.Fatalf("Ready after drain = %v, want nil", err)
@@ -314,7 +333,6 @@ func TestChaosConvergenceAfterFaultsClear(t *testing.T) {
 		Workers:     4,
 		CacheSize:   4, // constant eviction churn across the battery
 		MaxInflight: 2,
-		MaxQueue:    2,
 		Retry:       serve.RetryPolicy{MaxAttempts: 5, Sleep: func(time.Duration) {}},
 		Tracer:      tz,
 	})
@@ -409,10 +427,8 @@ func TestChaosConvergenceAfterFaultsClear(t *testing.T) {
 		t.Fatalf("anchor refresh after reset: %v", err)
 	}
 
-	// One request at a time: the gate admits MaxInflight 2 + MaxQueue 2,
-	// so a concurrent batch would be shed by design. With one request in
-	// flight, any shed can only be an admission grant leaked by the chaos
-	// phase.
+	// One request at a time: with one request in flight, any shed can
+	// only be an admission grant leaked by the chaos phase.
 	ref := serve.NewEngine(anchored, serve.Options{Workers: 1, CacheSize: -1})
 	for i, req := range reqs {
 		resp := eng.Do(req)

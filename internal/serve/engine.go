@@ -199,15 +199,12 @@ type Options struct {
 	// MaxInflight is the admission gate's compute capacity in weight
 	// units (see requestWeight: naive full scans count double). 0
 	// disables admission control entirely — the default, and the
-	// backward-compatible behavior. Negative sheds all compute: only
-	// cache hits are served, the "drain" configuration. Cache hits never
-	// consume capacity regardless.
+	// backward-compatible behavior. Positive also bounds the wait queue
+	// at 2×MaxInflight requests: one more arrival is shed with
+	// ErrOverloaded. Negative sheds all compute: only cache hits are
+	// served, the "drain" configuration. Cache hits never consume
+	// capacity regardless.
 	MaxInflight int
-	// MaxQueue bounds how many requests may wait for admission before
-	// the gate sheds with ErrOverloaded; it only applies when MaxInflight
-	// is positive. 0 selects 2×MaxInflight; negative means no waiting —
-	// a request that cannot run immediately is shed.
-	MaxQueue int
 	// Retry is the backoff policy wrapped around snapshot builds in
 	// Refresh/RefreshCtx. The zero value selects the package defaults
 	// (3 attempts, 10ms base, 1s cap). The engine chains its
@@ -342,14 +339,7 @@ func NewEngine(snap *Snapshot, opts Options) *Engine {
 		if capacity < 0 {
 			capacity = 0 // shed all compute; only cache hits are served
 		}
-		maxQueue := opts.MaxQueue
-		switch {
-		case maxQueue == 0:
-			maxQueue = 2 * int(capacity)
-		case maxQueue < 0:
-			maxQueue = 0
-		}
-		e.gate = newGate(capacity, maxQueue)
+		e.gate = newGate(capacity, 2*int(capacity))
 	}
 	userRetry := e.retry.OnRetry
 	e.retry.OnRetry = func(retry int, err error, delay time.Duration) {
@@ -561,9 +551,10 @@ func (e *Engine) DoBatchCtx(ctx context.Context, reqs []Request) []Response {
 // records its phases — validate, cache-lookup, execute,
 // access-accounting — as spans under one parent: the root of tr for a
 // standalone request, or parent when the request joined a caller's
-// trace. tr is nil on the joined path and when tracing is disabled;
-// every response — hit, miss or error — lands in the per-problem
-// latency histogram.
+// trace. tr is nil on the joined path and when tracing is disabled.
+// Every request leaves through finish, and every response past
+// validation — hit, miss or error — lands in the per-problem latency
+// histogram.
 //
 // The resilient path runs in a fixed order (DESIGN.md §10): validate →
 // cache probe → deadline → admission → guarded execute. The cache probe
@@ -579,41 +570,19 @@ func (e *Engine) doOn(ctx context.Context, snap *Snapshot, req Request, tr *obs.
 	}
 	tr.SetGen(snap.gen)
 	phase := startPhase(tr, parent, "validate", start)
-	err := validate(req)
-	if err != nil {
-		phase.Finish()
-		e.met.errors.Inc()
-		tr.Annotate("err", err.Error())
-		tr.SetOutcome("error")
-		e.tracer.Finish(tr)
-		// A validation reject is the caller's bug, not the engine's
-		// unavailability: no latency sample, no request count, no SLO
-		// observation — but it does get a wide event, because "who sends
-		// malformed queries" is an operational question.
-		resp := Response{Gen: snap.gen, Err: err}
-		e.emit(req, resp, tr, time.Since(start), "")
-		e.tracer.Release(tr)
-		return resp
+	if err := validate(req); err != nil {
+		return e.finish(req, Response{Gen: snap.gen, Err: err}, tr, phase, start, false)
 	}
-	pi := req.Problem
-	e.met.requests[pi].Inc()
+	e.met.requests[req.Problem].Inc()
 	phase = phase.Next("cache-lookup")
 	var key cacheKey
 	if e.cache != nil {
 		key = req.key(snap.gen)
 		if resp, ok := e.cache.Get(key); ok {
 			e.met.cacheHits.Inc()
-			phase.Finish()
 			tr.Annotate("cache", "hit")
 			resp.CacheHit = true
-			lat := time.Since(start)
-			tr.SetOutcome("ok")
-			e.tracer.Finish(tr)
-			e.met.latency[pi].ObserveWithExemplar(lat.Seconds(), tr.JoinID())
-			e.slo.Observe(lat, nil)
-			e.emit(req, resp, tr, lat, "hit")
-			e.tracer.Release(tr)
-			return resp
+			return e.finish(req, resp, tr, phase, start, true)
 		}
 		e.met.cacheMisses.Inc()
 	}
@@ -631,15 +600,13 @@ func (e *Engine) doOn(ctx context.Context, snap *Snapshot, req Request, tr *obs.
 	if e.gate != nil {
 		weight := requestWeight(req)
 		if err := e.gate.acquire(ctx, weight); err != nil {
-			phase.Finish()
-			return e.refuse(snap, req, err, tr, start)
+			return e.finish(req, Response{Gen: snap.gen, Err: err}, tr, phase, start, true)
 		}
 		defer e.gate.release(weight)
 	} else if err := ctx.Err(); err != nil {
 		// No gate to observe the context; still refuse dead requests
 		// before spending compute on them.
-		phase.Finish()
-		return e.refuse(snap, req, ctxError(err), tr, start)
+		return e.finish(req, Response{Gen: snap.gen, Err: ctxError(err)}, tr, phase, start, true)
 	}
 
 	e.met.inflight.Add(1)
@@ -655,11 +622,7 @@ func (e *Engine) doOn(ctx context.Context, snap *Snapshot, req Request, tr *obs.
 
 	phase = phase.Next("access-accounting")
 	resp.Err = ctxError(resp.Err)
-	if resp.Err != nil {
-		e.met.errors.Inc()
-		e.countFailure(resp.Err)
-		tr.Annotate("err", resp.Err.Error())
-	} else {
+	if resp.Err == nil {
 		// Only finished runs reach the access histograms (DESIGN.md §10):
 		// a canceled run's partial counts describe no answer.
 		switch {
@@ -676,6 +639,23 @@ func (e *Engine) doOn(ctx context.Context, snap *Snapshot, req Request, tr *obs.
 			}
 		}
 	}
+	return e.finish(req, resp, tr, phase, start, true)
+}
+
+// finish is every request's one exit. It counts and annotates an
+// error, closes the current phase and the trace, and for a request past
+// validation records its latency with the exemplar and its SLO
+// observation; then it emits the wide event and releases the trace. A
+// validation reject is the caller's bug, not the engine's
+// unavailability: it gets no latency sample, no request count and no
+// SLO observation — but it does get a wide event, because "who sends
+// malformed queries" is an operational question.
+func (e *Engine) finish(req Request, resp Response, tr *obs.Trace, phase obs.SpanRef, start time.Time, validated bool) Response {
+	if resp.Err != nil {
+		e.met.errors.Inc()
+		e.countFailure(resp.Err)
+		tr.Annotate("err", resp.Err.Error())
+	}
 	phase.Finish()
 	lat := time.Since(start)
 	tr.SetOutcome(Outcome(resp.Err))
@@ -684,9 +664,18 @@ func (e *Engine) doOn(ctx context.Context, snap *Snapshot, req Request, tr *obs.
 	// may land in the latency exemplar and the wide event — otherwise
 	// the metric → trace join would dangle for sampled-out successes.
 	e.tracer.Finish(tr)
-	e.met.latency[pi].ObserveWithExemplar(lat.Seconds(), tr.JoinID())
-	e.slo.Observe(lat, resp.Err)
-	e.emit(req, resp, tr, lat, e.cacheState())
+	cache := ""
+	switch {
+	case resp.CacheHit:
+		cache = "hit"
+	case validated:
+		cache = e.cacheState()
+	}
+	if validated {
+		e.met.latency[req.Problem].ObserveWithExemplar(lat.Seconds(), tr.JoinID())
+		e.slo.Observe(lat, resp.Err)
+	}
+	e.emit(req, resp, tr, lat, cache)
 	e.tracer.Release(tr)
 	return resp
 }
@@ -701,25 +690,6 @@ func startPhase(tr *obs.Trace, parent obs.SpanRef, name string, start time.Time)
 		return parent.StartChildAt(name, start)
 	}
 	return tr.StartSpanAt(name, start)
-}
-
-// refuse finishes a request that never executed (shed, expired or
-// canceled before admission), keeping the telemetry invariants: the
-// error counters tick, and the request still lands one latency sample,
-// one SLO observation and one wide event.
-func (e *Engine) refuse(snap *Snapshot, req Request, err error, tr *obs.Trace, start time.Time) Response {
-	e.met.errors.Inc()
-	e.countFailure(err)
-	tr.Annotate("err", err.Error())
-	lat := time.Since(start)
-	tr.SetOutcome(Outcome(err))
-	e.tracer.Finish(tr)
-	e.met.latency[req.Problem].ObserveWithExemplar(lat.Seconds(), tr.JoinID())
-	e.slo.Observe(lat, err)
-	resp := Response{Gen: snap.gen, Err: err}
-	e.emit(req, resp, tr, lat, e.cacheState())
-	e.tracer.Release(tr)
-	return resp
 }
 
 // cacheState is the wide-event cache field for a request that got past

@@ -294,7 +294,7 @@ func TestSwapDuringBatchKeepsBatchConsistent(t *testing.T) {
 func TestAdmissionBoundsConcurrentCompute(t *testing.T) {
 	rng := stats.NewRNG(60)
 	snap := serve.NewSnapshot(randomTable(rng, 6, 4, 4, 0.1))
-	eng := serve.NewEngine(snap, serve.Options{CacheSize: -1, MaxInflight: 2, MaxQueue: 4})
+	eng := serve.NewEngine(snap, serve.Options{CacheSize: -1, MaxInflight: 2})
 	reqs := battery(snap)
 	want := make([]string, len(reqs))
 	ref := serve.NewEngine(snap, serve.Options{Workers: 1, CacheSize: -1})
