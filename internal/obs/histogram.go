@@ -199,16 +199,6 @@ func LatencyBuckets() []float64 {
 	return append(out, 10)
 }
 
-// LinearBuckets returns n buckets of the given width starting at start:
-// start, start+width, …, start+(n-1)·width.
-func LinearBuckets(start, width float64, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
-}
-
 // ExponentialBuckets returns n buckets growing geometrically from start
 // by factor: start, start·factor, …
 func ExponentialBuckets(start, factor float64, n int) []float64 {

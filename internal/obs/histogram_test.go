@@ -48,7 +48,11 @@ func TestHistogramBoundsSortedDeduped(t *testing.T) {
 // uniform distribution: with values 1..1000 and bucket width 10, every
 // quantile estimate must land within one bucket width of the true value.
 func TestQuantileAccuracy(t *testing.T) {
-	h := NewHistogram(LinearBuckets(10, 10, 100)) // 10, 20, …, 1000
+	bounds := make([]float64, 100) // 10, 20, …, 1000
+	for i := range bounds {
+		bounds[i] = float64(10 * (i + 1))
+	}
+	h := NewHistogram(bounds)
 	for v := 1; v <= 1000; v++ {
 		h.Observe(float64(v))
 	}
@@ -145,12 +149,6 @@ func TestBucketHelpers(t *testing.T) {
 	}
 	if lat[0] != 1e-6 || lat[len(lat)-1] != 10 {
 		t.Fatalf("latency bucket range = [%g, %g]", lat[0], lat[len(lat)-1])
-	}
-	lin := LinearBuckets(2, 3, 4)
-	for i, want := range []float64{2, 5, 8, 11} {
-		if lin[i] != want {
-			t.Fatalf("linear = %v", lin)
-		}
 	}
 	exp := ExponentialBuckets(1, 2, 5)
 	for i, want := range []float64{1, 2, 4, 8, 16} {

@@ -15,22 +15,18 @@ import (
 // workload — problem type, measure, dimension/operands, snapshot
 // generation, cache behavior, admission queue wait, access-cost
 // counters and outcome — without joining log lines. Events flow through
-// a Logger (leveled, component-stamped, with rate-limited sampling of
-// success events) into one or more Sinks (an atomic ring for the admin
+// a Logger (component-stamped, with rate-limited sampling of success
+// events) into one or more Sinks (an atomic ring for the admin
 // endpoint, an io.Writer for JSONL files). Everything is zero-dependency
 // and nil-safe: a nil *Logger drops every event for the cost of one
 // branch, so instrumentation sites run unconditionally.
 
-// Level classifies an event's severity. Events below a logger's minimum
-// level are dropped before sampling.
+// Level classifies an event's severity, derived from its outcome.
 type Level int32
 
 const (
-	// LevelDebug is for high-volume diagnostics (unused by the serve
-	// path today, reserved for callers).
-	LevelDebug Level = iota
 	// LevelInfo is the success path: outcome "ok".
-	LevelInfo
+	LevelInfo Level = iota
 	// LevelWarn covers work the system chose to refuse or complete
 	// incompletely: shed, deadline, canceled and partial outcomes.
 	LevelWarn
@@ -41,8 +37,6 @@ const (
 
 func (l Level) String() string {
 	switch l {
-	case LevelDebug:
-		return "debug"
 	case LevelInfo:
 		return "info"
 	case LevelWarn:
@@ -285,16 +279,13 @@ type LoggerOptions struct {
 	// cancellations, panics, errors — are never sampled out: failures
 	// are always worth a line.
 	SampleN uint64
-	// MinLevel drops events below this level before sampling.
-	MinLevel Level
 }
 
 // Logger emits wide events. It is safe for concurrent use — the
-// sampling counter and stats are atomics, level is atomically
-// adjustable, and sinks synchronize themselves. Component loggers made
-// with Component share the parent's sink, sampling state and counters,
-// so one process-wide sampling budget spans all components. All methods
-// are nil-receiver-safe.
+// sampling counter and stats are atomics, and sinks synchronize
+// themselves. Component loggers made with Component share the parent's
+// sink, sampling state and counters, so one process-wide sampling budget
+// spans all components. All methods are nil-receiver-safe.
 type Logger struct {
 	core      *loggerCore
 	component string
@@ -304,7 +295,6 @@ type Logger struct {
 type loggerCore struct {
 	sink    Sink
 	ring    *RingSink // non-nil only when the logger owns its default ring
-	min     atomic.Int32
 	sampleN uint64
 
 	seq     atomic.Uint64 // success events seen under sampling, drives 1-in-N
@@ -318,7 +308,6 @@ func NewLogger(opts LoggerOptions) *Logger {
 		core.ring = NewRingSink(DefaultEventCapacity)
 		core.sink = core.ring
 	}
-	core.min.Store(int32(opts.MinLevel))
 	component := opts.Component
 	if component == "" {
 		component = "app"
@@ -327,7 +316,7 @@ func NewLogger(opts LoggerOptions) *Logger {
 }
 
 // Component returns a logger stamping events with the given component
-// name, sharing the receiver's sink, level and sampling state.
+// name, sharing the receiver's sink and sampling state.
 func (l *Logger) Component(name string) *Logger {
 	if l == nil {
 		return nil
@@ -344,15 +333,6 @@ func (l *Logger) Ring() *RingSink {
 	return l.core.ring
 }
 
-// SetMinLevel adjusts the logger's minimum level at runtime (shared
-// with its component loggers).
-func (l *Logger) SetMinLevel(min Level) {
-	if l == nil {
-		return
-	}
-	l.core.min.Store(int32(min))
-}
-
 // levelFor derives an event's level from its outcome: failures are
 // errors, refusals are warnings, everything else is info.
 func levelFor(outcome string) Level {
@@ -367,25 +347,22 @@ func levelFor(outcome string) Level {
 }
 
 // Log emits one event: the level is derived from the outcome, the
-// component/measure stamps and timestamp are applied, leveling and
-// success-sampling run, and the survivor goes to the sink. The event is
-// copied, so the caller may reuse its value.
+// component/measure stamps and timestamp are applied, success-sampling
+// runs, and the survivor goes to the sink. The event is copied, so the
+// caller may reuse its value.
 func (l *Logger) Log(e Event) {
 	l.LogFunc(e.Outcome, func() Event { return e })
 }
 
 // LogFunc is Log for an event that costs more to build than to drop:
-// leveling and sampling run on outcome first, and build runs only for
-// an event that survives them, so a sampled-out success builds nothing.
-// outcome must be the Outcome build sets.
+// sampling runs on outcome first, and build runs only for an event that
+// survives it, so a sampled-out success builds nothing. outcome must be
+// the Outcome build sets.
 func (l *Logger) LogFunc(outcome string, build func() Event) {
 	if l == nil {
 		return
 	}
 	lvl := levelFor(outcome)
-	if lvl < Level(l.core.min.Load()) {
-		return
-	}
 	if lvl == LevelInfo && l.core.sampleN > 1 {
 		// Deterministic 1-in-N: the first success and every Nth after it
 		// survive; failures never enter this branch.

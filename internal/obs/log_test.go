@@ -12,7 +12,6 @@ import (
 func TestNilLoggerIsFullyInert(t *testing.T) {
 	var l *Logger
 	l.Log(Event{Outcome: "ok"})
-	l.SetMinLevel(LevelError)
 	if l.Component("x") != nil {
 		t.Fatal("nil logger Component should stay nil")
 	}
@@ -55,21 +54,6 @@ func TestLoggerLevelFromOutcome(t *testing.T) {
 		if got := levelFor(outcome).String(); got != want {
 			t.Errorf("levelFor(%q) = %s, want %s", outcome, got, want)
 		}
-	}
-}
-
-func TestLoggerMinLevelFilters(t *testing.T) {
-	l := NewLogger(LoggerOptions{MinLevel: LevelWarn})
-	l.Log(Event{Outcome: "ok"})
-	l.Log(Event{Outcome: "shed"})
-	l.Log(Event{Outcome: "panic"})
-	if got := len(l.Ring().Recent()); got != 2 {
-		t.Fatalf("MinLevel=warn kept %d events, want 2", got)
-	}
-	l.SetMinLevel(LevelDebug)
-	l.Log(Event{Outcome: "ok"})
-	if got := len(l.Ring().Recent()); got != 3 {
-		t.Fatalf("after lowering the level, %d events, want 3", got)
 	}
 }
 

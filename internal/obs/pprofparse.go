@@ -75,22 +75,6 @@ func LabelTotals(data []byte) ([]LabelTotal, int64, error) {
 	return out, grand, nil
 }
 
-// ProfileLabelKeys returns the distinct pprof label keys present in a
-// gzipped profile — the CI gate's "are requests actually labeled" check.
-func ProfileLabelKeys(data []byte) ([]string, error) {
-	totals, _, err := LabelTotals(data)
-	if err != nil {
-		return nil, err
-	}
-	var keys []string
-	for _, lt := range totals {
-		if len(keys) == 0 || keys[len(keys)-1] != lt.Key {
-			keys = append(keys, lt.Key)
-		}
-	}
-	return keys, nil
-}
-
 type parsedLabel struct {
 	key, value string
 }

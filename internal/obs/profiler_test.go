@@ -66,13 +66,13 @@ func TestProfilerCaptureRound(t *testing.T) {
 
 	// The CPU profile must carry the request labels the spinner set.
 	cpu, _ := p.Latest(ProfileCPU)
-	keys, err := ProfileLabelKeys(cpu.Data)
+	totals, grand, err := LabelTotals(cpu.Data)
 	if err != nil {
-		t.Fatalf("ProfileLabelKeys: %v", err)
+		t.Fatalf("LabelTotals: %v", err)
 	}
 	haveProblem, haveAlgo := false, false
-	for _, k := range keys {
-		switch k {
+	for _, lt := range totals {
+		switch lt.Key {
 		case "problem":
 			haveProblem = true
 		case "algo":
@@ -80,11 +80,7 @@ func TestProfilerCaptureRound(t *testing.T) {
 		}
 	}
 	if !haveProblem || !haveAlgo {
-		t.Fatalf("CPU profile label keys = %v, want problem and algo present", keys)
-	}
-	totals, grand, err := LabelTotals(cpu.Data)
-	if err != nil {
-		t.Fatalf("LabelTotals: %v", err)
+		t.Fatalf("CPU profile label totals = %+v, want keys problem and algo present", totals)
 	}
 	if grand <= 0 {
 		t.Fatalf("profile grand total = %d, want > 0", grand)
