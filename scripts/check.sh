@@ -91,8 +91,13 @@
 #                            occasional wild round. Every round's delta
 #                            is printed beside the median, with a host
 #                            fingerprint (nproc, GOMAXPROCS, CPU model,
-#                            go version). A pair that breaches gets ONE
-#                            independent re-measure a minute later (the
+#                            go version); the median's line also carries
+#                            what the host cannot blur: the range of the
+#                            round deltas and each side's allocs/op and
+#                            B/op (-benchmem, median over its runs). The
+#                            gate reads the wall clock alone. A pair
+#                            that breaches gets ONE independent
+#                            re-measure a minute later (the
 #                            sleep is the point: drift windows span whole
 #                            measurements, so re-measuring immediately
 #                            samples the same window): a real regression
@@ -154,7 +159,7 @@ gate 'FuzzMitigators' ./internal/mitigate/
 
 echo "== named gates: correctness contracts and memory pins"
 gate '^TestAlgorithmsEquivalentOnRandomTables$|^TestFullScopeSourcesMatchScoped$' ./internal/topk/
-gate '^TestCoordinatorEquivalence$|^TestCoordinatorEquivalenceAfterRefresh$|^FuzzClusterEquivalence$|^TestFragmentFootprint$|^TestSplitTableAllocations$|^TestNodeFootprint$|^TestScanReplyAllocatesOnce$|^TestCoordinatorPagesMatchEngine$|^TestCompareCostByShape$|^TestQuantifyCostByShape$' ./internal/cluster/
+gate '^TestCoordinatorEquivalence$|^TestCoordinatorEquivalenceAfterRefresh$|^FuzzClusterEquivalence$|^TestFragmentFootprint$|^TestSplitTableAllocations$|^TestNodeFootprint$|^TestScanReplyAllocatesOnce$|^TestCoordinatorPagesMatchEngine$|^TestCompareCostByShape$|^TestQuantifyCostByShape$|^TestHedgedLegSettlesBeforeReturn$' ./internal/cluster/
 gate '^TestGoldenCompletionSemantics$|^TestGoldenDefinedOnlySemantics$|^TestGoldenQueryAndLocationComparisons$|^TestComparisonAccesses$|^TestUnindexedScopeErrors$|^TestUnknownGroupReadsAsZero$|^TestComparisonAllocations$' ./internal/compare/
 gate '^TestExposureMatchesPaperFigure5$|^TestTableFootprint$|^TestMarketplaceEvaluateAllDeterministicAcrossWorkers$|^TestSearchEvaluateAllDeterministicAcrossWorkers$|^TestPartitionMatchesNaiveMembership$|^TestMarketplaceEvaluatorMatchesReference$|^TestTableMatchesReferenceModel$|^TestWarmPartitionerAllocatesNothing$|^TestScratchExposureMatchesExposureAtRank$|^TestGroupsFollowFirstEntryOfID$|^TestMemosAgreeAcrossShards$' ./internal/core/
 gate '^TestBuildAllFootprint$|^TestIndexInvariantsProperty$|^TestBuildAllIgnoresFillOrder$|^TestBuildAllReadsSealedTableInPlace$|^TestBuildAllKeepsOnlyTheCube$|^TestPostingOrderAcrossSortBound$' ./internal/index/
@@ -202,7 +207,7 @@ measure_abba() {
     : > "$bench_raw"
     for round in 1 2 3 4 5; do
         for v in off on on off; do
-            if ! go test -run '^$' -bench "($1)/$v\$" -benchtime=2s -count=1 ./internal/serve/ >> "$bench_raw" 2>&1; then
+            if ! go test -run '^$' -bench "($1)/$v\$" -benchtime=2s -benchmem -count=1 ./internal/serve/ >> "$bench_raw" 2>&1; then
                 cat "$bench_raw" >&2
                 echo "check.sh: FAIL — an overhead benchmark run failed" >&2
                 exit 1
@@ -211,20 +216,28 @@ measure_abba() {
     done
 }
 # Prints one line per ABBA round of benchmark $1 with its delta (%), then
-# the median of those deltas on the last line; exits nonzero when the
-# raw file holds no complete round for it. Each round line also carries
-# the process CPU time per op (the benchmarks' cpu-ns/op, from getrusage)
-# beside the wall clock, so a round that waited for the host's processors
-# reads apart from one that did more work; the gate reads the wall clock
-# alone.
+# on the last line the median of those deltas followed by the summary
+# printed beside it; exits nonzero when the raw file holds no complete
+# round for it. Each round line also carries the process CPU time per op
+# (the benchmarks' cpu-ns/op, from getrusage) beside the wall clock, so a
+# round that waited for the host's processors reads apart from one that
+# did more work. The summary is the range of the round deltas and each
+# side's median allocs/op and B/op over its runs. The gate reads the
+# median wall-clock delta alone.
 round_deltas() {
     awk -v b="$1" '
-        function cpu(   i) {
-            for (i = 4; i < NF; i++) if ($(i + 1) == "cpu-ns/op") return $i
+        function unit(u,   i) {
+            for (i = 4; i < NF; i++) if ($(i + 1) == u) return $i
             return 0
         }
-        $1 ~ "^" b "/off" { off[++no] = $3; offc[no] = cpu() }
-        $1 ~ "^" b "/on"  { on[++nn] = $3; onc[nn] = cpu() }
+        function median(a, n,   c, i, j, t) {
+            for (i = 1; i <= n; i++) c[i] = a[i]
+            for (i = 2; i <= n; i++)
+                for (j = i; j > 1 && c[j] < c[j-1]; j--) { t = c[j]; c[j] = c[j-1]; c[j-1] = t }
+            return c[int((n + 1) / 2)]
+        }
+        $1 ~ "^" b "/off" { off[++no] = $3; offc[no] = unit("cpu-ns/op"); offa[no] = unit("allocs/op"); offm[no] = unit("B/op") }
+        $1 ~ "^" b "/on"  { on[++nn] = $3; onc[nn] = unit("cpu-ns/op"); ona[nn] = unit("allocs/op"); onm[nn] = unit("B/op") }
         END {
             rounds = int((no < nn ? no : nn) / 2)
             if (rounds == 0) exit 1
@@ -237,7 +250,7 @@ round_deltas() {
             }
             for (i = 2; i <= rounds; i++)
                 for (j = i; j > 1 && d[j] < d[j-1]; j--) { t = d[j]; d[j] = d[j-1]; d[j-1] = t }
-            printf "%.2f\n", d[int((rounds + 1) / 2)]
+            printf "%.2f (rounds %+.2f%% … %+.2f%%; allocs/op off %.0f, on %.0f; B/op off %.0f, on %.0f)\n", d[int((rounds + 1) / 2)], d[1], d[rounds], median(offa, no), median(ona, nn), median(offm, no), median(onm, nn)
         }' "$bench_raw"
 }
 # Returns 0 when pair $1's budget is BREACHED, 1 when within budget.
@@ -247,8 +260,9 @@ gate_breached() {
         exit 1
     }
     printf '%s\n' "$deltas" | sed '$d' | sed "s/^/check.sh: $1 /"
-    pct="$(printf '%s\n' "$deltas" | tail -n 1)"
-    echo "check.sh: $1 overhead (median of ABBA round deltas): $pct%"
+    last="$(printf '%s\n' "$deltas" | tail -n 1)"
+    pct="${last%% *}"
+    echo "check.sh: $1 overhead (median of ABBA round deltas): $pct% ${last#* }"
     awk -v p="$pct" 'BEGIN { exit !(p >= 5) }'
 }
 # The host the rounds ran on. GOMAXPROCS is read off the benchmark
