@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"testing"
@@ -9,11 +10,9 @@ import (
 	"fairjob/internal/cluster"
 	"fairjob/internal/compare"
 	"fairjob/internal/core"
-	"fairjob/internal/index"
 	"fairjob/internal/mitigate"
 	"fairjob/internal/serve"
 	"fairjob/internal/stats"
-	"fairjob/internal/testutil"
 	"fairjob/internal/topk"
 )
 
@@ -269,6 +268,51 @@ func TestCoordinatorPagesMatchEngine(t *testing.T) {
 	}
 }
 
+// TestMitigateOwnerDownFailsAtOnce: a mitigate is one OpServe to its
+// page's owner, so it degrades only when the owner is lost, and no
+// survivor holds the page. With the owner down, at one and four
+// partitions, the answer must be a typed partial naming the owner alone,
+// with the owner's failure as its cause, and the coordinator must gather
+// no survivor's cells for it.
+func TestMitigateOwnerDownFailsAtOnce(t *testing.T) {
+	tbl := clusterTable(stats.NewRNG(5), 4, 6, 5, 0.1)
+	req := serve.Request{Problem: serve.Mitigate, Mitigator: mitigate.DetGreedy, Group: "ethnicity=Asian&gender=Female", Query: "Home Cleaning", Location: "San Francisco, CA"}
+	for _, n := range []int{1, 4} {
+		c, wire := countedCoordinator(tbl, []*core.MarketplaceRanking{clusterRanking()}, n)
+		if resp := c.Do(req); resp.Err != nil {
+			t.Fatalf("%d partitions, owner up: %v", n, resp.Err)
+		}
+		owner := cluster.Route(core.Query(req.Query), core.Location(req.Location), n)
+		wire.inner = downTransport{wire.inner, owner}
+		wire.reset()
+		resp := c.Do(req)
+		var pres *cluster.PartialResultError
+		if !errors.As(resp.Err, &pres) {
+			t.Fatalf("%d partitions, owner %d down: want a *PartialResultError, got %v", n, owner, resp.Err)
+		}
+		if !slices.Equal(pres.Missing, []int{owner}) || pres.Cause == nil {
+			t.Errorf("%d partitions, owner %d down: Missing %v, Cause %v; want [%d] and the owner's failure", n, owner, pres.Missing, pres.Cause, owner)
+		}
+		if cells := wire.ops[cluster.OpCells]; cells != 0 {
+			t.Errorf("%d partitions, owner %d down: sends %d %v to build a degraded engine that cannot hold the page", n, owner, cells, cluster.OpCells)
+		}
+	}
+}
+
+// downTransport forwards to inner, except that every send to partition
+// down fails as a downed partition's does.
+type downTransport struct {
+	inner cluster.Transport
+	down  int
+}
+
+func (t downTransport) Send(ctx context.Context, p int, call cluster.Call) (cluster.Reply, error) {
+	if p == t.down {
+		return cluster.Reply{}, fmt.Errorf("%w: partition %d down", cluster.ErrPartitionUnavailable, p)
+	}
+	return t.inner.Send(ctx, p, call)
+}
+
 // TestCoordinatorSplitCoversTable pins the partitioning invariant the
 // equivalence rests on: every defined cell lands on exactly one
 // partition, and the union of the sub-tables is the original table.
@@ -369,47 +413,4 @@ func FuzzClusterEquivalence(f *testing.F) {
 			}
 		}
 	})
-}
-
-// TestFragmentFootprint bounds the fragment lists a node builds at 16
-// bytes per posting (a fragment keeps its values beside its ids, where
-// index.BuildAll's families share one value cube): each node's three
-// families are read back through OpScan and rebuilt the way the node
-// builds them. The table has the benchmark crawl's shape (11 groups, 96
-// queries, 56 locations) and the cluster its four partitions, so each
-// fragment list is as long as the benchmark's. A map per list costs
-// about 70 bytes per posting.
-func TestFragmentFootprint(t *testing.T) {
-	rng := stats.NewRNG(9)
-	c := cluster.New(clusterTable(rng, 11, 96, 56, 0.2), cluster.Options{Partitions: 4, NodeCacheSize: -1})
-	ng, nq, nl := len(c.GroupKeys()), len(c.Queries()), len(c.Locations())
-	families := []struct {
-		dim   compare.Dimension
-		lists int
-	}{{compare.ByGroup, nq * nl}, {compare.ByQuery, ng * nl}, {compare.ByLocation, ng * nq}}
-	for p := 0; p < c.Partitions(); p++ {
-		var fams [][][]index.Entry
-		postings := 0
-		for _, fam := range families {
-			lists := make([][]index.Entry, fam.lists)
-			for i := range lists {
-				reply, err := c.Node(p).Handle(context.Background(), cluster.Call{Op: cluster.OpScan, Dim: fam.dim, List: i, Count: ng + nq + nl})
-				if err != nil {
-					t.Fatal(err)
-				}
-				lists[i] = reply.Entries
-				postings += len(reply.Entries)
-			}
-			fams = append(fams, lists)
-		}
-		per := testutil.BytesPerRun(5, func() {
-			for _, lists := range fams {
-				topk.NewSliceLists(lists)
-			}
-		}) / float64(postings)
-		t.Logf("partition %d: %d postings, %.1f bytes per posting", p, postings, per)
-		if per > 16 {
-			t.Errorf("partition %d's fragment lists allocate %.1f bytes per posting, want at most 16", p, per)
-		}
-	}
 }

@@ -136,8 +136,6 @@ type Coordinator struct {
 	n         int
 	uni       *Universe
 	nodes     []*Node
-	schema    *core.Schema
-	subRank   [][]*core.MarketplaceRanking
 	transport Transport
 	geoms     map[compare.Dimension]*geom // nil at one partition
 
@@ -180,11 +178,18 @@ func NewWithRankings(tbl *core.Table, schema *core.Schema, rankings []*core.Mark
 
 	n := opts.Partitions
 	uni := NewUniverse(tbl)
+	// Above one partition every pair is routed here once, for the nodes'
+	// owned pairs and the list geometry. At one partition neither exists:
+	// every request is one OpServe.
+	var owner []int32
+	if n > 1 {
+		owner = uni.owners(n)
+	}
 	subs := SplitTable(tbl, n)
 	subRank := SplitRankings(rankings, n)
 	nodes := make([]*Node, n)
 	for p := 0; p < n; p++ {
-		nodes[p] = NewNode(p, n, uni, subs[p], schema, subRank[p], NodeOptions{CacheSize: opts.NodeCacheSize})
+		nodes[p] = newNode(p, uni, owner, subs[p], schema, subRank[p], NodeOptions{CacheSize: opts.NodeCacheSize})
 	}
 	transport := opts.Transport
 	if transport == nil {
@@ -199,8 +204,6 @@ func NewWithRankings(tbl *core.Table, schema *core.Schema, rankings []*core.Mark
 		n:         n,
 		uni:       uni,
 		nodes:     nodes,
-		schema:    schema,
-		subRank:   subRank,
 		transport: transport,
 		opts:      opts,
 		legRetry:  opts.Retry,
@@ -213,9 +216,7 @@ func NewWithRankings(tbl *core.Table, schema *core.Schema, rankings []*core.Mark
 		deg:       make(map[string]*serve.Engine),
 	}
 	if n > 1 {
-		// Only runQuantify reads the geometry, and it never runs at one
-		// partition, where every request is one OpServe.
-		c.geoms = buildGeoms(uni, n)
+		c.geoms = buildGeoms(uni, owner, n)
 	}
 	c.met = clusterMetrics{
 		legs:              reg.Counter("cluster_fanout_legs_total"),
@@ -525,7 +526,16 @@ func (c *Coordinator) runCompare(ctx context.Context, rc *reqCtx, req serve.Requ
 
 // degrade recomputes the request over the surviving partitions' data
 // and wraps the answer in a *PartialResultError naming what is missing.
+// A mitigate degrades only when the page's owner, its one leg, is lost,
+// and no survivor holds the page, so it fails at once.
 func (c *Coordinator) degrade(ctx context.Context, rc *reqCtx, req serve.Request, missing []int) serve.Response {
+	if req.Problem == serve.Mitigate {
+		return serve.Response{Err: &PartialResultError{
+			Missing:    missing,
+			Partitions: c.n,
+			Cause:      fmt.Errorf("cluster: page (%q, %q) is on lost partition %s: %w", req.Query, req.Location, intsList(missing), rc.firstLegErr()),
+		}}
+	}
 	eng, err := c.degradedEngine(ctx, rc, missing)
 	if err != nil {
 		return serve.Response{Err: &PartialResultError{
@@ -546,9 +556,10 @@ func (c *Coordinator) degrade(ctx context.Context, rc *reqCtx, req serve.Request
 }
 
 // degradedEngine gathers the survivors' cells and serves their merged
-// table through a cache-less local engine. The gather is unpinned, as
-// the attempt may have died before it heard from every survivor, so its
-// pins can predate a refresh; the replies' generations key the memo.
+// table through a cache-less local engine, for quantify and compare: it
+// holds no pages. The gather is unpinned, as the attempt may have died
+// before it heard from every survivor, so its pins can predate a
+// refresh; the replies' generations key the memo.
 func (c *Coordinator) degradedEngine(ctx context.Context, rc *reqCtx, missing []int) (*serve.Engine, error) {
 	dead := make(map[int]bool, len(missing))
 	for _, p := range missing {
@@ -557,7 +568,6 @@ func (c *Coordinator) degradedEngine(ctx context.Context, rc *reqCtx, missing []
 	rc.unpin()
 	key := "miss:" + intsList(missing)
 	var gathered [][]Cell
-	var rankings []*core.MarketplaceRanking
 	for p := 0; p < c.n; p++ {
 		if dead[p] {
 			continue
@@ -570,7 +580,6 @@ func (c *Coordinator) degradedEngine(ctx context.Context, rc *reqCtx, missing []
 		}
 		key += "|" + strconv.Itoa(p) + ":" + strconv.FormatUint(reply.Gen, 10)
 		gathered = append(gathered, reply.Cells)
-		rankings = append(rankings, c.subRank[p]...)
 	}
 	c.degMu.Lock()
 	eng, ok := c.deg[key]
@@ -579,7 +588,7 @@ func (c *Coordinator) degradedEngine(ctx context.Context, rc *reqCtx, missing []
 		return eng, nil
 	}
 
-	eng = serve.NewEngine(serve.NewSnapshotWithRankings(c.uni.tableOf(gathered), c.schema, rankings), serve.Options{
+	eng = serve.NewEngine(serve.NewSnapshot(c.uni.tableOf(gathered)), serve.Options{
 		Workers:   1,
 		CacheSize: -1, // keyed cache would collide across missing-sets; the coordinator caches the engine instead
 	})

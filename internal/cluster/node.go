@@ -11,7 +11,6 @@ import (
 	"fairjob/internal/core"
 	"fairjob/internal/index"
 	"fairjob/internal/serve"
-	"fairjob/internal/topk"
 )
 
 // NodeOptions configures one partition node.
@@ -24,60 +23,81 @@ type NodeOptions struct {
 
 // Node is one partition: a serve snapshot of the cells whose (query,
 // location) pair routes here (the node's only copy of them) and a local
-// engine over it. What else the node builds follows the partition count,
+// engine over it. What else the node holds follows the partition count,
 // because the coordinator reads a node differently at each:
 //
 //   - At one partition every request is one OpServe to the engine. The
 //     snapshot builds its index families at construction, as a single
-//     engine's does, and the node builds no fragments: OpScan and
-//     OpLookup are refused.
+//     engine's does, and the node holds nothing else: OpScan and OpLookup
+//     are refused.
 //   - Above one partition the coordinator streams quantify from the
-//     node's three list-fragment families (OpScan, OpLookup), gathers
+//     node's fragments of the three list families (OpScan, OpLookup), gathers
 //     compare from its cells (OpCells), and sends OpServe only for
-//     mitigate, which reads the pages. So the node builds the fragments,
-//     and its snapshot is deferred (serve.NewDeferredSnapshot): the index
-//     families would be built only if a quantify or compare reached the
-//     engine, which the coordinator never sends there.
+//     mitigate, which reads the pages. So the node keeps its cells in one
+//     array as well, and its snapshot is deferred
+//     (serve.NewDeferredSnapshot): the index families would be built only
+//     if a quantify or compare reached the engine, which the coordinator
+//     never sends there.
 //
 // A node is a simulated remote process — the coordinator talks to it
 // only through the Transport — but lives in-process today.
 //
 // Fragments are completed against the shared Universe, not the
-// sub-table's own dimensions: the I(q,l) fragments carry every group in
-// the universe (value 0 where this partition's cells don't define one),
-// and the I(g,l) / I(g,q) fragments carry exactly the queries/locations
-// whose pairs route here. Each list member therefore lives on exactly
-// one partition, so a LessEntries merge of the fragments reproduces the
-// single index's lists byte-for-byte.
+// sub-table's own dimensions: the I(q,l) fragment of an owned pair
+// carries every group in the universe (value 0 where this partition's
+// cells don't define one), and the I(g,l) / I(g,q) fragments carry
+// exactly the queries/locations whose pairs route here. Each list member
+// therefore lives on exactly one partition, so a LessEntries merge of
+// the fragments reproduces the single index's lists byte-for-byte. A
+// node keeps no sorted fragments: an OpScan reads the fragment from the
+// cell array and sorts it with the index families' own posting sort,
+// each time it is asked.
 type Node struct {
-	id, n int
-	uni   *Universe
-	opts  NodeOptions
+	id   int
+	uni  *Universe
+	opts NodeOptions
+	// slot numbers the pairs the node owns in (query, location) order, at
+	// qi·|L| + li, and is -1 on a pair another partition owns; owned is
+	// their count. Both are fixed for the node's life, as a refresh edits
+	// cells, never ownership. slot is nil at one partition.
+	slot  []int32
+	owned int
 
 	mu    sync.Mutex // serializes Refresh
 	state atomic.Pointer[nodeState]
 }
 
 // nodeState is one immutable generation of a node, numbered by its
-// snapshot: snapshot, engine and fragment families swap together,
-// atomically, so a pinned call never sees a torn mix of generations.
+// snapshot: snapshot, engine and cell array swap together, atomically,
+// so a pinned call never sees a torn mix of generations.
 type nodeState struct {
 	snap   *serve.Snapshot // deferred above one partition, eager at one
 	engine *serve.Engine
 
-	// group, query and loc are the three families' fragments, indexed
-	// by global list id; a list this partition owns no piece of is
-	// empty. All three are nil at one partition.
-	group, query, loc *topk.SliceLists
+	// cells holds the owned pairs' cells above one partition: group gi
+	// of the pair in slot s at s·|G| + gi, where a cell the sub-table
+	// leaves undefined reads 0, the completion value. Nil at one
+	// partition.
+	cells []float64
 }
 
-// NewNode builds partition id of n over its sub-table, in the shape n
-// selects (see Node). The universe is sealed and the snapshot owns the
-// pages; Refresh replaces cells only.
-func NewNode(id, n int, uni *Universe, sub *core.Table, schema *core.Schema, rankings []*core.MarketplaceRanking, opts NodeOptions) *Node {
-	nd := &Node{id: id, n: n, uni: uni, opts: opts}
+// newNode builds partition id over its sub-table. owner is the partition
+// of every universe pair at qi·|L| + li (Universe.owners), and nil at one
+// partition, which selects the one-partition shape (see Node). The
+// universe is sealed and the snapshot owns the pages; Refresh replaces
+// cells only.
+func newNode(id int, uni *Universe, owner []int32, sub *core.Table, schema *core.Schema, rankings []*core.MarketplaceRanking, opts NodeOptions) *Node {
+	nd := &Node{id: id, uni: uni, opts: opts}
 	snapshot := serve.NewSnapshotWithRankings
-	if n > 1 {
+	if owner != nil {
+		nd.slot = make([]int32, len(owner))
+		for i, p := range owner {
+			nd.slot[i] = -1
+			if int(p) == id {
+				nd.slot[i] = int32(nd.owned)
+				nd.owned++
+			}
+		}
 		snapshot = serve.NewDeferredSnapshot
 	}
 	nd.state.Store(nd.buildState(snapshot(sub, schema, rankings)))
@@ -85,8 +105,8 @@ func NewNode(id, n int, uni *Universe, sub *core.Table, schema *core.Schema, ran
 }
 
 // buildState freezes one generation around snap: its engine and, above
-// one partition, the three fragment families, read from the snapshot's
-// sealed cells.
+// one partition, the cell array, read from the snapshot's cells in one
+// pass.
 func (nd *Node) buildState(snap *serve.Snapshot) *nodeState {
 	st := &nodeState{
 		snap: snap,
@@ -95,111 +115,23 @@ func (nd *Node) buildState(snap *serve.Snapshot) *nodeState {
 			CacheSize: nd.opts.CacheSize,
 		}),
 	}
-	if nd.n > 1 {
-		st.group, st.query, st.loc = nd.buildFragments(snap)
+	if nd.slot != nil {
+		u := nd.uni
+		G, _, L := u.counts()
+		st.cells = make([]float64, nd.owned*G)
+		snap.Range(func(tr core.Triple, v float64) {
+			gi, okG := u.ids[compare.ByGroup][tr.GroupKey]
+			qi, okQ := u.ids[compare.ByQuery][string(tr.Query)]
+			li, okL := u.ids[compare.ByLocation][string(tr.Location)]
+			if !okG || !okQ || !okL {
+				return // outside the sealed universe: in no list
+			}
+			if s := nd.slot[qi*L+li]; s >= 0 {
+				st.cells[int(s)*G+gi] = v
+			}
+		})
 	}
 	return st
-}
-
-// buildFragments materializes this partition's fragments of the three
-// list families, completed against the universe. It routes each (query,
-// location) pair once, reads the sealed cells in one Range pass into an
-// array of the owned pairs' values by universe ids, where a cell left
-// undefined keeps 0 (the completion value), and cuts every fragment's
-// entries from that array. Each family is one index.NewLists call
-// (through topk.NewSliceLists), which sorts every fragment into the
-// canonical order.
-func (nd *Node) buildFragments(snap *serve.Snapshot) (group, query, loc *topk.SliceLists) {
-	u := nd.uni
-	G, Q, L := u.GroupKeys, u.Queries, u.Locations
-
-	// Ownership per (q, l) pair: slot[qi·|L| + li] numbers the pairs
-	// routed here and is -1 elsewhere. ownedQ[li] holds the queries qi
-	// with Route(Q[qi], L[li]) == id, ownedL[qi] the symmetric locations.
-	slot := make([]int32, len(Q)*len(L))
-	ownedQ := make([][]int, len(L))
-	ownedL := make([][]int, len(Q))
-	pairs := 0
-	for qi, q := range Q {
-		for li, l := range L {
-			slot[qi*len(L)+li] = -1
-			if Route(q, l, nd.n) == nd.id {
-				slot[qi*len(L)+li] = int32(pairs)
-				pairs++
-				ownedQ[li] = append(ownedQ[li], qi)
-				ownedL[qi] = append(ownedL[qi], li)
-			}
-		}
-	}
-
-	// cells[slot·|G| + gi] is group G[gi]'s value on an owned pair.
-	cells := make([]float64, pairs*len(G))
-	value := func(gi, qi, li int) float64 { return cells[int(slot[qi*len(L)+li])*len(G)+gi] }
-	snap.Range(func(tr core.Triple, v float64) {
-		gi, okG := u.gid[tr.GroupKey]
-		qi, okQ := u.qid[tr.Query]
-		li, okL := u.lid[tr.Location]
-		if !okG || !okQ || !okL {
-			return // outside the sealed universe: in no fragment
-		}
-		if s := slot[qi*len(L)+li]; s >= 0 {
-			cells[int(s)*len(G)+gi] = v
-		}
-	})
-
-	// Each family holds |G| postings per owned pair; its fragments are
-	// consecutive slices of one array of exactly that size.
-	var buf []index.Entry
-	cut := func(start int) []index.Entry { return buf[start:len(buf):len(buf)] }
-
-	// I(q,l) family: one list per owned pair, carrying every group.
-	glists := make([][]index.Entry, len(Q)*len(L))
-	buf = make([]index.Entry, 0, len(G)*pairs)
-	for li, qs := range ownedQ {
-		for _, qi := range qs {
-			start := len(buf)
-			for gi, g := range G {
-				buf = append(buf, index.Entry{Key: g, Value: value(gi, qi, li)})
-			}
-			glists[qi*len(L)+li] = cut(start)
-		}
-	}
-
-	// I(g,l) family: for every (g, l), the queries whose (q, l) pair
-	// routes here.
-	qlists := make([][]index.Entry, len(G)*len(L))
-	buf = make([]index.Entry, 0, len(G)*pairs)
-	for gi := range G {
-		for li, qs := range ownedQ {
-			if len(qs) == 0 {
-				continue
-			}
-			start := len(buf)
-			for _, qi := range qs {
-				buf = append(buf, index.Entry{Key: string(Q[qi]), Value: value(gi, qi, li)})
-			}
-			qlists[gi*len(L)+li] = cut(start)
-		}
-	}
-
-	// I(g,q) family: for every (g, q), the locations whose (q, l) pair
-	// routes here.
-	llists := make([][]index.Entry, len(G)*len(Q))
-	buf = make([]index.Entry, 0, len(G)*pairs)
-	for gi := range G {
-		for qi, ls := range ownedL {
-			if len(ls) == 0 {
-				continue
-			}
-			start := len(buf)
-			for _, li := range ls {
-				buf = append(buf, index.Entry{Key: string(L[li]), Value: value(gi, qi, li)})
-			}
-			llists[gi*len(Q)+qi] = cut(start)
-		}
-	}
-
-	return topk.NewSliceLists(glists), topk.NewSliceLists(qlists), topk.NewSliceLists(llists)
 }
 
 // Gen returns the node's current generation.
@@ -209,12 +141,12 @@ func (nd *Node) Gen() uint64 {
 
 // Refresh applies a copy-on-write edit through Snapshot.WithUpdates (one
 // table clone, pages shared) and swaps in the new generation: snapshot,
-// engine and fragments together. Above one partition that is the clone
-// and the fragments, since the successor snapshot stays deferred; at one
-// partition it is the clone and the snapshot's index families. Edits
-// must stay within the partition's owned (query, location) pairs and
-// must not grow the dimension universe — ownership and completion are
-// anchored to the Universe.
+// engine and cell array together. Above one partition that is the clone
+// and one pass over its cells, since the successor snapshot stays
+// deferred; at one partition it is the clone and the snapshot's index
+// families. Edits must stay within the partition's owned (query,
+// location) pairs and must not grow the dimension universe — ownership
+// and completion are anchored to the Universe.
 func (nd *Node) Refresh(apply func(*core.Table)) {
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
@@ -240,30 +172,19 @@ func (nd *Node) Handle(ctx context.Context, call Call) (Reply, error) {
 			ErrGenMismatch, nd.id, call.PinGen, gen)
 	}
 	switch call.Op {
-	case OpScan:
-		fam, err := st.family(call.Dim)
-		if err != nil {
-			return Reply{Gen: gen}, err
-		}
-		if call.List < 0 || call.List >= fam.NumLists() {
+	case OpScan, OpLookup:
+		lists, members, ok := nd.uni.family(call.Dim)
+		switch {
+		case !ok:
+			return Reply{Gen: gen}, fmt.Errorf("cluster: unknown dimension %v", call.Dim)
+		case nd.slot == nil:
+			return Reply{Gen: gen}, errors.New("cluster: a single partition holds no list fragments; it serves every request through OpServe")
+		case call.Op == OpLookup:
+			return Reply{Gen: gen, Row: nd.lookup(st.cells, call.Dim, lists, call.Key)}, nil
+		case call.List < 0 || call.List >= lists:
 			return Reply{Gen: gen}, fmt.Errorf("cluster: partition %d: list %d out of range", nd.id, call.List)
 		}
-		return Reply{Gen: gen, Entries: topk.ScanFrom(fam, call.List, call.Start, call.Count)}, nil
-	case OpLookup:
-		fam, err := st.family(call.Dim)
-		if err != nil {
-			return Reply{Gen: gen}, err
-		}
-		var row []ListValue
-		for li := 0; li < fam.NumLists(); li++ {
-			if fam.Len(li) == 0 {
-				continue // a list this partition owns no piece of
-			}
-			if v, ok := fam.Find(li, call.Key); ok {
-				row = append(row, ListValue{List: li, Value: v})
-			}
-		}
-		return Reply{Gen: gen, Row: row}, nil
+		return Reply{Gen: gen, Entries: nd.scan(st.cells, call, members)}, nil
 	case OpCells:
 		cells := make([]Cell, 0, st.snap.Len())
 		st.snap.Range(func(tr core.Triple, v float64) {
@@ -277,23 +198,65 @@ func (nd *Node) Handle(ctx context.Context, call Call) (Reply, error) {
 	}
 }
 
-// family resolves the fragment family for a quantification dimension.
-// A node at one partition holds none: its coordinator sends it OpServe
-// only.
-func (st *nodeState) family(dim compare.Dimension) (*topk.SliceLists, error) {
-	var fam *topk.SliceLists
-	switch dim {
-	case compare.ByGroup:
-		fam = st.group
-	case compare.ByQuery:
-		fam = st.query
-	case compare.ByLocation:
-		fam = st.loc
-	default:
-		return nil, fmt.Errorf("cluster: unknown dimension %v", dim)
+// value returns the value of member m on list i of the family dim
+// selects, and false when another partition owns the cell's pair.
+func (nd *Node) value(cells []float64, dim compare.Dimension, i, m int) (float64, bool) {
+	pair, g := nd.uni.cell(dim, i, m)
+	s := int(nd.slot[pair])
+	if s < 0 {
+		return 0, false
 	}
-	if fam == nil {
-		return nil, errors.New("cluster: a single partition holds no list fragments; it serves every request through OpServe")
+	return cells[s*len(nd.uni.GroupKeys)+g], true
+}
+
+// scan answers an OpScan: the postings call.Start to call.Start +
+// call.Count of this partition's fragment of list call.List, in posting
+// order. It reads the fragment's members off the cell array in id order
+// and sorts them all on every call, in a buffer on the stack for a
+// fragment of up to 64 postings, so the reply is its only allocation.
+func (nd *Node) scan(cells []float64, call Call, members int) []index.Entry {
+	var buf [64]index.Posting
+	ps := buf[:0]
+	for m := 0; m < members; m++ {
+		if v, ok := nd.value(cells, call.Dim, call.List, m); ok {
+			ps = append(ps, index.Posting{ID: int32(m), Value: v})
+		}
 	}
-	return fam, nil
+	n := min(call.Count, len(ps)-call.Start)
+	if call.Start < 0 || n <= 0 {
+		return nil
+	}
+	index.SortPostings(ps)
+	out := make([]index.Entry, n)
+	for i, p := range ps[call.Start : call.Start+n] {
+		out[i] = index.Entry{Key: nd.uni.keys[call.Dim][p.ID], Value: p.Value}
+	}
+	return out
+}
+
+// lookup answers an OpLookup: key's value on each of the family's lists
+// that holds key on this partition, in list order; nil when none does,
+// as for a key outside the universe. It counts the lists first, so the
+// row is its only allocation.
+func (nd *Node) lookup(cells []float64, dim compare.Dimension, lists int, key string) []ListValue {
+	m, ok := nd.uni.ids[dim][key]
+	if !ok {
+		return nil
+	}
+	n := 0
+	for i := 0; i < lists; i++ {
+		if _, ok := nd.value(cells, dim, i, m); ok {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	row := make([]ListValue, 0, n)
+	for i := 0; i < lists; i++ {
+		if v, ok := nd.value(cells, dim, i, m); ok {
+			row = append(row, ListValue{List: i, Value: v})
+		}
+	}
+	return row
 }

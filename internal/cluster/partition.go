@@ -1,8 +1,10 @@
 // Package cluster partitions the unfairness table by (query, location)
 // across N engine instances and serves Problems 1–3 through a
 // scatter-gather Coordinator: distributed TA over per-partition sorted
-// access for quantify, one table gathered from every partition's cells
-// for compare, and owner-routing for page-local mitigate. The robustness machinery is
+// access for quantify, where each node sorts a list fragment from the
+// one array of cells it owns when a scan asks for it, one table gathered
+// from every partition's cells for compare, and owner-routing for
+// page-local mitigate. The robustness machinery is
 // the point — per-leg deadline budgets carved from the request
 // deadline, deterministic-jitter hedging against slow partitions,
 // backoff retries for transient leg errors, generation pins for
@@ -15,6 +17,7 @@ package cluster
 import (
 	"hash/fnv"
 
+	"fairjob/internal/compare"
 	"fairjob/internal/core"
 )
 
@@ -70,11 +73,11 @@ type Universe struct {
 	Locations []core.Location
 
 	groups map[string]core.Group
-	// gid, qid and lid give each member's position in its sorted
-	// dimension: the universe id list ids are derived from.
-	gid map[string]int
-	qid map[core.Query]int
-	lid map[core.Location]int
+	// keys and ids hold each dimension, indexed by compare.Dimension: its
+	// sorted member keys, and each key's position among them, the
+	// universe id list ids are derived from.
+	keys [3][]string
+	ids  [3]map[string]int
 }
 
 // NewUniverse freezes tbl's dimension metadata.
@@ -89,23 +92,72 @@ func NewUniverse(tbl *core.Table) *Universe {
 		u.GroupKeys = append(u.GroupKeys, key)
 		u.groups[key] = g
 	}
-	u.gid, u.qid, u.lid = positions(u.GroupKeys), positions(u.Queries), positions(u.Locations)
+	u.keys = [3][]string{u.GroupKeys, strs(u.Queries), strs(u.Locations)}
+	for dim, keys := range u.keys {
+		u.ids[dim] = make(map[string]int, len(keys))
+		for i, k := range keys {
+			u.ids[dim][k] = i
+		}
+	}
 	return u
 }
 
-// positions maps each member of a sorted dimension to its position.
-func positions[K comparable](members []K) map[K]int {
-	m := make(map[K]int, len(members))
-	for i, k := range members {
-		m[k] = i
+// strs converts a sorted dimension to its member keys.
+func strs[T ~string](xs []T) []string {
+	out := make([]string, len(xs))
+	for i, x := range xs {
+		out[i] = string(x)
 	}
-	return m
+	return out
 }
 
 // counts returns the universe's member count per dimension: groups (the
 // I(q,l) family's members), queries (I(g,l)'s) and locations (I(g,q)'s).
 func (u *Universe) counts() (g, q, l int) {
 	return len(u.GroupKeys), len(u.Queries), len(u.Locations)
+}
+
+// family returns the shape of the list family dim selects: its number of
+// lists and their members' count, and false for a dimension that selects
+// none.
+func (u *Universe) family(dim compare.Dimension) (lists, members int, ok bool) {
+	G, Q, L := u.counts()
+	switch dim {
+	case compare.ByGroup:
+		return Q * L, G, true
+	case compare.ByQuery:
+		return G * L, Q, true
+	case compare.ByLocation:
+		return G * Q, L, true
+	}
+	return 0, 0, false
+}
+
+// cell locates member m of list i of the family dim selects: the cell's
+// (query, location) pair, at qi·|L| + li, and its group.
+func (u *Universe) cell(dim compare.Dimension, i, m int) (pair, g int) {
+	_, Q, L := u.counts()
+	switch dim {
+	case compare.ByGroup: // list qi·|L| + li
+		return i, m
+	case compare.ByQuery: // list gi·|L| + li
+		return m*L + i%L, i / L
+	default: // list gi·|Q| + qi
+		return i%Q*L + m, i / Q
+	}
+}
+
+// owners routes every pair of the universe once: the partition owning
+// (Queries[qi], Locations[li]) at n partitions is at qi·|L| + li. The
+// nodes' owned pairs and the coordinator's list geometry read it.
+func (u *Universe) owners(n int) []int32 {
+	owner := make([]int32, 0, len(u.Queries)*len(u.Locations))
+	for _, q := range u.Queries {
+		for _, l := range u.Locations {
+			owner = append(owner, int32(Route(q, l, n)))
+		}
+	}
+	return owner
 }
 
 // SplitTable partitions tbl's cells by (query, location) ownership into

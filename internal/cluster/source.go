@@ -14,7 +14,22 @@ import (
 // the sealed universe and the partition count, so it is computed once.
 type geom struct {
 	numLists, listLen int
-	frags             [][]fragInfo
+	// owner is set for the group family, whose list i is pair i's and
+	// lies whole on the pair's owner: its fragments are frags[owner[i]].
+	// A query or location family's fragments follow the list's location
+	// or query: list i's are frags[i mod len(frags)].
+	owner []int32
+	frags [][]fragInfo
+	// cursors is the number of fragments of all the lists together.
+	cursors int
+}
+
+// fragments returns list i's fragments.
+func (g *geom) fragments(i int) []fragInfo {
+	if g.owner != nil {
+		return g.frags[g.owner[i]]
+	}
+	return g.frags[i%len(g.frags)]
 }
 
 // fragInfo names one partition's fragment of a merged list: which
@@ -26,68 +41,42 @@ type fragInfo struct {
 }
 
 // buildGeoms derives the three families' geometry from the universe and
-// routing. Mirrors the fragment construction in Node.buildFragments:
-// the group family's lists are single-owner (the pair's owner holds all
-// |G| members), the query/location families' lists are split across the
-// partitions owning the member's pair.
-func buildGeoms(uni *Universe, n int) map[compare.Dimension]*geom {
+// owner, the partition of every universe pair at qi·|L| + li (see
+// Universe.owners), mirroring what a node holds (see Node.fragment): a
+// group-family list is single-owner (the pair's owner holds all |G|
+// members), and a query- or location-family list is split across the
+// partitions owning its members' pairs.
+func buildGeoms(uni *Universe, owner []int32, n int) map[compare.Dimension]*geom {
 	G, Q, L := uni.counts()
-
-	// owner[qi][li] memoizes the routing for both passes.
-	owner := make([][]int, Q)
-	for qi, q := range uni.Queries {
-		owner[qi] = make([]int, L)
-		for li, l := range uni.Locations {
-			owner[qi][li] = Route(q, l, n)
-		}
+	whole := make([][]fragInfo, n)
+	for p := range whole {
+		whole[p] = []fragInfo{{p: p, n: G}}
 	}
-
-	gGeom := &geom{numLists: Q * L, listLen: G, frags: make([][]fragInfo, Q*L)}
-	for qi := 0; qi < Q; qi++ {
-		for li := 0; li < L; li++ {
-			gGeom.frags[qi*L+li] = []fragInfo{{p: owner[qi][li], n: G}}
-		}
-	}
-
-	// Per-axis fragment sizes: how many queries each partition owns at a
-	// given location, and how many locations at a given query.
-	qGeom := &geom{numLists: G * L, listLen: Q, frags: make([][]fragInfo, G*L)}
-	lGeom := &geom{numLists: G * Q, listLen: L, frags: make([][]fragInfo, G*Q)}
-	for li := 0; li < L; li++ {
+	// split counts, for each a of na, the members b of nb each partition
+	// owns the pair of, and returns the fragments per a and their total.
+	split := func(na, nb int, pair func(a, b int) int) ([][]fragInfo, int) {
+		frags, total := make([][]fragInfo, na), 0
 		counts := make([]int, n)
-		for qi := 0; qi < Q; qi++ {
-			counts[owner[qi][li]]++
-		}
-		var fis []fragInfo
-		for p, c := range counts {
-			if c > 0 {
-				fis = append(fis, fragInfo{p: p, n: c})
+		for a := range frags {
+			clear(counts)
+			for b := 0; b < nb; b++ {
+				counts[owner[pair(a, b)]]++
 			}
-		}
-		for gi := 0; gi < G; gi++ {
-			qGeom.frags[gi*L+li] = fis
-		}
-	}
-	for qi := 0; qi < Q; qi++ {
-		counts := make([]int, n)
-		for li := 0; li < L; li++ {
-			counts[owner[qi][li]]++
-		}
-		var fis []fragInfo
-		for p, c := range counts {
-			if c > 0 {
-				fis = append(fis, fragInfo{p: p, n: c})
+			for p, c := range counts {
+				if c > 0 {
+					frags[a] = append(frags[a], fragInfo{p: p, n: c})
+				}
 			}
+			total += len(frags[a])
 		}
-		for gi := 0; gi < G; gi++ {
-			lGeom.frags[gi*Q+qi] = fis
-		}
+		return frags, total
 	}
-
+	atLoc, byLoc := split(L, Q, func(li, qi int) int { return qi*L + li })
+	atQuery, byQuery := split(Q, L, func(qi, li int) int { return qi*L + li })
 	return map[compare.Dimension]*geom{
-		compare.ByGroup:    gGeom,
-		compare.ByQuery:    qGeom,
-		compare.ByLocation: lGeom,
+		compare.ByGroup:    {numLists: Q * L, listLen: G, owner: owner, frags: whole, cursors: Q * L},
+		compare.ByQuery:    {numLists: G * L, listLen: Q, frags: atLoc, cursors: G * byLoc},
+		compare.ByLocation: {numLists: G * Q, listLen: L, frags: atQuery, cursors: G * byQuery},
 	}
 }
 
@@ -127,16 +116,24 @@ type scatterSource struct {
 	g    *geom
 	rows map[string]map[int]float64
 	list []mergedList
+	// entries and cursors are the request's two slabs, sized from the
+	// geometry: merged list i fills entries[i·listLen, (i+1)·listLen),
+	// and takes its fragments' cursors off the front of cursors on its
+	// first access.
+	entries []index.Entry
+	cursors []fragState
 }
 
 func newScatterSource(ctx context.Context, rc *reqCtx, dim compare.Dimension, g *geom) *scatterSource {
 	return &scatterSource{
-		rc:   rc,
-		ctx:  ctx,
-		dim:  dim,
-		g:    g,
-		rows: make(map[string]map[int]float64),
-		list: make([]mergedList, g.numLists),
+		rc:      rc,
+		ctx:     ctx,
+		dim:     dim,
+		g:       g,
+		rows:    make(map[string]map[int]float64),
+		list:    make([]mergedList, g.numLists),
+		entries: make([]index.Entry, g.numLists*g.listLen),
+		cursors: make([]fragState, g.cursors),
 	}
 }
 
@@ -149,9 +146,13 @@ func (s *scatterSource) At(i, pos int) (index.Entry, bool) {
 	}
 	ml := &s.list[i]
 	if !ml.inited {
-		for _, fi := range s.g.frags[i] {
-			ml.frags = append(ml.frags, fragState{p: fi.p, remaining: fi.n})
+		fis := s.g.fragments(i)
+		ml.frags, s.cursors = s.cursors[:len(fis):len(fis)], s.cursors[len(fis):]
+		for k, fi := range fis {
+			ml.frags[k] = fragState{p: fi.p, remaining: fi.n}
 		}
+		at := i * s.g.listLen
+		ml.entries = s.entries[at:at:(at + s.g.listLen)]
 		ml.inited = true
 	}
 	for len(ml.entries) <= pos {

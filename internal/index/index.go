@@ -31,10 +31,8 @@
 // So a random access is one indexed load after the dictionary lookup, and
 // a sorted access is the id at list·|members| + pos, then that load.
 //
-// NewLists builds a second kind of list, ragged and standalone
-// (Inverted), which keeps its values in posting order beside its ids and
-// answers random access by scanning them: the lists a cluster partition
-// holds are its share of each list, so short.
+// SortPostings is the one posting order: the families sort with it, and
+// so does anything else that must produce lists in the same order.
 package index
 
 import (
@@ -103,70 +101,63 @@ func (f *family) Find(i int, key string) (float64, bool) {
 func (f *family) sortLists() {
 	n := len(f.keys)
 	f.order = make([]int32, 0, len(f.bases)*n)
-	ps := make([]posting, n)
+	ps := make([]Posting, n)
 	for _, base := range f.bases {
 		for m := range ps {
-			ps[m] = posting{int32(m), f.cube[int(base)+m*f.stride]}
+			ps[m] = Posting{int32(m), f.cube[int(base)+m*f.stride]}
 		}
-		f.order = appendOrder(f.order, ps)
+		SortPostings(ps)
+		for _, p := range ps {
+			f.order = append(f.order, p.ID)
+		}
 	}
 }
 
-// number sets each key's id in ids to its position in keys and returns
-// ids, a new map when nil.
-func number(keys []string, ids map[string]int32) map[string]int32 {
-	if ids == nil {
-		ids = make(map[string]int32, len(keys))
-	}
+// number maps each key to its position in keys.
+func number(keys []string) map[string]int32 {
+	ids := make(map[string]int32, len(keys))
 	for i, k := range keys {
 		ids[k] = int32(i)
 	}
 	return ids
 }
 
-// posting is one list member while its list is being built.
-type posting struct {
-	id int32
-	v  float64
+// Posting is one list member while its list is being sorted: its member
+// id, a position in the list's sorted member dictionary, and its value.
+type Posting struct {
+	ID    int32
+	Value float64
 }
 
 // canonical is the posting-list order: descending value, ties broken by
 // ascending member id, which is ascending key.
-func canonical(a, b posting) int {
-	if a.v != b.v {
-		if a.v > b.v {
+func canonical(a, b Posting) int {
+	if a.Value != b.Value {
+		if a.Value > b.Value {
 			return -1
 		}
 		return 1
 	}
-	return cmp.Compare(a.id, b.id)
+	return cmp.Compare(a.ID, b.ID)
 }
 
-// appendOrder sorts ps into posting order and appends their member ids
-// to order.
-func appendOrder(order []int32, ps []posting) []int32 {
-	sortPostings(ps)
-	for _, p := range ps {
-		order = append(order, p.id)
-	}
-	return order
-}
-
-// insertionMax is the longest list sortPostings sorts by insertion. In a
+// insertionMax is the longest list SortPostings sorts by insertion. In a
 // sweep of list lengths 8–512 with random values in ascending id order
 // (go test -bench, 2-vCPU Xeon, go1.24.0), insertion beat
 // slices.SortFunc up to 112 postings, tied it at 128 and lost from 144
 // on; with 30% of the values tied at 0 it still won at 128.
 const insertionMax = 128
 
-// sortPostings sorts ps into canonical order. A list of up to
-// insertionMax postings is insertion-sorted with the comparison written
-// inline, which saves slices.SortFunc's call through canonical per
-// comparison; a longer one goes to slices.SortFunc, so the worst case
-// stays O(n log n). canonical is a total order on postings of distinct
-// ids and values other than NaN, which no measure yields, so both sorts
-// give one order.
-func sortPostings(ps []posting) {
+// SortPostings sorts ps into the posting-list order: descending value,
+// ties broken by ascending member id, which is ascending key when ids
+// number a sorted dictionary. A list of up to insertionMax postings is
+// insertion-sorted with the comparison written inline, which saves
+// slices.SortFunc's call through canonical per comparison; a longer one
+// goes to slices.SortFunc, so the worst case stays O(n log n). canonical
+// is a total order on postings of distinct ids and values other than
+// NaN, which no measure yields, so both sorts give one order. It
+// allocates nothing.
+func SortPostings(ps []Posting) {
 	if len(ps) > insertionMax {
 		slices.SortFunc(ps, canonical)
 		return
@@ -176,126 +167,13 @@ func sortPostings(ps []posting) {
 		j := i
 		for ; j > 0; j-- {
 			q := ps[j-1]
-			if q.v > p.v || q.v == p.v && q.id < p.id {
+			if q.Value > p.Value || q.Value == p.Value && q.ID < p.ID {
 				break
 			}
 			ps[j] = q
 		}
 		ps[j] = p
 	}
-}
-
-// Inverted is one of NewLists's lists: a posting list sorted by
-// descending Value (ties broken by ascending Key so ordering is
-// deterministic). It supports sorted access via At and random access via
-// Find.
-type Inverted struct {
-	s      *ragged
-	off, n int32 // the list's postings are [off, off+n) of s's arrays
-}
-
-// ragged is the storage the lists of one NewLists call share: one member
-// dictionary, and every list's member ids and values in posting order,
-// back to back.
-type ragged struct {
-	keys  []string         // member dictionary, ascending; id = position
-	ids   map[string]int32 // key → member id
-	order []int32
-	vals  []float64
-}
-
-// Len returns the number of postings.
-func (iv *Inverted) Len() int { return int(iv.n) }
-
-// At performs a sorted access: the posting at position pos (0 = highest
-// unfairness). ok is false past the end of the list.
-func (iv *Inverted) At(pos int) (Entry, bool) {
-	if uint(pos) >= uint(iv.n) {
-		return Entry{}, false
-	}
-	i := int(iv.off) + pos
-	return Entry{iv.s.keys[iv.s.order[i]], iv.s.vals[i]}, true
-}
-
-// Find performs a random access: the unfairness value recorded for key.
-// ok is false when the list holds no posting for key.
-func (iv *Inverted) Find(key string) (float64, bool) {
-	id, ok := iv.s.ids[key]
-	if !ok {
-		return 0, false
-	}
-	off := int(iv.off)
-	for pos, x := range iv.s.order[off : off+int(iv.n)] {
-		if x == id {
-			return iv.s.vals[off+pos], true
-		}
-	}
-	return 0, false
-}
-
-// Entries returns a copy of the posting list in sorted order.
-func (iv *Inverted) Entries() []Entry {
-	out := make([]Entry, iv.Len())
-	for pos := range out {
-		out[pos], _ = iv.At(pos)
-	}
-	return out
-}
-
-// NewLists builds posting lists that need not hold the same members: list
-// i holds exactly the postings of lists[i], given in any order, and a key
-// it lacks Finds as (0, false). A nil or empty lists[i] yields an empty
-// list. The lists share one member dictionary, the sorted union of their
-// keys, and sort exactly as the Build* families do. Each key may appear
-// at most once per list.
-func NewLists(lists [][]Entry) []*Inverted {
-	ids := make(map[string]int32)
-	total, nonEmpty := 0, 0
-	for _, l := range lists {
-		total += len(l)
-		if len(l) > 0 {
-			nonEmpty++
-		}
-		for _, e := range l {
-			ids[e.Key] = 0
-		}
-	}
-	keys := make([]string, 0, len(ids))
-	for k := range ids {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-
-	s := &ragged{keys: keys, ids: number(keys, ids), order: make([]int32, 0, total), vals: make([]float64, 0, total)}
-	empty := &Inverted{s: s}
-	ivs := make([]Inverted, 0, nonEmpty)
-	out := make([]*Inverted, len(lists))
-	var ps []posting
-	for i, l := range lists {
-		if len(l) == 0 {
-			out[i] = empty
-			continue
-		}
-		ps = ps[:0]
-		for _, e := range l {
-			ps = append(ps, posting{s.ids[e.Key], e.Value})
-		}
-		slices.SortFunc(ps, func(a, b posting) int { return cmp.Compare(a.id, b.id) })
-		// A duplicate would give the list two postings for one member and
-		// Find no single answer.
-		for j := 1; j < len(ps); j++ {
-			if ps[j].id == ps[j-1].id {
-				panic(fmt.Sprintf("index: list %d holds key %q twice", i, keys[ps[j].id]))
-			}
-		}
-		ivs = append(ivs, Inverted{s: s, off: int32(len(s.order)), n: int32(len(ps))})
-		s.order = appendOrder(s.order, ps) // sorts ps into posting order
-		for _, p := range ps {
-			s.vals = append(s.vals, p.v)
-		}
-		out[i] = &ivs[len(ivs)-1]
-	}
-	return out
 }
 
 // listOf returns the number of list (a, b) in a family whose lists run
@@ -384,7 +262,7 @@ func build(t *core.Table, group, query, location bool) (gi *GroupIndex, qi *Quer
 				bases = append(bases, int32(a*sa+b*sb))
 			}
 		}
-		*f = family{keys: keys, ids: number(keys, nil), cube: cube, bases: bases, stride: stride}
+		*f = family{keys: keys, ids: number(keys), cube: cube, bases: bases, stride: stride}
 		sorts = append(sorts, f.sortLists)
 	}
 	if group {

@@ -2,10 +2,8 @@ package index_test
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"slices"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -27,62 +25,6 @@ func sampleTable() *core.Table {
 	t.Set(male, "q1", "l2", 0.9)
 	// female@q1,l2 and both@q2,l2 left undefined: completion fills 0.
 	return t
-}
-
-// TestInvertedOrderingAndAccess pins the posting order, canonical as
-// topk.LessEntries defines it, through many-way value ties (three at 0.5,
-// three at 0.3, and +0 against −0) on a complete list and on a ragged one
-// sharing its dictionary, and random access on both: a key a list lacks,
-// in the dictionary or not, Finds as (0, false).
-func TestInvertedOrderingAndAccess(t *testing.T) {
-	negZero := math.Copysign(0, -1)
-	full := []index.Entry{{"a", 0.3}, {"b", 0.9}, {"c", 0.3}, {"f", 0.5}, {"e", 0.5}, {"d", 0.5}, {"g", 0.3}, {"h", 0}, {"i", negZero}}
-	ragged := []index.Entry{{"g", 0.3}, {"e", 0.5}, {"a", 0.3}, {"i", negZero}, {"c", 0.3}}
-	lists := index.NewLists([][]index.Entry{full, ragged})
-	for li, wantKeys := range [][]string{
-		{"b", "d", "e", "f", "a", "c", "g", "h", "i"},
-		{"e", "a", "c", "g", "i"},
-	} {
-		iv := lists[li]
-		in := [][]index.Entry{full, ragged}[li]
-		want := append([]index.Entry(nil), in...)
-		sort.Slice(want, func(i, j int) bool { return topk.LessEntries(want[i], want[j]) })
-		if iv.Len() != len(want) {
-			t.Fatalf("list %d: Len = %d, want %d", li, iv.Len(), len(want))
-		}
-		for pos, w := range want {
-			e, ok := iv.At(pos)
-			if !ok || e != w || e.Key != wantKeys[pos] {
-				t.Fatalf("list %d: At(%d) = %v, %v; want %v (key %s)", li, pos, e, ok, w, wantKeys[pos])
-			}
-			if v, ok := iv.Find(w.Key); !ok || v != w.Value {
-				t.Fatalf("list %d: Find(%s) = %v, %v; want %v", li, w.Key, v, ok, w.Value)
-			}
-		}
-		if _, ok := iv.At(len(want)); ok {
-			t.Fatalf("list %d: At past end should fail", li)
-		}
-		if _, ok := iv.At(-1); ok {
-			t.Fatalf("list %d: At(-1) should fail", li)
-		}
-		if v, ok := iv.Find("zzz"); ok || v != 0 {
-			t.Fatalf("list %d: Find of a key outside the dictionary = %v, %v", li, v, ok)
-		}
-	}
-	for _, k := range []string{"b", "d", "f", "h"} {
-		if v, ok := lists[1].Find(k); ok || v != 0 {
-			t.Fatalf("ragged Find(%s) = %v, %v; want (0, false)", k, v, ok)
-		}
-	}
-}
-
-func TestInvertedEntriesCopy(t *testing.T) {
-	iv := index.NewLists([][]index.Entry{{{"a", 1}, {"b", 2}}})[0]
-	es := iv.Entries()
-	es[0].Value = 99
-	if e, _ := iv.At(0); e.Value == 99 {
-		t.Fatal("Entries leaks internal slice")
-	}
 }
 
 func TestGroupIndexSortedByUnfairness(t *testing.T) {

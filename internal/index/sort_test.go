@@ -14,8 +14,8 @@ import (
 // insertionMax: list lengths 1, the bound, one past it and four times
 // it, with many exact value ties and both +0 and −0, must come out in
 // the order slices.SortFunc(ps, canonical) gives, in built families and
-// in NewLists's lists (ragged ones, and a complete one), and sorting
-// allocates nothing.
+// from SortPostings itself over ids that skip members, as a cluster node
+// sorts its share of a list, and sorting allocates nothing.
 func TestPostingOrderAcrossSortBound(t *testing.T) {
 	rng := stats.NewRNG(3)
 	lengths := []int{1, insertionMax, insertionMax + 1, 4 * insertionMax}
@@ -34,17 +34,17 @@ func TestPostingOrderAcrossSortBound(t *testing.T) {
 	}
 	// want is list iv's order: its members' postings, numbered by their
 	// position in keys, sorted by slices.SortFunc with canonical.
-	want := func(iv oneList, keys []string) []posting {
-		var ps []posting
+	want := func(iv familyList, keys []string) []Posting {
+		var ps []Posting
 		for id, k := range keys {
 			if v, ok := iv.Find(k); ok {
-				ps = append(ps, posting{int32(id), v})
+				ps = append(ps, Posting{int32(id), v})
 			}
 		}
 		slices.SortFunc(ps, canonical)
 		return ps
 	}
-	check := func(name string, iv oneList, keys []string) {
+	check := func(name string, iv familyList, keys []string) {
 		t.Helper()
 		ps := want(iv, keys)
 		if iv.Len() != len(ps) {
@@ -52,8 +52,8 @@ func TestPostingOrderAcrossSortBound(t *testing.T) {
 		}
 		for pos, p := range ps {
 			e, ok := iv.At(pos)
-			if !ok || e.Key != keys[p.id] || math.Float64bits(e.Value) != math.Float64bits(p.v) {
-				t.Fatalf("%s (length %d): At(%d) = %v, %v; slices.SortFunc gives %s %v", name, len(ps), pos, e, ok, keys[p.id], p.v)
+			if !ok || e.Key != keys[p.ID] || math.Float64bits(e.Value) != math.Float64bits(p.Value) {
+				t.Fatalf("%s (length %d): At(%d) = %v, %v; slices.SortFunc gives %s %v", name, len(ps), pos, e, ok, keys[p.ID], p.Value)
 			}
 		}
 	}
@@ -84,56 +84,34 @@ func TestPostingOrderAcrossSortBound(t *testing.T) {
 		}
 	}
 
-	// NewLists: a list of each length over 4·insertionMax keys, given in
-	// random order, so the longest list holds every key and is complete.
-	universe := make([]string, 4*insertionMax)
-	for i := range universe {
-		universe[i] = fmt.Sprintf("k%03d", i)
-	}
-	var lists [][]Entry
+	// SortPostings itself, over n of 4·insertionMax member ids in
+	// ascending order (as its callers give them) and shuffled: a list of
+	// each length, the longest holding every member. It allocates nothing.
 	for _, n := range lengths {
-		var l []Entry
-		for _, i := range rng.Perm(len(universe))[:n] {
-			l = append(l, Entry{universe[i], value()})
-		}
-		lists = append(lists, l)
-	}
-	for i, iv := range NewLists(lists) {
-		check(fmt.Sprintf("NewLists list %d", i), iv, universe)
-	}
-
-	// sortPostings itself, on postings in ascending id order (as its
-	// callers give them) and shuffled, allocates nothing.
-	for _, n := range lengths {
-		src := make([]posting, n)
-		for i := range src {
-			src[i] = posting{int32(i), value()}
+		ids := rng.Perm(4 * insertionMax)[:n]
+		slices.Sort(ids)
+		src := make([]Posting, n)
+		for i, id := range ids {
+			src[i] = Posting{int32(id), value()}
 		}
 		for _, order := range []string{"ascending", "shuffled"} {
 			if order == "shuffled" {
 				rng.Shuffle(len(src), func(i, j int) { src[i], src[j] = src[j], src[i] })
 			}
 			got, ref := slices.Clone(src), slices.Clone(src)
-			sortPostings(got)
+			SortPostings(got)
 			slices.SortFunc(ref, canonical)
 			if !slices.Equal(got, ref) {
-				t.Fatalf("sortPostings of %d %s postings = %v, slices.SortFunc gives %v", n, order, got, ref)
+				t.Fatalf("SortPostings of %d %s postings = %v, slices.SortFunc gives %v", n, order, got, ref)
 			}
-			if allocs := testing.AllocsPerRun(10, func() { copy(got, src); sortPostings(got) }); allocs != 0 {
-				t.Errorf("sortPostings of %d postings allocates %.0f objects, want 0", n, allocs)
+			if allocs := testing.AllocsPerRun(10, func() { copy(got, src); SortPostings(got) }); allocs != 0 {
+				t.Errorf("SortPostings of %d postings allocates %.0f objects, want 0", n, allocs)
 			}
 		}
 	}
 }
 
-// oneList is the sorted and random access of one posting list.
-type oneList interface {
-	Len() int
-	At(pos int) (Entry, bool)
-	Find(key string) (float64, bool)
-}
-
-// familyList is list i of a built family as a oneList.
+// familyList is list i of a built family.
 type familyList struct {
 	f *family
 	i int

@@ -13,8 +13,7 @@
 // internal/index are list sources themselves, with no per-list header:
 // NewGroupLists, NewQueryLists and NewLocationLists return the family
 // for its full scope, and for a narrower one a view of the list numbers
-// the family's ListOf resolves. SliceLists is the list source over the
-// ragged lists a cluster partition holds.
+// the family's ListOf resolves.
 package topk
 
 import (
