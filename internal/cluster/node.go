@@ -31,10 +31,10 @@ type NodeOptions struct {
 //     engine's does, and the node holds nothing else: OpScan and OpLookup
 //     are refused.
 //   - Above one partition the coordinator streams quantify from the
-//     node's fragments of the three list families (OpScan, OpLookup), gathers
-//     compare from its cells (OpCells), and sends OpServe only for
-//     mitigate, which reads the pages. So the node keeps its cells in one
-//     array as well, and its snapshot is deferred
+//     node's fragments of the three list families (OpScan, OpLookup),
+//     gathers compare from its cells (OpCells), and sends OpServe only
+//     for mitigate, which reads the pages. So the node keeps its cells in
+//     one array as well, and its snapshot is deferred
 //     (serve.NewDeferredSnapshot): the index families would be built only
 //     if a quantify or compare reached the engine, which the coordinator
 //     never sends there.

@@ -4,14 +4,14 @@
 // access for quantify, where each node sorts a list fragment from the
 // one array of cells it owns when a scan asks for it, one table gathered
 // from every partition's cells for compare, and owner-routing for
-// page-local mitigate. The robustness machinery is
-// the point — per-leg deadline budgets carved from the request
-// deadline, deterministic-jitter hedging against slow partitions,
-// backoff retries for transient leg errors, generation pins for
-// all-or-nothing snapshot consistency, and graceful degradation to a
-// typed partial result when a partition is gone. The Transport boundary
-// is simulated-RPC today (in-process function calls); a later network
-// split is a transport swap, not a rewrite.
+// page-local mitigate. The robustness machinery is the point — per-leg
+// deadline budgets carved from the request deadline,
+// deterministic-jitter hedging against slow partitions, backoff retries
+// for transient leg errors, generation pins for all-or-nothing snapshot
+// consistency, and graceful degradation to a typed partial result when
+// a partition is gone. The Transport boundary is simulated-RPC today
+// (in-process function calls); a later network split is a transport
+// swap, not a rewrite.
 package cluster
 
 import (

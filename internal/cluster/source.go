@@ -42,7 +42,7 @@ type fragInfo struct {
 
 // buildGeoms derives the three families' geometry from the universe and
 // owner, the partition of every universe pair at qi·|L| + li (see
-// Universe.owners), mirroring what a node holds (see Node.fragment): a
+// Universe.owners), mirroring what a node scans (see Node.scan): a
 // group-family list is single-owner (the pair's owner holds all |G|
 // members), and a query- or location-family list is split across the
 // partitions owning its members' pairs.
